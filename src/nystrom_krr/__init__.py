@@ -7,10 +7,9 @@ without estimation. See README for the experiment harness.
 """
 
 from .kernels import DecaySpec, KernelSpec, cross_gram, eval_kernel, gram, kappa
-from .krr import KrrModel, empirical_risk, fit_krr
+from .krr import KernelModel, empirical_risk, fit_krr
 from .linalg import NumericalError, OpCount, operator_norm, solve_regularized, sym_eigenvalues
 from .nystrom import (
-    NystromModel,
     SizeRuleParams,
     fit_nystrom,
     lambda_admissible,

@@ -14,6 +14,8 @@ import os
 import sys
 
 from . import experiments as exp
+from .diagnostics import CSV_FIELDS, report_rows
+from .linalg import NumericalError
 from .nystrom import subsample_size
 from .spectral import analytic_profile, lambda0
 
@@ -71,15 +73,7 @@ def cmd_lambda_sweep(args) -> int:
 def cmd_diagnostics(args) -> int:
     config = _load(args)
     reports, summary, passed = exp.run_diagnostics(config)
-    out = config.outputs
-    os.makedirs(out, exist_ok=True)
-    from .diagnostics import reports_to_csv
-
-    reports_to_csv(reports, os.path.join(out, "diagnostics.csv"))
-    exp.write_summary(os.path.join(out, "diagnostics_summary.txt"), summary)
-    for line in summary:
-        print(line)
-    return 0 if passed else 2
+    return _finish(config, "diagnostics", CSV_FIELDS, report_rows(reports), summary, passed)
 
 
 def cmd_lambda0(args) -> int:
@@ -129,7 +123,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -260,24 +260,29 @@ CSV_FIELDS = [
 ]
 
 
+def report_rows(reports) -> list:
+    """One ``CSV_FIELDS`` row per report."""
+    return [
+        [
+            rep.bound_name,
+            rep.settings.get("n", ""),
+            rep.settings.get("m", ""),
+            rep.settings.get("lambda", ""),
+            rep.settings.get("T", ""),
+            rep.settings.get("s", ""),
+            rep.trials,
+            rep.delta,
+            repr(float(rep.violation_rate)),
+            repr(float(rep.observed_max_ratio)),
+            "" if rep.quantile_ratio is None else repr(float(rep.quantile_ratio)),
+            "; ".join(rep.warnings),
+        ]
+        for rep in reports
+    ]
+
+
 def reports_to_csv(reports, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
-        for rep in reports:
-            writer.writerow(
-                [
-                    rep.bound_name,
-                    rep.settings.get("n", ""),
-                    rep.settings.get("m", ""),
-                    rep.settings.get("lambda", ""),
-                    rep.settings.get("T", ""),
-                    rep.settings.get("s", ""),
-                    rep.trials,
-                    rep.delta,
-                    repr(float(rep.violation_rate)),
-                    repr(float(rep.observed_max_ratio)),
-                    "" if rep.quantile_ratio is None else repr(float(rep.quantile_ratio)),
-                    "; ".join(rep.warnings),
-                ]
-            )
+        writer.writerows(report_rows(reports))

@@ -147,15 +147,20 @@ class RateFitResult:
             raise ValueError("a rate fit needs at least 3 grid points")
 
 
-def fit_loglog(ns, values) -> RateFitResult:
-    ns = np.asarray(ns, dtype=np.float64)
-    vals = np.asarray(values, dtype=np.float64)
-    x, y = np.log(ns), np.log(vals)
-    design = np.vstack([np.ones_like(x), x]).T
+def _lstsq_r2(design, y):
+    """Least-squares coefficients of ``y ~ design`` and the fit's r^2."""
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coeffs
     total = np.sum((y - y.mean()) ** 2)
     r2 = 1.0 - float(np.sum(resid**2)) / float(total) if total > 0 else 1.0
+    return coeffs, r2
+
+
+def fit_loglog(ns, values) -> RateFitResult:
+    ns = np.asarray(ns, dtype=np.float64)
+    vals = np.asarray(values, dtype=np.float64)
+    x, y = np.log(ns), np.log(vals)
+    coeffs, r2 = _lstsq_r2(np.vstack([np.ones_like(x), x]).T, y)
     return RateFitResult(
         exponent=float(coeffs[1]),
         intercept=float(coeffs[0]),
@@ -168,16 +173,34 @@ def fit_loglog_with_loglog_covariate(ns, values) -> tuple[float, float]:
     """Slope on log n after absorbing a log log n term; returns (slope, r2)."""
     ns = np.asarray(ns, dtype=np.float64)
     x, y = np.log(ns), np.log(np.asarray(values, dtype=np.float64))
-    design = np.vstack([np.ones_like(x), x, np.log(x)]).T
-    coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coeffs
-    total = np.sum((y - y.mean()) ** 2)
-    r2 = 1.0 - float(np.sum(resid**2)) / float(total) if total > 0 else 1.0
+    coeffs, r2 = _lstsq_r2(np.vstack([np.ones_like(x), x, np.log(x)]).T, y)
     return float(coeffs[1]), r2
 
 
-def _cell_seeds(master: int, n_cells: int):
-    return np.random.SeedSequence(master).spawn(n_cells)
+def _sweep_cells(config: ExperimentConfig, grid):
+    """Run every cell of a sweep over ``grid``, a list of ``(n, m, lambda)``.
+
+    Cell ``index * repetitions + rep`` spawns its dataset and subsample seeds
+    from the master seed, samples the dataset, draws ``m`` inducing points,
+    fits Nystrom and takes the exact error. Yields
+    ``(index, rep, cell, data, model, error, wall_ms)``; ``wall_ms`` times
+    subsample+fit.
+    """
+    target = _make_target(config)
+    seeds = np.random.SeedSequence(config.seed).spawn(len(grid) * config.repetitions)
+    for index, (n, m, lam) in enumerate(grid):
+        for rep in range(config.repetitions):
+            cell = index * config.repetitions + rep
+            ds_seed, sub_seed = seeds[cell].spawn(2)
+            data = sample_dataset(
+                config.kernel.decay, config.kernel.truncation, target, config.noise, n, ds_seed
+            )
+            t0 = time.perf_counter()
+            idx = subsample_plain(n, m, sub_seed)
+            model = nystrom.fit_nystrom(config.kernel, data, lam, idx)
+            wall_ms = 1000.0 * (time.perf_counter() - t0)
+            err = l2_rho_error(model, config.kernel, data)
+            yield index, rep, cell, data, model, err, wall_ms
 
 
 def _resolve_lambda(config: ExperimentConfig, n: int) -> float:
@@ -228,55 +251,38 @@ def run_rate_sweep(config: ExperimentConfig):
     tolerance.
     """
     _require_designed(config, "rate sweep")
-    target = _make_target(config)
-    seeds = _cell_seeds(config.seed, len(config.n_grid) * config.repetitions)
-    rows, timing = [], []
-    medians = []
     delta = config.size_rule.delta
     top_eig = float(config.kernel.eigenvalues()[0])
-    for i_n, n in enumerate(config.n_grid):
+    grid, warns = [], []
+    for n in config.n_grid:
         lam = _resolve_lambda(config, n)
-        m = subsample_size(n, lam, config.size_rule, kernel=config.kernel)
-        cell_warn = ""
-        if not lambda_admissible(lam, n, delta, top_eig):
-            cell_warn = "lambda outside admissible window"
-        errs = []
-        for rep in range(config.repetitions):
-            cell = i_n * config.repetitions + rep
-            ds_seed, sub_seed = seeds[cell].spawn(2)
-            data = sample_dataset(
-                config.kernel.decay,
-                config.kernel.truncation,
-                target,
-                config.noise,
+        grid.append((n, subsample_size(n, lam, config.size_rule, kernel=config.kernel), lam))
+        admissible = lambda_admissible(lam, n, delta, top_eig)
+        warns.append("" if admissible else "lambda outside admissible window")
+    rows, timing = [], []
+    errs = [[] for _ in grid]
+    for i, rep, cell, data, model, err, wall_ms in _sweep_cells(config, grid):
+        n, m, lam = grid[i]
+        krr_err = ""
+        if config.krr_baseline:
+            base = krr.fit_krr(config.kernel, data, lam)
+            krr_err = repr(l2_rho_error(base, config.kernel, data))
+        errs[i].append(err)
+        rows.append(
+            [
                 n,
-                ds_seed,
-            )
-            t0 = time.perf_counter()
-            idx = subsample_plain(n, m, sub_seed)
-            model = nystrom.fit_nystrom(config.kernel, data, lam, idx)
-            wall_ms = 1000.0 * (time.perf_counter() - t0)
-            err = l2_rho_error(model, config.kernel, data)
-            krr_err = ""
-            if config.krr_baseline:
-                base = krr.fit_krr(config.kernel, data, lam)
-                krr_err = repr(l2_rho_error(base, config.kernel, data))
-            errs.append(err)
-            rows.append(
-                [
-                    n,
-                    rep,
-                    f"{config.seed}:{cell}",
-                    m,
-                    repr(lam),
-                    repr(err),
-                    krr_err,
-                    model.opcount.flops,
-                    cell_warn,
-                ]
-            )
-            timing.append([n, rep, f"{wall_ms:.1f}"])
-        medians.append(float(np.median(errs)))
+                rep,
+                f"{config.seed}:{cell}",
+                m,
+                repr(lam),
+                repr(err),
+                krr_err,
+                model.opcount.flops,
+                warns[i],
+            ]
+        )
+        timing.append([n, rep, f"{wall_ms:.1f}"])
+    medians = [float(np.median(e)) for e in errs]
 
     fit = fit_loglog(config.n_grid, medians) if len(config.n_grid) >= 3 else None
     passed = True
@@ -325,41 +331,31 @@ def run_cost_sweep(config: ExperimentConfig):
         c_gamma=bound.c_gamma,
     )
     subquadratic = 2.0 * gamma + s > 1.0
-    target = _make_target(config)
-    seeds = _cell_seeds(config.seed, len(config.n_grid) * config.repetitions)
-    rows, timing, flops_per_n = [], [], []
-    for i_n, n in enumerate(config.n_grid):
+    warn = "" if subquadratic else "no subquadratic guarantee (2 gamma + s <= 1)"
+    grid = []
+    for n in config.n_grid:
         lam = _resolve_lambda(config, n)
-        m = subsample_size(n, lam, rule, kernel=config.kernel)
-        warn = "" if subquadratic else "no subquadratic guarantee (2 gamma + s <= 1)"
-        cell_flops = []
-        for rep in range(config.repetitions):
-            cell = i_n * config.repetitions + rep
-            ds_seed, sub_seed = seeds[cell].spawn(2)
-            data = sample_dataset(
-                config.kernel.decay, config.kernel.truncation, target, config.noise, n, ds_seed
-            )
-            t0 = time.perf_counter()
-            idx = subsample_plain(n, m, sub_seed)
-            model = nystrom.fit_nystrom(config.kernel, data, lam, idx)
-            wall_ms = 1000.0 * (time.perf_counter() - t0)
-            err = l2_rho_error(model, config.kernel, data)
-            cell_flops.append(model.opcount.flops)
-            rows.append(
-                [
-                    n,
-                    rep,
-                    f"{config.seed}:{cell}",
-                    m,
-                    repr(lam),
-                    repr(bound.c_gamma),
-                    repr(err),
-                    model.opcount.flops,
-                    warn,
-                ]
-            )
-            timing.append([n, rep, f"{wall_ms:.1f}"])
-        flops_per_n.append(float(np.median(cell_flops)))
+        grid.append((n, subsample_size(n, lam, rule, kernel=config.kernel), lam))
+    rows, timing = [], []
+    cell_flops = [[] for _ in grid]
+    for i, rep, cell, _, model, err, wall_ms in _sweep_cells(config, grid):
+        n, m, lam = grid[i]
+        cell_flops[i].append(model.opcount.flops)
+        rows.append(
+            [
+                n,
+                rep,
+                f"{config.seed}:{cell}",
+                m,
+                repr(lam),
+                repr(bound.c_gamma),
+                repr(err),
+                model.opcount.flops,
+                warn,
+            ]
+        )
+        timing.append([n, rep, f"{wall_ms:.1f}"])
+    flops_per_n = [float(np.median(f)) for f in cell_flops]
 
     slope, r2 = fit_loglog_with_loglog_covariate(config.n_grid, flops_per_n)
     predicted = (3.0 + s - 2.0 * gamma) / (1.0 + s)
@@ -395,23 +391,18 @@ def run_lambda_sensitivity(config: ExperimentConfig):
         ).tolist()
     if lam0 not in lam_grid:
         lam_grid = sorted(set(lam_grid) | {lam0})
-    target = _make_target(config)
-    seeds = _cell_seeds(config.seed, len(lam_grid) * config.repetitions)
+    grid = [
+        (n, subsample_size(n, min(lam, 0.999), config.size_rule, kernel=config.kernel), lam)
+        for lam in lam_grid
+    ]
+    errs = [[] for _ in grid]
+    flops = [[] for _ in grid]
+    for i, _, _, _, model, err, _ in _sweep_cells(config, grid):
+        errs[i].append(err)
+        flops[i].append(model.opcount.flops)
     rows, medians = [], {}
-    for i_l, lam in enumerate(lam_grid):
-        m = subsample_size(n, min(lam, 0.999), config.size_rule, kernel=config.kernel)
-        errs, flops = [], []
-        for rep in range(config.repetitions):
-            child = seeds[i_l * config.repetitions + rep]
-            ds_seed, sub_seed = child.spawn(2)
-            data = sample_dataset(
-                config.kernel.decay, config.kernel.truncation, target, config.noise, n, ds_seed
-            )
-            idx = subsample_plain(n, m, sub_seed)
-            model = nystrom.fit_nystrom(config.kernel, data, lam, idx)
-            errs.append(l2_rho_error(model, config.kernel, data))
-            flops.append(model.opcount.flops)
-        med = float(np.median(errs))
+    for i_l, (_, m, lam) in enumerate(grid):
+        med = float(np.median(errs[i_l]))
         medians[lam] = med
         rows.append(
             [
@@ -420,7 +411,7 @@ def run_lambda_sensitivity(config: ExperimentConfig):
                 f"{config.seed}:{i_l}",
                 m,
                 repr(med),
-                int(np.median(flops)),
+                int(np.median(flops[i_l])),
                 int(lam == lam0),
                 "",
             ]

@@ -12,8 +12,7 @@ uniform measure:
 Because the basis is orthonormal for the uniform measure, the kernel integral
 operator is diagonal with eigenvalues ``mu_k``, so effective dimensions,
 a-priori regularization parameters, and exact L2 errors are all computable in
-closed form. Gram assembly is the hot path; it runs through numba when
-available (see ``_accel``) with a vectorized numpy fallback.
+closed form. Gram assembly is the hot path, vectorized in numpy.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._accel import USE_NUMBA, njit, prange
 
 GAUSSIAN = "gaussian"
 LAPLACIAN = "laplacian"
@@ -128,28 +125,9 @@ class KernelSpec:
         raise ValueError(f"unknown kernel variant: {variant!r}")
 
 
-# ---------------------------------------------------------------------------
-# hot kernels: numba + numpy fallback
-# ---------------------------------------------------------------------------
-
-
-@njit(parallel=True, cache=True)
-def _fourier_basis_numba(xs, truncation):  # pragma: no cover - compiled
-    n = xs.shape[0]
-    out = np.empty((n, truncation))
-    for i in prange(n):
-        out[i, 0] = 1.0
-        x = xs[i]
-        for k in range(2, truncation + 1):
-            a = _TWO_PI * (k // 2) * x
-            if k % 2 == 0:
-                out[i, k - 1] = _SQRT2 * np.cos(a)
-            else:
-                out[i, k - 1] = _SQRT2 * np.sin(a)
-    return out
-
-
-def _fourier_basis_numpy(xs, truncation):
+def fourier_basis(xs, truncation: int) -> np.ndarray:
+    """Evaluate the designed basis: (n, truncation) matrix with columns e_k."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     out = np.empty((xs.shape[0], truncation))
     out[:, 0] = 1.0
     if truncation > 1:
@@ -162,43 +140,22 @@ def _fourier_basis_numpy(xs, truncation):
     return out
 
 
-@njit(parallel=True, cache=True)
-def _pairwise_gram_numba(xs, ys, bandwidth, gaussian):  # pragma: no cover
-    n, m = xs.shape[0], ys.shape[0]
-    out = np.empty((n, m))
-    for i in prange(n):
-        for j in range(m):
-            d = (xs[i] - ys[j]) / bandwidth
-            if gaussian:
-                out[i, j] = np.exp(-0.5 * d * d)
-            else:
-                out[i, j] = np.exp(-abs(d))
-    return out
+def basis_sup(weights) -> float:
+    """``sup_x sum_k w_k e_k(x)^2`` over [0, 1], in closed form.
 
-
-def _pairwise_gram_numpy(xs, ys, bandwidth, gaussian):
-    d = (xs[:, None] - ys[None, :]) / bandwidth
-    if gaussian:
-        return np.exp(-0.5 * d * d)
-    return np.exp(-np.abs(d))
-
-
-# Below this element count the parallel-dispatch latency exceeds the compute;
-# small builds go through numpy.
-_NUMBA_MIN_ELEMENTS = 1 << 18
-
-
-def fourier_basis(xs, truncation: int) -> np.ndarray:
-    """Evaluate the designed basis: (n, truncation) matrix with columns e_k."""
-    xs = np.ascontiguousarray(np.atleast_1d(np.asarray(xs, dtype=np.float64)))
-    if USE_NUMBA and xs.size * truncation >= _NUMBA_MIN_ELEMENTS:
-        return _fourier_basis_numba(xs, truncation)
-    return _fourier_basis_numpy(xs, truncation)
+    Valid for nonnegative, nonincreasing weights ``w`` (indexed like the
+    basis, ``w[0]`` weighting ``e_1 = 1``): each cos/sin pair contributes
+    ``2 (w_{2j} cos^2 + w_{2j+1} sin^2) <= 2 w_{2j}``, with equality for every
+    pair at x = 0, so the sup is attained there and equals
+    ``w_1 + 2 (w_2 + w_4 + ...)``.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    return float(w[0] + 2.0 * w[1::2].sum())
 
 
 def _check_designed_domain(*arrays):
     for arr in arrays:
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ValueError("designed_spectral kernel is defined on [0, 1] only")
 
 
@@ -223,14 +180,7 @@ def _designed_cross(kernel, xs, ys):
 
 def eval_kernel(kernel: KernelSpec, x: float, y: float) -> float:
     """Evaluate K(x, y) for a single pair of points."""
-    xa = np.asarray([x], dtype=np.float64)
-    ya = np.asarray([y], dtype=np.float64)
-    if kernel.is_designed:
-        _check_designed_domain(xa, ya)
-        return float(_designed_cross(kernel, xa, ya)[0, 0])
-    return float(
-        _pairwise_gram_numpy(xa, ya, kernel.bandwidth, kernel.variant == GAUSSIAN)[0, 0]
-    )
+    return float(cross_gram(kernel, [x], [y])[0, 0])
 
 
 def cross_gram(kernel: KernelSpec, xs, inducing) -> np.ndarray:
@@ -242,12 +192,10 @@ def cross_gram(kernel: KernelSpec, xs, inducing) -> np.ndarray:
     if kernel.is_designed:
         _check_designed_domain(xs, ys)
         return _designed_cross(kernel, xs, ys)
-    gaussian = kernel.variant == GAUSSIAN
-    if USE_NUMBA and xs.size * ys.size >= _NUMBA_MIN_ELEMENTS:
-        return _pairwise_gram_numba(
-            np.ascontiguousarray(xs), np.ascontiguousarray(ys), kernel.bandwidth, gaussian
-        )
-    return _pairwise_gram_numpy(xs, ys, kernel.bandwidth, gaussian)
+    d = (xs[:, None] - ys[None, :]) / kernel.bandwidth
+    if kernel.variant == GAUSSIAN:
+        return np.exp(-0.5 * d * d)
+    return np.exp(-np.abs(d))
 
 
 def gram(kernel: KernelSpec, xs) -> np.ndarray:
@@ -266,24 +214,9 @@ def kappa(kernel: KernelSpec) -> float:
 
     Exact (1.0) for the closed-form kernels. For the designed family this is
     the analytic envelope ``mu_1 + 2 sum_{k>=2} mu_k`` from ``|e_k| <= sqrt(2)``;
-    compare with :func:`kappa_grid_max` for the attained value.
+    the attained value ``sup_x K(x, x)`` is ``basis_sup(mu)``.
     """
     if not kernel.is_designed:
         return 1.0
     mu = kernel.eigenvalues()
     return float(mu[0] + 2.0 * mu[1:].sum())
-
-
-def kappa_grid_max(kernel: KernelSpec, grid_size: int = 10_000) -> float:
-    """Max of K(x, x) over a uniform grid (designed kernels; 1.0 otherwise)."""
-    if not kernel.is_designed:
-        return 1.0
-    grid = np.linspace(0.0, 1.0, grid_size)
-    mu = kernel.eigenvalues()
-    t = kernel.truncation
-    step = max(1, _CHUNK_ELEMENTS // t)
-    best = -np.inf
-    for lo in range(0, grid_size, step):
-        basis = fourier_basis(grid[lo : lo + step], t)
-        best = max(best, float(((basis * basis) @ mu).max()))
-    return best

@@ -18,41 +18,50 @@ from .linalg import OpCount, solve_regularized
 
 
 @dataclass
-class KrrModel:
-    training_xs: np.ndarray
-    coefficients: np.ndarray
+class KernelModel:
+    """A fitted kernel expansion ``f(x) = sum_j alpha_j K(x, support_xs[j])``.
+
+    Full KRR supports on every training point; a Nystrom model supports on
+    the inducing points and records their training-set ``inducing_indices``
+    (None for full KRR).
+    """
+
+    support_xs: np.ndarray
+    alpha: np.ndarray
     lam: float
     opcount: OpCount = field(default_factory=OpCount)
+    inducing_indices: np.ndarray | None = None
 
 
-def fit_krr(kernel: KernelSpec, data, lam: float) -> KrrModel:
-    """Fit by solving the n x n shifted Gram system."""
+def _training_arrays(data, lam: float):
+    """Validated ``(xs, ys)`` of a training set: nonempty, 1-D, finite, equal length."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     xs = np.atleast_1d(np.asarray(data.xs, dtype=np.float64))
     ys = np.atleast_1d(np.asarray(data.ys, dtype=np.float64))
-    if xs.size == 0:
-        raise ValueError("need at least one training point")
+    if xs.ndim != 1 or xs.size == 0:
+        raise ValueError(f"need a nonempty 1-D array of training points, got shape {xs.shape}")
     if xs.shape != ys.shape:
         raise ValueError(f"xs/ys length mismatch: {xs.shape} vs {ys.shape}")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("training xs and ys must be finite")
+    return xs, ys
+
+
+def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
+    """Fit by solving the n x n shifted Gram system."""
+    xs, ys = _training_arrays(data, lam)
     ops = OpCount()
     coeff = solve_regularized(gram(kernel, xs), lam * xs.size, ys, opcount=ops)
-    return KrrModel(training_xs=xs, coefficients=coeff, lam=lam, opcount=ops)
+    return KernelModel(support_xs=xs, alpha=coeff, lam=lam, opcount=ops)
 
 
-def predict(model: KrrModel, kernel: KernelSpec, xs) -> np.ndarray:
-    """Evaluate f(x) = sum_i c_i K(x, x_i)."""
-    return cross_gram(kernel, xs, model.training_xs) @ model.coefficients
+def predict(model: KernelModel, kernel: KernelSpec, xs) -> np.ndarray:
+    """Evaluate f(x) = sum_j alpha_j K(x, x_j) over the model's support points."""
+    return cross_gram(kernel, xs, model.support_xs) @ model.alpha
 
 
-def _support(model):
-    """(support points, coefficients) for either model flavor."""
-    if hasattr(model, "inducing_indices"):
-        return model.inducing_xs, model.alpha
-    return model.training_xs, model.coefficients
-
-
-def empirical_risk(model, kernel: KernelSpec, data, lam: float) -> float:
+def empirical_risk(model: KernelModel, kernel: KernelSpec, data, lam: float) -> float:
     """Regularized empirical risk of a fitted model on its training data.
 
     Works for both full-KRR and Nystrom models; the RKHS-norm term is
@@ -60,8 +69,8 @@ def empirical_risk(model, kernel: KernelSpec, data, lam: float) -> float:
     """
     xs = np.atleast_1d(np.asarray(data.xs, dtype=np.float64))
     ys = np.atleast_1d(np.asarray(data.ys, dtype=np.float64))
-    support, coeff = _support(model)
-    preds = cross_gram(kernel, xs, support) @ coeff
+    preds = predict(model, kernel, xs)
     fit_term = float(np.mean((preds - ys) ** 2))
-    rkhs_sq = float(coeff @ (gram(kernel, support) @ coeff))
+    coeff = model.alpha
+    rkhs_sq = float(coeff @ (gram(kernel, model.support_xs) @ coeff))
     return fit_term + lam * rkhs_sq

@@ -9,7 +9,7 @@ side. Wall-clock is reported separately by the experiment harness.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,23 +33,20 @@ class OpCount:
     """Accumulates flop estimates; counts only grow."""
 
     flops: int = 0
-    _log: list = field(default_factory=list, repr=False)
 
-    def add(self, amount: float, label: str = "") -> None:
+    def add(self, amount: float) -> None:
         if amount < 0:
             raise ValueError("flop increments must be nonnegative")
         self.flops += int(amount)
-        if label:
-            self._log.append((label, int(amount)))
 
     def add_gram_product(self, n: int, m: int) -> None:
-        self.add(n * m * m, "gram_product")
+        self.add(n * m * m)
 
     def add_factorization(self, m: int) -> None:
-        self.add(m**3 // 3, "factorization")
+        self.add(m**3 // 3)
 
     def add_backsub(self, m: int, nrhs: int = 1) -> None:
-        self.add(m * m * nrhs, "backsub")
+        self.add(m * m * nrhs)
 
     def merge(self, other: "OpCount") -> None:
         self.add(other.flops)

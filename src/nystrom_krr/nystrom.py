@@ -22,23 +22,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .kernels import KernelSpec, cross_gram, gram
+# predict is re-exported: one predict serves every model
+from .krr import KernelModel, _training_arrays, predict  # noqa: F401
 from .linalg import OpCount, cholesky_psd
 from .spectral import SpectralProfile, n_infinity
-
-
-@dataclass
-class NystromModel:
-    inducing_indices: np.ndarray
-    inducing_xs: np.ndarray
-    alpha: np.ndarray
-    lam: float
-    opcount: OpCount = field(default_factory=OpCount)
 
 
 @dataclass(frozen=True)
@@ -71,11 +64,8 @@ def subsample_plain(n: int, m: int, seed: int) -> np.ndarray:
     return rng.choice(n, size=m, replace=False)
 
 
-def fit_nystrom(kernel: KernelSpec, data, lam: float, inducing_indices) -> NystromModel:
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    xs = np.atleast_1d(np.asarray(data.xs, dtype=np.float64))
-    ys = np.atleast_1d(np.asarray(data.ys, dtype=np.float64))
+def fit_nystrom(kernel: KernelSpec, data, lam: float, inducing_indices) -> KernelModel:
+    xs, ys = _training_arrays(data, lam)
     idx = np.asarray(inducing_indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("need at least one inducing index")
@@ -100,13 +90,9 @@ def fit_nystrom(kernel: KernelSpec, data, lam: float, inducing_indices) -> Nystr
     alpha = sla.solve_triangular(r_factor, beta, lower=False)
     ops.add_backsub(m)
 
-    return NystromModel(
-        inducing_indices=idx, inducing_xs=x_ind, alpha=alpha, lam=lam, opcount=ops
+    return KernelModel(
+        support_xs=x_ind, alpha=alpha, lam=lam, opcount=ops, inducing_indices=idx
     )
-
-
-def predict(model: NystromModel, kernel: KernelSpec, xs) -> np.ndarray:
-    return cross_gram(kernel, xs, model.inducing_xs) @ model.alpha
 
 
 def subsample_size(
@@ -155,28 +141,37 @@ def lambda_admissible(
     return lower <= lam <= operator_norm_bound
 
 
-def save_model(model: NystromModel, path) -> None:
+def save_model(model: KernelModel, path) -> None:
     """Self-describing text artifact: indices, inducing points, alpha, lambda."""
+    if model.inducing_indices is None:
+        raise ValueError("save_model stores Nystrom models (inducing_indices is None)")
     payload = {
         "format": "nystrom-krr-model",
         "version": 1,
         "lambda": model.lam,
         "inducing_indices": model.inducing_indices.tolist(),
-        "inducing_xs": model.inducing_xs.tolist(),
+        "inducing_xs": model.support_xs.tolist(),
         "alpha": model.alpha.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
 
 
-def load_model(path) -> NystromModel:
+def load_model(path) -> KernelModel:
+    """Read a ``save_model`` artifact; rejects mismatched or non-finite arrays."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("format") != "nystrom-krr-model":
         raise ValueError(f"{path} is not a saved model artifact")
-    return NystromModel(
-        inducing_indices=np.asarray(payload["inducing_indices"], dtype=np.int64),
-        inducing_xs=np.asarray(payload["inducing_xs"], dtype=np.float64),
-        alpha=np.asarray(payload["alpha"], dtype=np.float64),
-        lam=float(payload["lambda"]),
-    )
+    idx = np.asarray(payload["inducing_indices"], dtype=np.int64)
+    support = np.asarray(payload["inducing_xs"], dtype=np.float64)
+    alpha = np.asarray(payload["alpha"], dtype=np.float64)
+    lam = float(payload["lambda"])
+    if not idx.size == support.size == alpha.size:
+        raise ValueError(
+            f"{path}: inducing_indices, inducing_xs and alpha differ in length "
+            f"({idx.size}, {support.size}, {alpha.size})"
+        )
+    if not (np.all(np.isfinite(support)) and np.all(np.isfinite(alpha)) and math.isfinite(lam)):
+        raise ValueError(f"{path}: inducing_xs, alpha and lambda must be finite")
+    return KernelModel(support_xs=support, alpha=alpha, lam=lam, inducing_indices=idx)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .kernels import DecaySpec, KernelSpec, fourier_basis, gram, kappa
+from .kernels import DecaySpec, KernelSpec, basis_sup, fourier_basis, gram, kappa
 from .linalg import NumericalError, cholesky_psd, sym_eigenvalues
 
 LOG_DOMAIN_CAP = math.exp(-1.0)
@@ -204,23 +204,11 @@ def nx_empirical_training(kernel: KernelSpec, training_xs, lam: float) -> np.nda
     return np.clip(vals, 0.0, None)
 
 
-def nx_analytic(kernel: KernelSpec, xs, lam: float) -> np.ndarray:
-    """Exact N_x(lambda) for designed kernels, via the eigenbasis."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if not kernel.is_designed:
-        raise ValueError("analytic pointwise effective dimension needs a designed kernel")
-    mu = kernel.eigenvalues()
-    basis = fourier_basis(xs, kernel.truncation)
-    return (basis * basis) @ (mu / (mu + lam))
+def n_infinity(source, lam: float, xs=None) -> float:
+    """sup_x N_x(lambda).
 
-
-def n_infinity(source, lam: float, grid_size: int = 512, xs=None) -> float:
-    """sup_x N_x(lambda), by grid maximization.
-
-    * designed kernel (or analytic profile carrying its decay): exact basis
-      formula on a uniform grid over [0, 1] -- the sup sits at x = 0, which
-      the grid contains;
+    * designed kernel (or analytic profile carrying its decay): closed form
+      ``basis_sup(mu / (mu + lam))``, attained at x = 0;
     * closed-form kernel: empirical plug-in maximized over the training
       points ``xs`` (the population sup is unavailable without the measure).
 
@@ -233,8 +221,8 @@ def n_infinity(source, lam: float, grid_size: int = 512, xs=None) -> float:
             raise ValueError("profile-based n_infinity needs an analytic profile")
         source = KernelSpec.designed(source.decay.s, source.truncation)
     if source.is_designed:
-        grid = np.linspace(0.0, 1.0, grid_size)
-        return float(nx_analytic(source, grid, lam).max())
+        mu = source.eigenvalues()
+        return basis_sup(mu / (mu + lam))
     if xs is None:
         raise ValueError("n_infinity for closed-form kernels needs training points")
     return float(nx_empirical_training(source, xs, lam).max())
@@ -326,20 +314,18 @@ def holder_perturbation_check(r: float, a: float, b: float) -> bool:
 
 @dataclass(frozen=True)
 class CGammaBound:
-    """Grid supremum and analytic envelope for the size-rule constant."""
+    """Attained supremum and analytic envelope for the size-rule constant."""
 
     c_gamma: float
     upper_bound: float
     gamma: float
 
 
-def c_gamma_for_designed(
-    decay: DecaySpec, truncation: int, gamma: float, grid_size: int = 4096
-) -> CGammaBound:
+def c_gamma_for_designed(decay: DecaySpec, truncation: int, gamma: float) -> CGammaBound:
     """Size-rule constant ``c_gamma = sup_x sqrt(sum_k mu_k^(2-gamma) e_k(x)^2)``.
 
-    The grid contains x = 0, where the supremum is attained (every weight is
-    maximized there), so the grid value is exact; the analytic envelope
+    The weights ``mu_k^(2-gamma)`` are nonincreasing, so the sup is the closed
+    form ``basis_sup`` (attained at x = 0); the analytic envelope
     ``sqrt(2 sum_k mu_k^(2-gamma))`` uses ``e_k^2 <= 2``.
     """
     if not 0.0 < gamma <= 1.0:
@@ -350,18 +336,8 @@ def c_gamma_for_designed(
             f"(gamma={gamma}, s={decay.s})"
         )
     mu_pow = decay.eigenvalues(truncation) ** (2.0 - gamma)
-    grid = np.linspace(0.0, 1.0, grid_size)
-    basis = fourier_basis(grid, truncation)
-    sup_sq = float(((basis * basis) @ mu_pow).max())
     return CGammaBound(
-        c_gamma=math.sqrt(sup_sq),
+        c_gamma=math.sqrt(basis_sup(mu_pow)),
         upper_bound=math.sqrt(2.0 * float(mu_pow.sum())),
         gamma=gamma,
     )
-
-
-def n_infinity_gamma_bound(c_gamma: float, gamma: float, lam: float) -> float:
-    """Power-type envelope ``c_gamma**2 * lam**(gamma - 1)`` for N_infinity."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    return c_gamma**2 * lam ** (gamma - 1.0)

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import DESIGNED, DecaySpec, KernelSpec, fourier_basis
+from .krr import KernelModel, predict
 from .spectral import IndexFunction
 
 SPHERE = "sphere"
@@ -159,22 +160,18 @@ def sample_dataset(
     return Dataset(xs=xs, ys=ys, decay=decay, truncation=truncation, target=target)
 
 
-def fitted_coefficients(model, kernel: KernelSpec) -> np.ndarray:
+def fitted_coefficients(model: KernelModel, kernel: KernelSpec) -> np.ndarray:
     """Eigenbasis coefficients of the fitted function: mu_k sum_j c_j e_k(x_j)."""
     if kernel.variant != DESIGNED:
         raise NotImplementedError(
             "exact basis coefficients need a designed kernel; "
             "use monte_carlo_error for closed-form kernels"
         )
-    if hasattr(model, "inducing_indices"):
-        support, coeff = model.inducing_xs, model.alpha
-    else:
-        support, coeff = model.training_xs, model.coefficients
     mu = kernel.eigenvalues()
-    return mu * (fourier_basis(support, kernel.truncation).T @ coeff)
+    return mu * (fourier_basis(model.support_xs, kernel.truncation).T @ model.alpha)
 
 
-def l2_rho_error(model, kernel: KernelSpec, dataset: Dataset) -> float:
+def l2_rho_error(model: KernelModel, kernel: KernelSpec, dataset: Dataset) -> float:
     """Exact L2 error ||f_hat - f||, computed coefficient-wise in the basis.
 
     The synthetic target lives entirely inside the truncated basis, so there
@@ -194,19 +191,15 @@ class McError(NamedTuple):
     stderr: float
 
 
-def monte_carlo_error(model, kernel: KernelSpec, target_fn, n_mc: int, seed: int) -> McError:
+def monte_carlo_error(
+    model: KernelModel, kernel: KernelSpec, target_fn, n_mc: int, seed: int
+) -> McError:
     """Root-mean-square of f_hat - f over uniform draws, with standard error."""
     if n_mc < 1:
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
-    from . import krr as _krr
-    from . import nystrom as _nystrom
-
     rng = np.random.default_rng(seed)
     us = rng.uniform(0.0, 1.0, n_mc)
-    if hasattr(model, "inducing_indices"):
-        preds = _nystrom.predict(model, kernel, us)
-    else:
-        preds = _krr.predict(model, kernel, us)
+    preds = predict(model, kernel, us)
     sq = (preds - np.asarray(target_fn(us), dtype=np.float64)) ** 2
     mean_sq = float(np.mean(sq))
     rmse = math.sqrt(mean_sq)

@@ -7,6 +7,7 @@ import pytest
 from nystrom_krr import experiments as exp
 from nystrom_krr.cli import main as cli_main
 from nystrom_krr.kernels import KernelSpec
+from nystrom_krr.linalg import NumericalError
 from nystrom_krr.nystrom import SizeRuleParams
 from nystrom_krr.spectral import IndexFunction
 from nystrom_krr.synthetic import NoiseSpec
@@ -274,6 +275,16 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
     path.write_text(json.dumps({"kernel": {"variant": "designed_spectral", "s": 0.5}}))
     assert cli_main(["rate-sweep", "--config", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_numerical_error_exits_one(tmp_path, capsys, monkeypatch):
+    def fail(config):
+        raise NumericalError("factorization failed")
+
+    monkeypatch.setattr(exp, "run_rate_sweep", fail)
+    cfg = _write_config(tmp_path)
+    assert cli_main(["rate-sweep", "--config", str(cfg)]) == 1
+    assert "error: factorization failed" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exits_one(tmp_path):

@@ -9,8 +9,8 @@ from nystrom_krr.kernels import (
     eval_kernel,
     fourier_basis,
     gram,
+    basis_sup,
     kappa,
-    kappa_grid_max,
 )
 
 
@@ -60,6 +60,15 @@ def test_eval_designed_domain_error():
         eval_kernel(k, -0.1, 0.5)
     with pytest.raises(ValueError):
         gram(k, [0.2, 1.3])
+
+
+def test_designed_domain_rejects_nonfinite():
+    k = KernelSpec.designed(0.5, 4)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            cross_gram(k, [bad], [0.5])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            cross_gram(k, [0.5], [0.2, bad])
 
 
 def test_gram_trivial_and_hand_case():
@@ -127,12 +136,12 @@ def test_designed_matches_brute_force():
 def test_kappa_values():
     assert kappa(KernelSpec.gaussian(2.0)) == 1.0
     k1 = KernelSpec.designed(0.5, 1)
-    assert_allclose(kappa_grid_max(k1, 500), 1.0, rtol=1e-12)
+    assert_allclose(basis_sup(k1.eigenvalues()), 1.0, rtol=1e-12)
     k2 = KernelSpec.designed(0.5, 2)
     assert_allclose(kappa(k2), 1.5)
-    # grid max never exceeds the analytic envelope
+    # the attained sup never exceeds the analytic envelope
     k3 = KernelSpec.designed(0.5, 256)
-    assert kappa_grid_max(k3, 2000) <= kappa(k3) + 1e-10
+    assert basis_sup(k3.eigenvalues()) <= kappa(k3) + 1e-10
 
 
 def test_integral_operator_identity():
@@ -169,26 +178,3 @@ def test_config_roundtrip():
         KernelSpec.from_config({"variant": "designed_spectral"})
     with pytest.raises(ValueError):
         KernelSpec.from_config({"bandwidth": 2.0})
-
-
-def test_numpy_fallback_matches_numba():
-    from nystrom_krr import _accel
-    from nystrom_krr.kernels import _fourier_basis_numpy, _pairwise_gram_numpy
-
-    xs = np.random.default_rng(0).uniform(0.0, 1.0, 200)
-    if _accel.USE_NUMBA:
-        from nystrom_krr.kernels import _fourier_basis_numba, _pairwise_gram_numba
-
-        assert_allclose(
-            _fourier_basis_numba(xs, 31), _fourier_basis_numpy(xs, 31), rtol=1e-13, atol=1e-13
-        )
-        assert_allclose(
-            _pairwise_gram_numba(xs, xs[:50], 0.7, True),
-            _pairwise_gram_numpy(xs, xs[:50], 0.7, True),
-            rtol=1e-13,
-        )
-        assert_allclose(
-            _pairwise_gram_numba(xs, xs[:50], 0.7, False),
-            _pairwise_gram_numpy(xs, xs[:50], 0.7, False),
-            rtol=1e-13,
-        )

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from nystrom_krr.kernels import KernelSpec, gram
-from nystrom_krr.krr import KrrModel, empirical_risk, fit_krr, predict
+from nystrom_krr.krr import KernelModel, empirical_risk, fit_krr, predict
 from nystrom_krr.synthetic import Dataset
 
 
@@ -15,13 +17,13 @@ def test_fit_scalar_oracle():
     # (K + lam * n) c = y with K = 1, n = 1, lam = 1, y = 2  ->  c = 1
     kernel = KernelSpec.gaussian(1.0)
     model = fit_krr(kernel, _dataset([0.3], [2.0]), 1.0)
-    assert_allclose(model.coefficients, [1.0], rtol=1e-14)
+    assert_allclose(model.alpha, [1.0], rtol=1e-14)
 
 
 def test_fit_zero_labels():
     kernel = KernelSpec.gaussian(1.0)
     model = fit_krr(kernel, _dataset([0.1, 0.4, 0.8], [0.0, 0.0, 0.0]), 0.5)
-    assert_allclose(model.coefficients, np.zeros(3), atol=1e-15)
+    assert_allclose(model.alpha, np.zeros(3), atol=1e-15)
 
 
 def test_fit_huge_lambda_shrinks():
@@ -30,7 +32,7 @@ def test_fit_huge_lambda_shrinks():
     xs, ys = rng.uniform(0, 1, 30), rng.standard_normal(30)
     lam = 1e6
     model = fit_krr(kernel, _dataset(xs, ys), lam)
-    assert np.linalg.norm(model.coefficients) <= np.linalg.norm(ys) / (lam * 30)
+    assert np.linalg.norm(model.alpha) <= np.linalg.norm(ys) / (lam * 30)
     assert np.abs(predict(model, kernel, xs)).max() < 1e-4
 
 
@@ -42,11 +44,22 @@ def test_fit_validation():
         fit_krr(kernel, _dataset([0.1], [1.0]), 0.0)
 
 
+def test_fit_rejects_nonfinite_and_unequal_training_arrays():
+    kernel = KernelSpec.gaussian(1.0)
+    with pytest.raises(ValueError, match="finite"):
+        fit_krr(kernel, _dataset([0.1, np.nan], [1.0, 2.0]), 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        fit_krr(kernel, _dataset([0.1, 0.2], [1.0, np.inf]), 0.1)
+    # a plain (xs, ys) holder skips Dataset's own length check
+    with pytest.raises(ValueError, match="length mismatch"):
+        fit_krr(kernel, SimpleNamespace(xs=[0.1, 0.2], ys=[1.0]), 0.1)
+
+
 def test_predict_cases():
     kernel = KernelSpec.gaussian(1.0)
-    model = KrrModel(training_xs=np.array([0.2, 0.7]), coefficients=np.zeros(2), lam=0.1)
+    model = KernelModel(support_xs=np.array([0.2, 0.7]), alpha=np.zeros(2), lam=0.1)
     assert_allclose(predict(model, kernel, [0.1, 0.5]), [0.0, 0.0])
-    single = KrrModel(training_xs=np.array([0.4]), coefficients=np.array([1.0]), lam=0.1)
+    single = KernelModel(support_xs=np.array([0.4]), alpha=np.array([1.0]), lam=0.1)
     assert_allclose(predict(single, kernel, [0.4]), [1.0])
 
 
@@ -58,13 +71,13 @@ def test_predict_matches_direct_summation():
     model = fit_krr(kernel, _dataset(xs, ys), lam)
     grid = np.linspace(0, 1, 11)
     direct = np.array(
-        [sum(c * np.exp(-abs(g - x) / 0.9) for c, x in zip(model.coefficients, xs)) for g in grid]
+        [sum(c * np.exp(-abs(g - x) / 0.9) for c, x in zip(model.alpha, xs)) for g in grid]
     )
     assert_allclose(predict(model, kernel, grid), direct, rtol=1e-12)
     # hand solve the 2x2 system as an independent check
     k_mat = gram(kernel, xs)
     c_hand = np.linalg.solve(k_mat + lam * 2 * np.eye(2), ys)
-    assert_allclose(model.coefficients, c_hand, rtol=1e-12)
+    assert_allclose(model.alpha, c_hand, rtol=1e-12)
 
 
 def test_coefficient_residual():
@@ -74,7 +87,7 @@ def test_coefficient_residual():
     lam = 0.05
     model = fit_krr(kernel, _dataset(xs, ys), lam)
     k_mat = gram(kernel, xs)
-    resid = (k_mat + lam * 80 * np.eye(80)) @ model.coefficients - ys
+    resid = (k_mat + lam * 80 * np.eye(80)) @ model.alpha - ys
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(ys)
 
 
@@ -84,7 +97,7 @@ def test_empirical_risk_hand_value():
     model = fit_krr(kernel, data, 1.0)
     # c = 1: (f(x) - 2)^2 + 1 * c K c = 1 + 1
     assert_allclose(empirical_risk(model, kernel, data, 1.0), 2.0, rtol=1e-12)
-    zero = KrrModel(training_xs=np.array([0.3]), coefficients=np.zeros(1), lam=1.0)
+    zero = KernelModel(support_xs=np.array([0.3]), alpha=np.zeros(1), lam=1.0)
     assert empirical_risk(zero, kernel, _dataset([0.3], [0.0]), 1.0) == 0.0
 
 
@@ -98,9 +111,9 @@ def test_minimizer_property():
         model = fit_krr(kernel, data, lam)
         base = empirical_risk(model, kernel, data, lam)
         for _ in range(100):
-            perturbed = KrrModel(
-                training_xs=model.training_xs,
-                coefficients=model.coefficients + rng.standard_normal(n) * 0.1,
+            perturbed = KernelModel(
+                support_xs=model.support_xs,
+                alpha=model.alpha + rng.standard_normal(n) * 0.1,
                 lam=lam,
             )
             assert empirical_risk(perturbed, kernel, data, lam) >= base - 1e-12
@@ -113,7 +126,7 @@ def test_rkhs_norm_nonincreasing_in_lambda():
     k_mat = gram(kernel, xs)
     norms = []
     for lam in np.logspace(-4, 1, 12):
-        c = fit_krr(kernel, _dataset(xs, ys), lam).coefficients
+        c = fit_krr(kernel, _dataset(xs, ys), lam).alpha
         norms.append(float(c @ k_mat @ c))
     assert np.all(np.diff(norms) <= 1e-12)
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -177,7 +178,7 @@ def test_predict_cases():
     zeroed = fit_nystrom(kernel, _dataset([0.2, 0.8], [0.0, 0.0]), 0.5, [0, 1])
     assert_allclose(predict(zeroed, kernel, [0.3]), [0.0], atol=1e-14)
     direct = sum(
-        a * np.exp(-0.5 * (0.3 - x) ** 2) for a, x in zip(model.alpha, model.inducing_xs)
+        a * np.exp(-0.5 * (0.3 - x) ** 2) for a, x in zip(model.alpha, model.support_xs)
     )
     assert_allclose(predict(model, kernel, [0.3]), [direct], rtol=1e-12)
 
@@ -285,7 +286,23 @@ def test_model_roundtrip(tmp_path):
     assert_allclose(loaded.alpha, model.alpha)
     assert loaded.lam == model.lam
     grid = np.linspace(0, 1, 17)
+    assert predict is krr.predict  # one predict for every model
     assert_allclose(predict(loaded, kernel, grid), predict(model, kernel, grid))
     with pytest.raises(ValueError):
         (tmp_path / "bogus.json").write_text('{"format": "other"}')
         load_model(tmp_path / "bogus.json")
+
+
+def test_load_model_rejects_inconsistent_artifact(tmp_path):
+    base = {
+        "format": "nystrom-krr-model",
+        "version": 1,
+        "lambda": 0.1,
+        "inducing_indices": [0, 1, 2],
+        "inducing_xs": [0.1, 0.5, 0.9],
+    }
+    path = tmp_path / "model.json"
+    for alpha, match in (([1.0], "differ in length"), ([1.0, float("nan"), 0.0], "finite")):
+        path.write_text(json.dumps({**base, "alpha": alpha}))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nystrom_krr.kernels import DecaySpec, KernelSpec, fourier_basis
+from nystrom_krr.kernels import DecaySpec, KernelSpec, basis_sup, fourier_basis
 from nystrom_krr.spectral import (
     IndexFunction,
     SpectralProfile,
@@ -328,12 +328,21 @@ def test_c_gamma_zeta_bound():
 
 
 def test_c_gamma_small_gamma_matches_direct_sum():
-    decay, truncation, gamma = DecaySpec(0.5), 128, 0.01
-    bound = c_gamma_for_designed(decay, truncation, gamma, grid_size=2048)
-    mu_pow = decay.eigenvalues(truncation) ** (2.0 - gamma)
+    """The closed-form sups (c_gamma, N_inf, attained kappa) against a
+    brute-force grid maximum, for odd and even truncations."""
+    decay, gamma = DecaySpec(0.5), 0.01
     grid = np.linspace(0.0, 1.0, 2048)
-    direct = np.sqrt(((fourier_basis(grid, truncation) ** 2) @ mu_pow).max())
-    assert_allclose(bound.c_gamma, direct, rtol=1e-12)
+    for truncation in (127, 128):
+        basis_sq = fourier_basis(grid, truncation) ** 2
+        mu = decay.eigenvalues(truncation)
+        bound = c_gamma_for_designed(decay, truncation, gamma)
+        direct = np.sqrt((basis_sq @ mu ** (2.0 - gamma)).max())
+        assert_allclose(bound.c_gamma, direct, rtol=1e-12)
+        kernel = KernelSpec.designed(0.5, truncation)
+        for lam in np.logspace(-6, 0, 7):
+            direct = (basis_sq @ (mu / (mu + lam))).max()
+            assert_allclose(n_infinity(kernel, lam), direct, rtol=1e-12)
+        assert_allclose(basis_sup(mu), (basis_sq @ mu).max(), rtol=1e-12)
 
 
 def test_c_gamma_infeasible():

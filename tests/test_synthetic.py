@@ -129,9 +129,9 @@ def test_l2_error_zero_coefficients():
     kernel = KernelSpec.designed(0.5, 32)
     target = make_target(DECAY, 32, IndexFunction.holder(0.25), seed=2)
     data = sample_dataset(DECAY, 32, target, NoiseSpec.gaussian(0.1), 20, seed=1)
-    from nystrom_krr.krr import KrrModel
+    from nystrom_krr.krr import KernelModel
 
-    zero = KrrModel(training_xs=data.xs, coefficients=np.zeros(20), lam=0.1)
+    zero = KernelModel(support_xs=data.xs, alpha=np.zeros(20), lam=0.1)
     assert_allclose(
         l2_rho_error(zero, kernel, data), np.linalg.norm(target.f_coefficients), rtol=1e-12
     )
