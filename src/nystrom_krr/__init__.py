@@ -8,7 +8,7 @@ without estimation. See README for the experiment harness.
 
 from .kernels import DecaySpec, KernelSpec, cross_gram, eval_kernel, gram, kappa
 from .krr import KernelModel, empirical_risk, fit_krr
-from .linalg import NumericalError, OpCount, operator_norm, solve_regularized, sym_eigenvalues
+from .linalg import NumericalError, OpCount, solve_regularized, sym_eigenvalues
 from .nystrom import (
     SizeRuleParams,
     fit_nystrom,

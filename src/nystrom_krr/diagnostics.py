@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import DecaySpec, fourier_basis
+from .kernels import DecaySpec, KernelSpec, fourier_basis
 from .nystrom import SizeRuleParams, subsample_size
-from .spectral import IndexFunction, SpectralProfile, analytic_profile, effective_dimension
+from .spectral import IndexFunction, SpectralProfile, effective_dimension
 
 
 @dataclass
@@ -57,10 +57,8 @@ def _projector(w_rows):
 
 
 def _check_size_rule(decay, truncation, n, m, lam, delta, warnings_list):
-    profile = analytic_profile(decay, truncation)
-    needed = subsample_size(
-        n, lam, SizeRuleParams(c=1.0, delta=delta), profile=profile
-    )
+    kernel = KernelSpec.designed(decay.s, truncation)
+    needed = subsample_size(n, lam, SizeRuleParams(c=1.0, delta=delta), kernel=kernel)
     if m < needed:
         warnings_list.append(
             f"subsample size m={m} is below the rule value {needed}; "
@@ -167,7 +165,7 @@ def check_concentration(
         raise ValueError("the vector variant needs a target and a noise spec")
     mu = decay.eigenvalues(truncation)
     warp = (lam + mu) ** -0.5
-    profile = SpectralProfile(mu, "analytic", decay=decay, truncation=truncation)
+    profile = SpectralProfile(mu, "analytic")
     rate_factor = math.log(1.0 / delta) * math.sqrt(
         effective_dimension(profile, lam) / n
     )

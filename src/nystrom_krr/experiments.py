@@ -438,7 +438,8 @@ def run_diagnostics(config: ExperimentConfig):
     decay = config.kernel.decay
     profile = analytic_profile(decay, truncation)
     lam = float(d.get("lambda", lambda0(profile, n)))
-    m = subsample_size(n, lam, SizeRuleParams(c=1.0, delta=delta), profile=profile)
+    kernel = KernelSpec.designed(decay.s, truncation)
+    m = subsample_size(n, lam, SizeRuleParams(c=1.0, delta=delta), kernel=kernel)
     seed = config.seed
     target = _make_target(config)
     reports = [

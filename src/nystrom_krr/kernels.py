@@ -140,6 +140,22 @@ def fourier_basis(xs, truncation: int) -> np.ndarray:
     return out
 
 
+def as_points(xs, kernel: KernelSpec | None = None) -> np.ndarray:
+    """The one input check for point arrays: nonempty, 1-D, finite float64.
+
+    For a designed kernel the points must also lie in its domain [0, 1]; that
+    test runs first, so a non-finite point fails with the domain message.
+    """
+    pts = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    if pts.ndim != 1 or pts.size == 0:
+        raise ValueError(f"need a nonempty 1-D array of points, got shape {pts.shape}")
+    if kernel is not None and kernel.is_designed and not np.all((pts >= 0.0) & (pts <= 1.0)):
+        raise ValueError("designed_spectral kernel is defined on [0, 1] only")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite (no NaN or inf)")
+    return pts
+
+
 def basis_sup(weights) -> float:
     """``sup_x sum_k w_k e_k(x)^2`` over [0, 1], in closed form.
 
@@ -151,12 +167,6 @@ def basis_sup(weights) -> float:
     """
     w = np.asarray(weights, dtype=np.float64)
     return float(w[0] + 2.0 * w[1::2].sum())
-
-
-def _check_designed_domain(*arrays):
-    for arr in arrays:
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):
-            raise ValueError("designed_spectral kernel is defined on [0, 1] only")
 
 
 def _designed_cross(kernel, xs, ys):
@@ -185,12 +195,9 @@ def eval_kernel(kernel: KernelSpec, x: float, y: float) -> float:
 
 def cross_gram(kernel: KernelSpec, xs, inducing) -> np.ndarray:
     """Rectangular Gram block: entry (i, j) is K(xs[i], inducing[j])."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    ys = np.atleast_1d(np.asarray(inducing, dtype=np.float64))
-    if xs.size == 0 or ys.size == 0:
-        raise ValueError("cross_gram needs nonempty point lists")
+    xs = as_points(xs, kernel)
+    ys = as_points(inducing, kernel)
     if kernel.is_designed:
-        _check_designed_domain(xs, ys)
         return _designed_cross(kernel, xs, ys)
     d = (xs[:, None] - ys[None, :]) / kernel.bandwidth
     if kernel.variant == GAUSSIAN:
@@ -200,9 +207,6 @@ def cross_gram(kernel: KernelSpec, xs, inducing) -> np.ndarray:
 
 def gram(kernel: KernelSpec, xs) -> np.ndarray:
     """Symmetric Gram matrix; symmetrized to kill round-off asymmetry."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if xs.size == 0:
-        raise ValueError("gram needs a nonempty point list")
     out = cross_gram(kernel, xs, xs)
     # entries (i,j) and (j,i) are computed independently; averaging restores
     # exact symmetry without changing values beyond accumulation noise

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_gram, gram
-from .linalg import OpCount, solve_regularized
+from .kernels import KernelSpec, as_points, cross_gram, gram
+from .linalg import OpCount, check_positive, solve_regularized
 
 
 @dataclass
@@ -33,24 +33,19 @@ class KernelModel:
     inducing_indices: np.ndarray | None = None
 
 
-def _training_arrays(data, lam: float):
-    """Validated ``(xs, ys)`` of a training set: nonempty, 1-D, finite, equal length."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    xs = np.atleast_1d(np.asarray(data.xs, dtype=np.float64))
-    ys = np.atleast_1d(np.asarray(data.ys, dtype=np.float64))
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError(f"need a nonempty 1-D array of training points, got shape {xs.shape}")
+def _training_arrays(kernel: KernelSpec, data, lam: float):
+    """Validated ``(xs, ys)`` of a training set (``as_points`` each, equal length)."""
+    check_positive(lam)
+    xs = as_points(data.xs, kernel)
+    ys = as_points(data.ys)
     if xs.shape != ys.shape:
         raise ValueError(f"xs/ys length mismatch: {xs.shape} vs {ys.shape}")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ValueError("training xs and ys must be finite")
     return xs, ys
 
 
 def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
     """Fit by solving the n x n shifted Gram system."""
-    xs, ys = _training_arrays(data, lam)
+    xs, ys = _training_arrays(kernel, data, lam)
     ops = OpCount()
     coeff = solve_regularized(gram(kernel, xs), lam * xs.size, ys, opcount=ops)
     return KernelModel(support_xs=xs, alpha=coeff, lam=lam, opcount=ops)
@@ -67,8 +62,7 @@ def empirical_risk(model: KernelModel, kernel: KernelSpec, data, lam: float) -> 
     Works for both full-KRR and Nystrom models; the RKHS-norm term is
     ``c^T K_ss c`` over the model's support points.
     """
-    xs = np.atleast_1d(np.asarray(data.xs, dtype=np.float64))
-    ys = np.atleast_1d(np.asarray(data.ys, dtype=np.float64))
+    xs, ys = _training_arrays(kernel, data, lam)
     preds = predict(model, kernel, xs)
     fit_term = float(np.mean((preds - ys) ** 2))
     coeff = model.alpha

@@ -9,6 +9,7 @@ side. Wall-clock is reported separately by the experiment harness.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,11 @@ class OpCount:
     def add_backsub(self, m: int, nrhs: int = 1) -> None:
         self.add(m * m * nrhs)
 
-    def merge(self, other: "OpCount") -> None:
-        self.add(other.flops)
+
+def check_positive(value: float, name: str = "lambda") -> None:
+    """The one check for a regularization parameter: finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _require_symmetric(a: np.ndarray, tol: float = 1e-10) -> None:
@@ -111,8 +115,7 @@ def solve_regularized(
     ``a`` must be symmetric PSD up to round-off and ``shift`` strictly
     positive; near-singular cases fall back to jitter escalation.
     """
-    if shift <= 0:
-        raise ValueError(f"shift must be positive, got {shift}")
+    check_positive(shift, "shift")
     _require_symmetric(a)
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != a.shape[0]:
@@ -124,13 +127,3 @@ def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, descending."""
     _require_symmetric(a)
     return np.linalg.eigvalsh(a)[::-1]
-
-
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
-    a = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("operator_norm needs finite entries")
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])

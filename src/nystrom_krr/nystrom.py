@@ -31,7 +31,7 @@ from .kernels import KernelSpec, cross_gram, gram
 # predict is re-exported: one predict serves every model
 from .krr import KernelModel, _training_arrays, predict  # noqa: F401
 from .linalg import OpCount, cholesky_psd
-from .spectral import SpectralProfile, n_infinity
+from .spectral import n_infinity
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,9 @@ class SizeRuleParams:
     """Constants of the subsample-size rule.
 
     ``c`` is the generic rule constant (the theory leaves it unspecified);
-    ``delta`` the confidence level; ``gamma``/``c_gamma``, when both given,
-    switch the rule to the power-type envelope ``c_gamma^2 lam^(gamma-1)``
-    instead of a computed sup.
+    ``delta`` the confidence level; ``gamma``/``c_gamma``, given together or
+    not at all, switch the rule to the power-type envelope
+    ``c_gamma^2 lam^(gamma-1)`` instead of a computed sup.
     """
 
     c: float = 1.0
@@ -54,6 +54,8 @@ class SizeRuleParams:
             raise ValueError(f"rule constant c must be positive, got {self.c}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if (self.gamma is None) != (self.c_gamma is None):
+            raise ValueError("gamma and c_gamma must be given together")
 
 
 def subsample_plain(n: int, m: int, seed: int) -> np.ndarray:
@@ -65,7 +67,7 @@ def subsample_plain(n: int, m: int, seed: int) -> np.ndarray:
 
 
 def fit_nystrom(kernel: KernelSpec, data, lam: float, inducing_indices) -> KernelModel:
-    xs, ys = _training_arrays(data, lam)
+    xs, ys = _training_arrays(kernel, data, lam)
     idx = np.asarray(inducing_indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("need at least one inducing index")
@@ -101,30 +103,23 @@ def subsample_size(
     params: SizeRuleParams,
     kernel: KernelSpec | None = None,
     xs=None,
-    profile: SpectralProfile | None = None,
 ) -> int:
     """Subsample size ``min(n, ceil(c * N_inf(lam) * log(1/lam) * log(1/delta)))``.
 
-    ``N_inf`` comes from, in order of preference: the ``gamma`` envelope when
-    ``params`` carries (gamma, c_gamma); the exact basis formula for designed
-    kernels (or analytic profiles); the empirical plug-in maximized over the
-    training points otherwise.
+    ``N_inf`` is the ``gamma`` envelope when ``params`` carries one, else
+    ``n_infinity(kernel, lam, xs=xs)``: exact for designed kernels, the
+    empirical plug-in over the training points ``xs`` otherwise.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"size rule needs lambda in (0, 1), got {lam}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if params.gamma is not None and params.c_gamma is not None:
+    if params.gamma is not None:
         n_inf = params.c_gamma**2 * lam ** (params.gamma - 1.0)
-    elif profile is not None or (kernel is not None and kernel.is_designed):
-        n_inf = n_infinity(profile if profile is not None else kernel, lam)
-    elif kernel is not None and xs is not None:
+    elif kernel is not None:
         n_inf = n_infinity(kernel, lam, xs=xs)
     else:
-        raise ValueError(
-            "subsample_size needs (gamma, c_gamma), a designed kernel/profile, "
-            "or a kernel with training points"
-        )
+        raise ValueError("subsample_size needs (gamma, c_gamma) in params or a kernel")
     raw = math.ceil(params.c * n_inf * math.log(1.0 / lam) * math.log(1.0 / params.delta))
     return max(1, min(n, raw))
 

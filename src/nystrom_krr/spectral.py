@@ -16,8 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .kernels import DecaySpec, KernelSpec, basis_sup, fourier_basis, gram, kappa
-from .linalg import NumericalError, cholesky_psd, sym_eigenvalues
+from .kernels import (
+    DecaySpec,
+    KernelSpec,
+    as_points,
+    basis_sup,
+    cross_gram,
+    eval_kernel,
+    fourier_basis,
+    gram,
+    kappa,
+)
+from .linalg import NumericalError, check_positive, cholesky_psd, sym_eigenvalues
 
 LOG_DOMAIN_CAP = math.exp(-1.0)
 
@@ -32,8 +42,6 @@ class SpectralProfile:
 
     eigenvalues: np.ndarray
     source: str
-    decay: DecaySpec | None = None
-    truncation: int | None = None
 
     def __post_init__(self):
         eig = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -52,9 +60,7 @@ class SpectralProfile:
 
 
 def analytic_profile(decay: DecaySpec, truncation: int) -> SpectralProfile:
-    return SpectralProfile(
-        decay.eigenvalues(truncation), "analytic", decay=decay, truncation=truncation
-    )
+    return SpectralProfile(decay.eigenvalues(truncation), "analytic")
 
 
 def empirical_profile(kernel: KernelSpec, xs) -> SpectralProfile:
@@ -65,10 +71,8 @@ def empirical_profile(kernel: KernelSpec, xs) -> SpectralProfile:
     cheaper than an n x n decomposition; both routes agree and the small-n
     tests cross-check them.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    xs = as_points(xs, kernel)
     n = xs.size
-    if n == 0:
-        raise ValueError("empirical profile needs at least one sample")
     if kernel.is_designed and n > kernel.truncation:
         mu = kernel.eigenvalues()
         basis = fourier_basis(xs, kernel.truncation)
@@ -135,11 +139,15 @@ class IndexFunction:
                 out = np.where(capped > 0.0, np.log(1.0 / capped) ** (-self.r), 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def is_admissible(self, grid_size: int = 400) -> bool:
-        """Check sqrt(t)/phi(t) is nondecreasing (the low-smoothness regime)."""
-        t = np.logspace(-12, 0, grid_size)
-        ratio = np.sqrt(t) / self(t)
-        return bool(np.all(np.diff(ratio) >= -1e-12 * ratio[:-1]))
+    def is_admissible(self) -> bool:
+        """Whether sqrt(t)/phi(t) is nondecreasing (the low-smoothness regime).
+
+        Hoelder: the ratio is ``t**(1/2 - r)``. Log type: below the cap it is
+        ``sqrt(t) log(1/t)**r``, whose derivative has the sign of
+        ``log(1/t)/2 - r`` with ``log(1/t) >= 1``; above the cap it is
+        ``sqrt(t)``. Both families are admissible iff ``r <= 1/2``.
+        """
+        return self.r <= 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +157,7 @@ class IndexFunction:
 
 def effective_dimension(profile: SpectralProfile, lam: float) -> float:
     """N(lambda) = sum_k sigma_k / (sigma_k + lambda)."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    check_positive(lam)
     sig = profile.eigenvalues
     return float(np.sum(sig / (sig + lam)))
 
@@ -161,17 +168,14 @@ def nx_empirical(kernel: KernelSpec, training_xs, x: float, lam: float) -> float
     Woodbury reduction: ``(K(x,x) - k_x^T (lam I + K/n)^{-1} k_x / n) / lam``
     with ``k_x = (K(x, x_i))_i``.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    xs = np.atleast_1d(np.asarray(training_xs, dtype=np.float64))
+    check_positive(lam)
+    xs = as_points(training_xs, kernel)
     n = xs.size
-    from .kernels import cross_gram, eval_kernel
-
     k_x = cross_gram(kernel, xs, [x])[:, 0]
     big_k = gram(kernel, xs)
     solved = _solve_shifted_gram(big_k, n, lam, k_x)
     val = (eval_kernel(kernel, x, x) - k_x @ solved / n) / lam
-    return _check_nx(val, kernel, lam)
+    return float(_check_nx(val, kernel, lam))
 
 
 def _solve_shifted_gram(big_k, n, lam, rhs):
@@ -180,46 +184,37 @@ def _solve_shifted_gram(big_k, n, lam, rhs):
     return sla.cho_solve((factor, False), rhs, check_finite=False)
 
 
-def _check_nx(val, kernel, lam):
-    if val < -1e-8 * kappa(kernel) / lam:
-        raise NumericalError(f"pointwise effective dimension came out negative: {val}")
-    return max(float(val), 0.0)
+def _check_nx(vals, kernel, lam):
+    """Clip round-off negatives of N_x to 0; fail on a clearly negative value."""
+    low = np.min(vals)
+    if low < -1e-8 * kappa(kernel) / lam:
+        raise NumericalError(f"pointwise effective dimension came out negative: {low}")
+    return np.clip(vals, 0.0, None)
 
 
 def nx_empirical_training(kernel: KernelSpec, training_xs, lam: float) -> np.ndarray:
     """Empirical N_x(lambda) at every training point (vectorized)."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    xs = np.atleast_1d(np.asarray(training_xs, dtype=np.float64))
+    check_positive(lam)
+    xs = as_points(training_xs, kernel)
     n = xs.size
     big_k = gram(kernel, xs)
     solved = _solve_shifted_gram(big_k, n, lam, big_k)
     quad = np.einsum("ij,ji->i", big_k, solved) / n
     vals = (np.diagonal(big_k) - quad) / lam
-    bound = 1e-8 * kappa(kernel) / lam
-    if vals.min() < -bound:
-        raise NumericalError(
-            f"pointwise effective dimension came out negative: {vals.min()}"
-        )
-    return np.clip(vals, 0.0, None)
+    return _check_nx(vals, kernel, lam)
 
 
-def n_infinity(source, lam: float, xs=None) -> float:
-    """sup_x N_x(lambda).
+def n_infinity(source: KernelSpec, lam: float, xs=None) -> float:
+    """sup_x N_x(lambda) for the kernel ``source``.
 
-    * designed kernel (or analytic profile carrying its decay): closed form
-      ``basis_sup(mu / (mu + lam))``, attained at x = 0;
+    * designed kernel: closed form ``basis_sup(mu / (mu + lam))``, attained
+      at x = 0;
     * closed-form kernel: empirical plug-in maximized over the training
       points ``xs`` (the population sup is unavailable without the measure).
 
     Always bounded by kappa / lambda.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if isinstance(source, SpectralProfile):
-        if source.decay is None or source.truncation is None:
-            raise ValueError("profile-based n_infinity needs an analytic profile")
-        source = KernelSpec.designed(source.decay.s, source.truncation)
+    check_positive(lam)
     if source.is_designed:
         mu = source.eigenvalues()
         return basis_sup(mu / (mu + lam))
@@ -257,8 +252,7 @@ def lambda0(profile: SpectralProfile, n: int) -> float:
 
 def theta(phi: IndexFunction, profile: SpectralProfile, n: int, lam: float) -> float:
     """The lambda-dependent bound factor phi(lam) (1 + sqrt(N(lam)/(n lam)))."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    check_positive(lam)
     return float(phi(lam) * (1.0 + math.sqrt(effective_dimension(profile, lam) / (n * lam))))
 
 
@@ -269,8 +263,7 @@ def theta(phi: IndexFunction, profile: SpectralProfile, n: int, lam: float) -> f
 
 def filters(lam: float, t):
     """Tikhonov filter pair: g = 1/(t + lam), residual r = lam/(t + lam)."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    check_positive(lam)
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0):
         raise ValueError("filter argument t must be nonnegative")

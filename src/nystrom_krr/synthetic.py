@@ -102,6 +102,8 @@ class Dataset:
     target: TargetSpec | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "xs", np.asarray(self.xs, dtype=np.float64))
+        object.__setattr__(self, "ys", np.asarray(self.ys, dtype=np.float64))
         if self.xs.shape != self.ys.shape:
             raise ValueError("xs and ys must have equal length")
 

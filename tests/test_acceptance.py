@@ -229,7 +229,9 @@ def test_criterion_7_probabilistic_bounds():
     decay, truncation, n = DecaySpec(0.5), 256, 2048
     profile = analytic_profile(decay, truncation)
     lam = lambda0(profile, n)
-    m = subsample_size(n, lam, SizeRuleParams(c=1.0, delta=0.1), profile=profile)
+    m = subsample_size(
+        n, lam, SizeRuleParams(c=1.0, delta=0.1), kernel=KernelSpec.designed(decay.s, truncation)
+    )
     report = check_projection_bound(decay, truncation, n, m, lam, 0.1, trials=200, seed=99)
     ok_proj = report.violation_rate <= 0.15 and not report.warnings
 

@@ -8,7 +8,7 @@ from nystrom_krr.diagnostics import (
     check_smoothness_perturbation,
     reports_to_csv,
 )
-from nystrom_krr.kernels import DecaySpec
+from nystrom_krr.kernels import DecaySpec, KernelSpec
 from nystrom_krr.spectral import IndexFunction, analytic_profile, lambda0
 from nystrom_krr.synthetic import NoiseSpec, TargetSpec
 
@@ -30,7 +30,7 @@ def test_projection_bound_rule_sized():
     lam = lambda0(analytic_profile(decay, truncation), n)
     from nystrom_krr.nystrom import SizeRuleParams, subsample_size
 
-    m = subsample_size(n, lam, SizeRuleParams(), profile=analytic_profile(decay, truncation))
+    m = subsample_size(n, lam, SizeRuleParams(), kernel=KernelSpec.designed(decay.s, truncation))
     report = check_projection_bound(decay, truncation, n, m, lam, 0.1, trials=60, seed=1)
     assert not report.warnings
     assert report.violation_rate <= 0.1 + 2.0 * np.sqrt(0.1 / 60)
@@ -153,7 +153,7 @@ def test_smoothness_perturbation_rule_sized_finite():
     lam = lambda0(analytic_profile(decay, truncation), n)
     from nystrom_krr.nystrom import SizeRuleParams, subsample_size
 
-    m = subsample_size(n, lam, SizeRuleParams(), profile=analytic_profile(decay, truncation))
+    m = subsample_size(n, lam, SizeRuleParams(), kernel=KernelSpec.designed(decay.s, truncation))
     report = check_smoothness_perturbation(
         decay, truncation, n, m, lam, IndexFunction.holder(0.5), trials=30, seed=8
     )

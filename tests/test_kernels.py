@@ -63,12 +63,38 @@ def test_eval_designed_domain_error():
 
 
 def test_designed_domain_rejects_nonfinite():
-    k = KernelSpec.designed(0.5, 4)
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            cross_gram(k, [bad], [0.5])
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            cross_gram(k, [0.5], [0.2, bad])
+    """Every public entry taking points rejects NaN/inf for all three kernels;
+    the designed kernel fails its [0, 1] domain test first."""
+    from nystrom_krr.krr import KernelModel, predict
+    from nystrom_krr.spectral import (
+        empirical_profile,
+        n_infinity,
+        nx_empirical,
+        nx_empirical_training,
+    )
+    from nystrom_krr.synthetic import monte_carlo_error
+
+    for k in (KernelSpec.designed(0.5, 4), KernelSpec.gaussian(0.3), KernelSpec.laplacian(0.3)):
+        match = r"\[0, 1\]" if k.is_designed else "finite"
+        for bad in (np.nan, np.inf, -np.inf):
+            model = KernelModel(support_xs=np.array([0.5, bad]), alpha=np.ones(2), lam=0.1)
+            calls = [
+                lambda: cross_gram(k, [bad], [0.5]),
+                lambda: cross_gram(k, [0.5], [0.2, bad]),
+                lambda: gram(k, [0.2, bad]),
+                lambda: eval_kernel(k, bad, 0.5),
+                lambda: predict(model, k, [0.3]),
+                lambda: monte_carlo_error(model, k, lambda u: 0.0 * u, n_mc=8, seed=0),
+                lambda: empirical_profile(k, [0.2, bad]),
+                lambda: nx_empirical(k, [0.2, bad], 0.5, 0.1),
+                lambda: nx_empirical(k, [0.2, 0.4], bad, 0.1),
+                lambda: nx_empirical_training(k, [0.2, bad], 0.1),
+            ]
+            if not k.is_designed:  # the designed N_inf is exact and takes no points
+                calls.append(lambda: n_infinity(k, 0.1, xs=[0.2, bad]))
+            for call in calls:
+                with pytest.raises(ValueError, match=match):
+                    call()
 
 
 def test_gram_trivial_and_hand_case():

@@ -45,14 +45,46 @@ def test_fit_validation():
 
 
 def test_fit_rejects_nonfinite_and_unequal_training_arrays():
-    kernel = KernelSpec.gaussian(1.0)
-    with pytest.raises(ValueError, match="finite"):
-        fit_krr(kernel, _dataset([0.1, np.nan], [1.0, 2.0]), 0.1)
-    with pytest.raises(ValueError, match="finite"):
-        fit_krr(kernel, _dataset([0.1, 0.2], [1.0, np.inf]), 0.1)
-    # a plain (xs, ys) holder skips Dataset's own length check
-    with pytest.raises(ValueError, match="length mismatch"):
-        fit_krr(kernel, SimpleNamespace(xs=[0.1, 0.2], ys=[1.0]), 0.1)
+    """Non-finite training points, labels or lambda fail for every kernel at
+    every entry that takes them, and so does a non-finite lambda elsewhere."""
+    from nystrom_krr.kernels import DecaySpec
+    from nystrom_krr.nystrom import fit_nystrom
+    from nystrom_krr.spectral import (
+        IndexFunction,
+        analytic_profile,
+        effective_dimension,
+        n_infinity,
+        theta,
+    )
+
+    def fit_sub(kernel, data, lam):
+        return fit_nystrom(kernel, data, lam, [0])
+
+    good = _dataset([0.1, 0.2], [1.0, 2.0])
+    for kernel in (KernelSpec.designed(0.5, 4), KernelSpec.gaussian(1.0), KernelSpec.laplacian(1.0)):
+        x_match = r"\[0, 1\]" if kernel.is_designed else "finite"
+        model = fit_krr(kernel, good, 0.1)
+        for bad in (np.nan, np.inf, -np.inf):
+            for fit in (fit_krr, fit_sub):
+                with pytest.raises(ValueError, match=x_match):
+                    fit(kernel, _dataset([0.1, bad], [1.0, 2.0]), 0.1)
+                with pytest.raises(ValueError, match="finite"):
+                    fit(kernel, _dataset([0.1, 0.2], [1.0, bad]), 0.1)
+                with pytest.raises(ValueError, match="lambda"):
+                    fit(kernel, good, bad)
+            with pytest.raises(ValueError, match=x_match):
+                empirical_risk(model, kernel, _dataset([0.1, bad], [1.0, 2.0]), 0.1)
+            with pytest.raises(ValueError, match="lambda"):
+                n_infinity(kernel, bad, xs=good.xs)
+        # a plain (xs, ys) holder skips Dataset's own length check
+        with pytest.raises(ValueError, match="length mismatch"):
+            fit_krr(kernel, SimpleNamespace(xs=[0.1, 0.2], ys=[1.0]), 0.1)
+    profile = analytic_profile(DecaySpec(0.5), 8)
+    for bad in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="lambda"):
+            effective_dimension(profile, bad)
+        with pytest.raises(ValueError, match="lambda"):
+            theta(IndexFunction.holder(0.25), profile, 10, bad)
 
 
 def test_predict_cases():

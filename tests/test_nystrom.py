@@ -241,6 +241,12 @@ def test_subsample_size_plugin_arithmetic():
     assert subsample_size(10**6, 0.01, params) == 107
 
 
+def test_size_rule_envelope_needs_both_constants():
+    for half in ({"gamma": 0.5}, {"c_gamma": 1.0}):
+        with pytest.raises(ValueError, match="together"):
+            SizeRuleParams(**half)
+
+
 def test_subsample_size_clamps():
     params = SizeRuleParams(c=100.0, delta=0.01, gamma=0.5, c_gamma=10.0)
     assert subsample_size(50, 0.01, params) == 50

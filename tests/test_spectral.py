@@ -180,7 +180,8 @@ def test_index_function_admissibility():
     assert IndexFunction.holder(0.5).is_admissible()
     assert IndexFunction.log_type(0.5).is_admissible()
     # sqrt(t)/phi decreases just below the domain cap when r > 1/2
-    assert not IndexFunction.log_type(1.0).is_admissible()
+    for r in (0.501, 0.51, 0.52, 1.0):
+        assert not IndexFunction.log_type(r).is_admissible()
 
 
 # ---------------------------------------------------------------------------

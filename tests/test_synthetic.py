@@ -215,6 +215,13 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert meta["decay_s"] == 0.5 and meta["coeff_seed"] == 2
 
 
+def test_dataset_coerces_to_float_arrays():
+    data = Dataset(xs=[0.1, 0.2], ys=[1, 2])
+    assert data.xs.dtype == data.ys.dtype == np.float64
+    model = fit_krr(KernelSpec.gaussian(0.5), data, 0.1)
+    assert model.alpha.shape == (2,)
+
+
 def test_noise_validation():
     with pytest.raises(ValueError):
         NoiseSpec("poisson", 1.0)
