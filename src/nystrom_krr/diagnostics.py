@@ -27,6 +27,7 @@ import numpy as np
 from .kernels import DecaySpec, KernelSpec, fourier_basis
 from .nystrom import SizeRuleParams, subsample_size
 from .spectral import IndexFunction, SpectralProfile, effective_dimension
+from .synthetic import target_values
 
 
 @dataclass
@@ -177,8 +178,6 @@ def check_concentration(
             s_hat = w.T @ w / n
             lhs = np.linalg.norm(warp[:, None] * (np.diag(mu) - s_hat), 2)
         else:
-            from .synthetic import target_values
-
             ys = target_values(target, xs) + noise.sample(rng, n)
             pop_vec = np.sqrt(mu) * target.f_coefficients
             emp_vec = w.T @ ys / n

@@ -26,6 +26,7 @@ from .diagnostics import (
     check_smoothness_perturbation,
 )
 from .kernels import KernelSpec
+from .linalg import check_positive
 from .nystrom import SizeRuleParams, lambda_admissible, subsample_plain, subsample_size
 from .spectral import (
     IndexFunction,
@@ -45,8 +46,10 @@ class LambdaPolicy:
     def __post_init__(self):
         if self.kind not in ("lambda0", "fixed", "grid"):
             raise ValueError(f"unknown lambda policy: {self.kind!r}")
-        if self.kind == "fixed" and (self.value is None or self.value <= 0):
-            raise ValueError("fixed lambda policy needs a positive 'value'")
+        if self.kind == "fixed":
+            if self.value is None:
+                raise ValueError("fixed lambda policy needs a 'value'")
+            check_positive(self.value, "fixed lambda policy 'value'")
         if self.kind == "grid" and len(self.values) == 0:
             raise ValueError("grid lambda policy needs nonempty 'values'")
 
@@ -445,7 +448,9 @@ def run_diagnostics(config: ExperimentConfig):
     reports = [
         check_projection_bound(decay, truncation, n, m, lam, delta, trials, seed),
         check_norm_equivalence(decay, truncation, n, lam, delta, trials, seed),
-        check_concentration(decay, truncation, n, lam, trials, seed, which="operator"),
+        check_concentration(
+            decay, truncation, n, lam, trials, seed, which="operator", delta=delta
+        ),
         check_smoothness_perturbation(
             decay,
             truncation,
@@ -455,6 +460,7 @@ def run_diagnostics(config: ExperimentConfig):
             config.phi if config.phi.family == "holder" else IndexFunction.holder(0.5),
             trials,
             seed,
+            delta,
         ),
     ]
     summary = [

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import check_positive
+
 GAUSSIAN = "gaussian"
 LAPLACIAN = "laplacian"
 DESIGNED = "designed_spectral"
@@ -69,10 +71,9 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.variant in (GAUSSIAN, LAPLACIAN):
-            if self.bandwidth is None or self.bandwidth <= 0:
-                raise ValueError(
-                    f"{self.variant} kernel needs bandwidth > 0, got {self.bandwidth}"
-                )
+            if self.bandwidth is None:
+                raise ValueError(f"{self.variant} kernel needs a bandwidth")
+            check_positive(self.bandwidth, f"{self.variant} bandwidth")
         elif self.variant == DESIGNED:
             if self.decay is None:
                 raise ValueError("designed_spectral kernel needs a DecaySpec")

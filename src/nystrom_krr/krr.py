@@ -9,7 +9,7 @@ matches the population-scaled spectral quantities used elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +23,25 @@ class KernelModel:
 
     Full KRR supports on every training point; a Nystrom model supports on
     the inducing points and records their training-set ``inducing_indices``
-    (None for full KRR).
+    (None for full KRR). ``kernel`` is the kernel the model was fitted with;
+    the fitters and ``load_model`` set it, and evaluating the model under
+    another kernel is an error.
     """
 
     support_xs: np.ndarray
     alpha: np.ndarray
     lam: float
-    opcount: OpCount = field(default_factory=OpCount)
+    opcount: OpCount = OpCount()
     inducing_indices: np.ndarray | None = None
+    kernel: KernelSpec | None = None
+
+    def check_kernel(self, kernel: KernelSpec) -> None:
+        """Reject a kernel other than the one the model was fitted with."""
+        if self.kernel is not None and kernel != self.kernel:
+            raise ValueError(
+                f"model was fitted with kernel {self.kernel.to_config()}, "
+                f"not {kernel.to_config()}"
+            )
 
 
 def _training_arrays(kernel: KernelSpec, data, lam: float):
@@ -46,13 +57,13 @@ def _training_arrays(kernel: KernelSpec, data, lam: float):
 def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
     """Fit by solving the n x n shifted Gram system."""
     xs, ys = _training_arrays(kernel, data, lam)
-    ops = OpCount()
-    coeff = solve_regularized(gram(kernel, xs), lam * xs.size, ys, opcount=ops)
-    return KernelModel(support_xs=xs, alpha=coeff, lam=lam, opcount=ops)
+    coeff = solve_regularized(gram(kernel, xs), lam * xs.size, ys)
+    return KernelModel(xs, coeff, lam, OpCount.krr(xs.size), kernel=kernel)
 
 
 def predict(model: KernelModel, kernel: KernelSpec, xs) -> np.ndarray:
     """Evaluate f(x) = sum_j alpha_j K(x, x_j) over the model's support points."""
+    model.check_kernel(kernel)
     return cross_gram(kernel, xs, model.support_xs) @ model.alpha
 
 

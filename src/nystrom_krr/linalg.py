@@ -1,4 +1,4 @@
-"""Regularized symmetric solves, eigenvalues, and operation counting.
+"""The regularized symmetric solve, eigenvalues, and the cost model.
 
 The cost metric is a deterministic flop model rather than wall-clock: an
 ``n x m`` Gram-style product counts ``n * m**2``, an ``m x m`` factorization
@@ -29,29 +29,27 @@ class NumericalError(RuntimeError):
     """Factorization or conditioning failure that jitter escalation cannot fix."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpCount:
-    """Accumulates flop estimates; counts only grow."""
+    """Flop-model cost of one fit, in closed form per fitter."""
 
     flops: int = 0
 
-    def add(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("flop increments must be nonnegative")
-        self.flops += int(amount)
+    @classmethod
+    def krr(cls, n: int) -> "OpCount":
+        """Full KRR: one n x n factorization and one back-substitution."""
+        return cls(n**3 // 3 + n * n)
 
-    def add_gram_product(self, n: int, m: int) -> None:
-        self.add(n * m * m)
-
-    def add_factorization(self, m: int) -> None:
-        self.add(m**3 // 3)
-
-    def add_backsub(self, m: int, nrhs: int = 1) -> None:
-        self.add(m * m * nrhs)
+    @classmethod
+    def nystrom(cls, n: int, m: int) -> "OpCount":
+        """Nystrom: the n x m product ``G^T G``, two m x m factorizations
+        (``K_mm`` and the reduced system) and one back-substitution."""
+        return cls(n * m * m + 2 * (m**3 // 3) + m * m)
 
 
 def check_positive(value: float, name: str = "lambda") -> None:
-    """The one check for a regularization parameter: finite and > 0."""
+    """The one check for a positive scalar (lambda, shift, bandwidth, rule
+    constant): finite and > 0."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
@@ -64,7 +62,7 @@ def _require_symmetric(a: np.ndarray, tol: float = 1e-10) -> None:
         raise ValueError("matrix is not symmetric within 1e-10 relative tolerance")
 
 
-def cholesky_psd(a: np.ndarray, jitter_scale: float, opcount: OpCount | None = None):
+def cholesky_psd(a: np.ndarray, jitter_scale: float):
     """Cholesky of a (nearly) PSD matrix with escalating diagonal jitter.
 
     ``jitter_scale`` sets the magnitude reference for the retry shifts; it is
@@ -87,8 +85,6 @@ def cholesky_psd(a: np.ndarray, jitter_scale: float, opcount: OpCount | None = N
                 m,
                 m,
             )
-        if opcount is not None:
-            opcount.add_factorization(m)
         return factor
     raise NumericalError(
         f"factorization failed for a {m}x{m} block even with jitter up to "
@@ -96,20 +92,7 @@ def cholesky_psd(a: np.ndarray, jitter_scale: float, opcount: OpCount | None = N
     )
 
 
-def solve_psd(
-    a: np.ndarray, b: np.ndarray, jitter_scale: float, opcount: OpCount | None = None
-) -> np.ndarray:
-    """Solve ``a x = b`` for symmetric positive (semi)definite ``a``."""
-    factor = cholesky_psd(a, jitter_scale, opcount)
-    x = sla.cho_solve((factor, False), b, check_finite=False)
-    if opcount is not None:
-        opcount.add_backsub(a.shape[0], 1 if b.ndim == 1 else b.shape[1])
-    return x
-
-
-def solve_regularized(
-    a: np.ndarray, shift: float, b: np.ndarray, opcount: OpCount | None = None
-) -> np.ndarray:
+def solve_regularized(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
     """Solve ``(a + shift * I) x = b`` by symmetric factorization.
 
     ``a`` must be symmetric PSD up to round-off and ``shift`` strictly
@@ -120,7 +103,8 @@ def solve_regularized(
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"dimension mismatch: matrix {a.shape}, rhs {b.shape}")
-    return solve_psd(a + shift * np.eye(a.shape[0]), b, jitter_scale=shift, opcount=opcount)
+    factor = cholesky_psd(a + shift * np.eye(a.shape[0]), jitter_scale=shift)
+    return sla.cho_solve((factor, False), b, check_finite=False)
 
 
 def sym_eigenvalues(a: np.ndarray) -> np.ndarray:

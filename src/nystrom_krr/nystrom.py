@@ -15,7 +15,7 @@ the same system; near-singular ``K_mm`` blocks (duplicate input values) are
 handled by jitter escalation on the ``K_mm`` factorization.
 
 Cost: Theta(n m^2) for the products plus Theta(m^3) for factorizations,
-recorded in the model's OpCount.
+recorded in the model's OpCount (``OpCount.nystrom``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import scipy.linalg as sla
 from .kernels import KernelSpec, cross_gram, gram
 # predict is re-exported: one predict serves every model
 from .krr import KernelModel, _training_arrays, predict  # noqa: F401
-from .linalg import OpCount, cholesky_psd
+from .linalg import OpCount, check_positive, cholesky_psd, solve_regularized
 from .spectral import n_infinity
 
 
@@ -50,12 +50,15 @@ class SizeRuleParams:
     c_gamma: float | None = None
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"rule constant c must be positive, got {self.c}")
+        check_positive(self.c, "rule constant c")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if (self.gamma is None) != (self.c_gamma is None):
             raise ValueError("gamma and c_gamma must be given together")
+        if self.gamma is not None:
+            if not 0.0 < self.gamma <= 1.0:
+                raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+            check_positive(self.c_gamma, "c_gamma")
 
 
 def subsample_plain(n: int, m: int, seed: int) -> np.ndarray:
@@ -78,22 +81,16 @@ def fit_nystrom(kernel: KernelSpec, data, lam: float, inducing_indices) -> Kerne
 
     n, m = xs.size, idx.size
     x_ind = xs[idx]
-    ops = OpCount()
     k_nm = cross_gram(kernel, xs, x_ind)
     k_mm = gram(kernel, x_ind)
 
     shift = lam * n
-    r_factor = cholesky_psd(k_mm, jitter_scale=shift, opcount=ops)
+    r_factor = cholesky_psd(k_mm, jitter_scale=shift)
     g_mat = sla.solve_triangular(r_factor, k_nm.T, lower=False, trans="T").T
-    reduced = g_mat.T @ g_mat + shift * np.eye(m)
-    ops.add_gram_product(n, m)
-    beta_factor = cholesky_psd(reduced, jitter_scale=shift, opcount=ops)
-    beta = sla.cho_solve((beta_factor, False), g_mat.T @ ys, check_finite=False)
+    beta = solve_regularized(g_mat.T @ g_mat, shift, g_mat.T @ ys)
     alpha = sla.solve_triangular(r_factor, beta, lower=False)
-    ops.add_backsub(m)
-
     return KernelModel(
-        support_xs=x_ind, alpha=alpha, lam=lam, opcount=ops, inducing_indices=idx
+        x_ind, alpha, lam, OpCount.nystrom(n, m), inducing_indices=idx, kernel=kernel
     )
 
 
@@ -137,12 +134,13 @@ def lambda_admissible(
 
 
 def save_model(model: KernelModel, path) -> None:
-    """Self-describing text artifact: indices, inducing points, alpha, lambda."""
-    if model.inducing_indices is None:
-        raise ValueError("save_model stores Nystrom models (inducing_indices is None)")
+    """Self-describing text artifact: kernel, indices, inducing points, alpha, lambda."""
+    if model.inducing_indices is None or model.kernel is None:
+        raise ValueError("save_model stores Nystrom models that carry their kernel")
     payload = {
         "format": "nystrom-krr-model",
-        "version": 1,
+        "version": 2,
+        "kernel": model.kernel.to_config(),
         "lambda": model.lam,
         "inducing_indices": model.inducing_indices.tolist(),
         "inducing_xs": model.support_xs.tolist(),
@@ -153,11 +151,17 @@ def save_model(model: KernelModel, path) -> None:
 
 
 def load_model(path) -> KernelModel:
-    """Read a ``save_model`` artifact; rejects mismatched or non-finite arrays."""
+    """Read a version-2 ``save_model`` artifact; rejects other versions, a
+    missing or invalid kernel, and mismatched or non-finite arrays."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("format") != "nystrom-krr-model":
         raise ValueError(f"{path} is not a saved model artifact")
+    if payload.get("version") != 2:
+        raise ValueError(f"{path}: artifact version {payload.get('version')!r} is not 2")
+    if "kernel" not in payload:
+        raise ValueError(f"{path}: artifact carries no kernel")
+    kernel = KernelSpec.from_config(payload["kernel"])
     idx = np.asarray(payload["inducing_indices"], dtype=np.int64)
     support = np.asarray(payload["inducing_xs"], dtype=np.float64)
     alpha = np.asarray(payload["alpha"], dtype=np.float64)
@@ -169,4 +173,4 @@ def load_model(path) -> KernelModel:
         )
     if not (np.all(np.isfinite(support)) and np.all(np.isfinite(alpha)) and math.isfinite(lam)):
         raise ValueError(f"{path}: inducing_xs, alpha and lambda must be finite")
-    return KernelModel(support_xs=support, alpha=alpha, lam=lam, inducing_indices=idx)
+    return KernelModel(support, alpha, lam, inducing_indices=idx, kernel=kernel)

@@ -179,6 +179,10 @@ def nx_empirical(kernel: KernelSpec, training_xs, x: float, lam: float) -> float
 
 
 def _solve_shifted_gram(big_k, n, lam, rhs):
+    # Not solve_regularized(big_k / n, lam, rhs): that adds an O(n^2) strided
+    # symmetry check of a Gram that gram() already made exactly symmetric
+    # (0.6-1.3 s at n=4096, one BLAS thread on a 2-core x86 VM) and keeps one
+    # more n x n array alive.
     m = big_k.shape[0]
     factor = cholesky_psd(big_k / n + lam * np.eye(m), jitter_scale=lam)
     return sla.cho_solve((factor, False), rhs, check_finite=False)

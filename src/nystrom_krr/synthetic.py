@@ -169,6 +169,7 @@ def fitted_coefficients(model: KernelModel, kernel: KernelSpec) -> np.ndarray:
             "exact basis coefficients need a designed kernel; "
             "use monte_carlo_error for closed-form kernels"
         )
+    model.check_kernel(kernel)
     mu = kernel.eigenvalues()
     return mu * (fourier_basis(model.support_xs, kernel.truncation).T @ model.alpha)
 

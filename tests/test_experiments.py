@@ -78,6 +78,9 @@ def test_lambda_policy_validation():
         exp.LambdaPolicy("grid")
     with pytest.raises(ValueError):
         exp.LambdaPolicy("adaptive")
+    for bad in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="value"):
+            exp.LambdaPolicy("fixed", value=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +213,22 @@ def test_lambda_sweep_shape_and_verdict():
 
 
 def test_run_diagnostics_rows(tmp_path):
-    config = small_config(
-        diagnostics={"T": 32, "n": 256, "trials": 20, "delta": 0.1},
-        phi=IndexFunction.holder(0.5),
-    )
-    reports, summary, passed = exp.run_diagnostics(config)
-    assert [r.bound_name for r in reports] == [
-        "projection",
-        "norm_equivalence",
-        "concentration_operator",
-        "smoothness_perturbation",
-    ]
-    again, _, _ = exp.run_diagnostics(config)
-    for a, b in zip(reports, again):
-        assert a.violation_rate == b.violation_rate
+    for delta in (0.1, 0.02):
+        config = small_config(
+            diagnostics={"T": 32, "n": 256, "trials": 20, "delta": delta},
+            phi=IndexFunction.holder(0.5),
+        )
+        reports, summary, passed = exp.run_diagnostics(config)
+        assert [r.bound_name for r in reports] == [
+            "projection",
+            "norm_equivalence",
+            "concentration_operator",
+            "smoothness_perturbation",
+        ]
+        assert [r.delta for r in reports] == [delta] * 4
+        again, _, _ = exp.run_diagnostics(config)
+        for a, b in zip(reports, again):
+            assert a.violation_rate == b.violation_rate
 
 
 # ---------------------------------------------------------------------------

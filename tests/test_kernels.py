@@ -36,6 +36,10 @@ def test_decay_spec_validation():
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec.gaussian(0.0)
+    for bad in (np.nan, np.inf):
+        for make in (KernelSpec.gaussian, KernelSpec.laplacian):
+            with pytest.raises(ValueError, match="bandwidth"):
+                make(bad)
     with pytest.raises(ValueError):
         KernelSpec.designed(0.5, 0)
     with pytest.raises(ValueError):
@@ -204,3 +208,5 @@ def test_config_roundtrip():
         KernelSpec.from_config({"variant": "designed_spectral"})
     with pytest.raises(ValueError):
         KernelSpec.from_config({"bandwidth": 2.0})
+    with pytest.raises(ValueError, match="bandwidth"):
+        KernelSpec.from_config({"variant": "gaussian", "bandwidth": "nan"})

@@ -6,20 +6,17 @@ from nystrom_krr.linalg import (
     NumericalError,
     OpCount,
     cholesky_psd,
-    solve_psd,
     solve_regularized,
     sym_eigenvalues,
 )
 
 
 def test_opcount_accumulates():
-    ops = OpCount()
-    ops.add_gram_product(10, 4)
-    ops.add_factorization(6)
-    ops.add_backsub(6, 2)
-    assert ops.flops == 10 * 16 + 216 // 3 + 72
-    with pytest.raises(ValueError):
-        ops.add(-1)
+    # n = 10: 1000 // 3 factorization + 100 back-substitution
+    assert OpCount.krr(10).flops == 333 + 100
+    # n = 10, m = 4: 160 product + 2 * (64 // 3) factorizations + 16 back-substitution
+    assert OpCount.nystrom(10, 4).flops == 160 + 2 * 21 + 16
+    assert OpCount().flops == 0
 
 
 def test_solve_regularized_scalar():
@@ -64,8 +61,8 @@ def test_solve_roundtrip_random_psd():
 def test_jitter_escalation_recovers_singular():
     # rank-1 PSD block with an exactly repeated row/column
     a = np.ones((3, 3))
-    v = solve_psd(a, np.ones(3), jitter_scale=1e-12)
-    assert np.all(np.isfinite(v))
+    factor = cholesky_psd(a, jitter_scale=1e-12)
+    assert np.all(np.isfinite(factor))
 
 
 def test_solve_psd_unrecoverable_raises():

@@ -245,6 +245,15 @@ def test_size_rule_envelope_needs_both_constants():
     for half in ({"gamma": 0.5}, {"c_gamma": 1.0}):
         with pytest.raises(ValueError, match="together"):
             SizeRuleParams(**half)
+    for bad, match in (
+        ({"c": math.nan}, "rule constant c"),
+        ({"c": math.inf}, "rule constant c"),
+        ({"gamma": 0.5, "c_gamma": math.nan}, "c_gamma"),
+        ({"gamma": 7.0, "c_gamma": 1.0}, "gamma must be in"),
+        ({"gamma": math.nan, "c_gamma": 1.0}, "gamma must be in"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            SizeRuleParams(**bad)
 
 
 def test_subsample_size_clamps():
@@ -294,6 +303,11 @@ def test_model_roundtrip(tmp_path):
     grid = np.linspace(0, 1, 17)
     assert predict is krr.predict  # one predict for every model
     assert_allclose(predict(loaded, kernel, grid), predict(model, kernel, grid))
+    assert loaded.kernel == kernel
+    for other in (KernelSpec.gaussian(0.1), KernelSpec.designed(0.5, 32)):
+        for m in (model, loaded):
+            with pytest.raises(ValueError, match="fitted with"):
+                predict(m, other, grid)
     with pytest.raises(ValueError):
         (tmp_path / "bogus.json").write_text('{"format": "other"}')
         load_model(tmp_path / "bogus.json")
@@ -302,7 +316,8 @@ def test_model_roundtrip(tmp_path):
 def test_load_model_rejects_inconsistent_artifact(tmp_path):
     base = {
         "format": "nystrom-krr-model",
-        "version": 1,
+        "version": 2,
+        "kernel": {"variant": "gaussian", "bandwidth": 0.1},
         "lambda": 0.1,
         "inducing_indices": [0, 1, 2],
         "inducing_xs": [0.1, 0.5, 0.9],
@@ -310,5 +325,15 @@ def test_load_model_rejects_inconsistent_artifact(tmp_path):
     path = tmp_path / "model.json"
     for alpha, match in (([1.0], "differ in length"), ([1.0, float("nan"), 0.0], "finite")):
         path.write_text(json.dumps({**base, "alpha": alpha}))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
+    valid = {**base, "alpha": [1.0, 0.0, 0.0]}
+    no_kernel = {k: v for k, v in valid.items() if k != "kernel"}
+    for payload, match in (
+        ({**valid, "version": 1}, "version"),
+        (no_kernel, "no kernel"),
+        ({**valid, "kernel": {"variant": "gaussian", "bandwidth": "nan"}}, "bandwidth"),
+    ):
+        path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=match):
             load_model(path)

@@ -152,6 +152,8 @@ def test_l2_error_requires_designed_and_truth():
     model = fit_krr(KernelSpec.designed(0.5, 16), data, 0.1)
     with pytest.raises(NotImplementedError):
         l2_rho_error(model, KernelSpec.gaussian(1.0), data)
+    with pytest.raises(ValueError, match="fitted with"):
+        l2_rho_error(model, KernelSpec.designed(0.75, 16), data)
     bare = Dataset(xs=data.xs, ys=data.ys)
     with pytest.raises(ValueError):
         l2_rho_error(model, KernelSpec.designed(0.5, 16), bare)
