@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 a configured tolerance failed, 1 error.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 
@@ -25,6 +26,12 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out-dir", default=None, help="override the output directory")
     parser.add_argument("--reps", type=int, default=None, help="override repetitions")
+    parser.add_argument(
+        "--log-level",
+        default="WARNING",
+        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+        help="log to stderr from this level on; INFO shows Cholesky jitter escalations",
+    )
 
 
 def _load(args) -> exp.ExperimentConfig:
@@ -121,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
     except (ValueError, FileNotFoundError, NumericalError) as exc:

@@ -12,7 +12,13 @@ uniform measure:
 Because the basis is orthonormal for the uniform measure, the kernel integral
 operator is diagonal with eigenvalues ``mu_k``, so effective dimensions,
 a-priori regularization parameters, and exact L2 errors are all computable in
-closed form. Gram assembly is the hot path, vectorized in numpy.
+closed form.
+
+Sums over the basis at many points (target values, data moments, the
+second moment ``Phi^T Phi / n``) go through one blocked trig-sum primitive,
+``trig_sum`` and its adjoint ``trig_moments``, and never form the n x T
+basis matrix. Gram blocks (``cross_gram``, ``gram``) stay explicit,
+vectorized numpy: they are the generic Nystrom path and its reference.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .linalg import check_positive
 
@@ -134,10 +141,130 @@ def fourier_basis(xs, truncation: int) -> np.ndarray:
     if truncation > 1:
         n_cos = truncation // 2  # columns k = 2, 4, ...
         ang = _TWO_PI * xs[:, None] * np.arange(1, n_cos + 1)[None, :]
-        out[:, 1::2] = _SQRT2 * np.cos(ang)
+        # written in place: no n x T/2 temporaries beside the angles
+        np.cos(ang, out=out[:, 1::2])
         n_sin = (truncation - 1) // 2  # columns k = 3, 5, ...
         if n_sin:
-            out[:, 2::2] = _SQRT2 * np.sin(ang[:, :n_sin])
+            np.sin(ang[:, :n_sin], out=out[:, 2::2])
+        out[:, 1:] *= _SQRT2
+    return out
+
+
+def _split(degree: int) -> tuple[int, int]:
+    """Block sizes (B, Q) with l = q B + r covering l = 0..degree, B ~ sqrt(degree + 1)."""
+    b = math.isqrt(degree) + 1
+    return b, -(-(degree + 1) // b)
+
+
+def _exp_blocks(xs, b: int, q: int):
+    """``exp(2 pi i q B x)`` (n x Q) and ``exp(2 pi i r x)`` (n x B) for one row chunk.
+
+    The angles are ``(2 pi x) l``, rounded as in ``fourier_basis``.
+    """
+    ang = _TWO_PI * xs[:, None]
+    return np.exp(1j * (ang * (b * np.arange(q)))), np.exp(1j * (ang * np.arange(b)))
+
+
+def _row_chunks(n: int, width: int):
+    # complex rows of Q + B entries; each chunk stays near _CHUNK_ELEMENTS doubles
+    step = max(1, _CHUNK_ELEMENTS // (2 * width))
+    return ((lo, min(n, lo + step)) for lo in range(0, n, step))
+
+
+def trig_sum(xs, coeffs) -> np.ndarray:
+    """Type-2 trigonometric sum ``Re sum_l F_l exp(2 pi i l x)``, l = 0..L, at each x.
+
+    With ``l = q B + r`` and ``B ~ sqrt(L + 1)`` the sum is one complex gemm
+    per row chunk, ``exp(2 pi i q B x) @ F[q, r]``, then a row-wise product
+    with ``exp(2 pi i r x)``: O(n sqrt(L)) exponentials instead of O(n L)
+    sin/cos calls, and memory fixed by the chunk size. This is numpy's
+    stand-in for a type-2 non-uniform DFT (Dutt & Rokhlin 1993; Barnett et
+    al., FINUFFT 2019).
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    b, q = _split(coeffs.size - 1)
+    block = np.zeros(q * b, dtype=np.complex128)
+    block[: coeffs.size] = coeffs
+    block = block.reshape(q, b)
+    out = np.empty(xs.size)
+    for lo, hi in _row_chunks(xs.size, q + b):
+        e_q, e_b = _exp_blocks(xs[lo:hi], b, q)
+        out[lo:hi] = ((e_q @ block) * e_b).sum(axis=1).real
+    return out
+
+
+def trig_moments(xs, weights, degree: int) -> np.ndarray:
+    """Type-1 moments ``c_l = sum_i w_i exp(2 pi i l x_i)`` for l = 0..degree.
+
+    The adjoint of ``trig_sum``, blocked the same way: ``c[q B + r]`` is
+    entry (q, r) of ``(w * exp(2 pi i q B x))^T @ exp(2 pi i r x)``,
+    accumulated over row chunks.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    weights = np.asarray(weights, dtype=np.float64)
+    b, q = _split(degree)
+    acc = np.zeros((q, b), dtype=np.complex128)
+    for lo, hi in _row_chunks(xs.size, q + b):
+        e_q, e_b = _exp_blocks(xs[lo:hi], b, q)
+        acc += (e_q * weights[lo:hi, None]).T @ e_b
+    return acc.ravel()[: degree + 1]
+
+
+def basis_sum(xs, coeffs) -> np.ndarray:
+    """``fourier_basis(xs, T) @ coeffs`` with T = ``coeffs.size``, via ``trig_sum``.
+
+    ``e_1 = 1``, and a cos/sin pair ``sqrt(2) (a cos + b sin)`` of frequency j
+    is ``Re(sqrt(2) (a - i b) exp(2 pi i j x))``.
+    """
+    f = np.asarray(coeffs, dtype=np.float64)
+    n_sin = (f.size - 1) // 2
+    cplx = np.zeros(f.size // 2 + 1, dtype=np.complex128)
+    cplx[0] = f[0]
+    cplx[1:] = _SQRT2 * f[1::2]
+    cplx[1 : n_sin + 1] -= 1j * _SQRT2 * f[2::2]
+    return trig_sum(xs, cplx)
+
+
+def basis_moments(xs, weights, truncation: int) -> np.ndarray:
+    """``fourier_basis(xs, T).T @ weights`` via ``trig_moments``: the cos and
+    sin columns of frequency j get ``sqrt(2)`` times Re and Im of ``c_j``."""
+    c = trig_moments(xs, weights, truncation // 2)
+    out = np.empty(truncation)
+    out[0] = c[0].real
+    out[1::2] = _SQRT2 * c[1:].real
+    out[2::2] = _SQRT2 * c[1 : (truncation - 1) // 2 + 1].imag
+    return out
+
+
+def basis_second_moment(xs, truncation: int) -> np.ndarray:
+    """``Phi^T Phi / n`` with ``Phi = fourier_basis(xs, T)``, from the moments
+    ``c_l = mean_i exp(2 pi i l x_i)``, l = 0..2 (T // 2).
+
+    Product-to-sum makes each block Toeplitz-plus-Hankel in the frequencies
+    j, k: ``cos_j cos_k`` gives ``Re c_|j-k| + Re c_{j+k}``, ``sin_j sin_k``
+    gives ``Re c_|j-k| - Re c_{j+k}`` and ``cos_j sin_k`` gives
+    ``Im c_{j+k} - Im c_{j-k}`` (``c_{-l} = conj(c_l)``); the constant pairs
+    with them as ``sqrt(2) Re c_k`` and ``sqrt(2) Im c_k``.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    n_cos, n_sin = truncation // 2, (truncation - 1) // 2
+    # unit weights, divided afterwards, keep c_0 = 1 exactly
+    c = trig_moments(xs, np.ones(xs.size), 2 * n_cos) / xs.size
+    re, im = c.real, c.imag
+    out = np.empty((truncation, truncation))
+    out[0, 0] = re[0]
+    if n_cos:
+        out[0, 1::2] = out[1::2, 0] = _SQRT2 * re[1 : n_cos + 1]
+        out[0, 2::2] = out[2::2, 0] = _SQRT2 * im[1 : n_sin + 1]
+        re_diff = sla.toeplitz(re[:n_cos])
+        re_sum = sla.hankel(re[2 : n_cos + 2], re[n_cos + 1 :])
+        im_diff = sla.toeplitz(im[:n_cos], -im[:n_cos])
+        cos_sin = (sla.hankel(im[2 : n_cos + 2], im[n_cos + 1 :]) - im_diff)[:, :n_sin]
+        out[1::2, 1::2] = re_diff + re_sum
+        out[2::2, 2::2] = (re_diff - re_sum)[:n_sin, :n_sin]
+        out[1::2, 2::2] = cos_sin
+        out[2::2, 1::2] = cos_sin.T
     return out
 
 
@@ -200,10 +327,18 @@ def cross_gram(kernel: KernelSpec, xs, inducing) -> np.ndarray:
     ys = as_points(inducing, kernel)
     if kernel.is_designed:
         return _designed_cross(kernel, xs, ys)
-    d = (xs[:, None] - ys[None, :]) / kernel.bandwidth
+    # In place: one n x m array and no n x m temporaries. Freeing such
+    # temporaries raises glibc's mmap threshold, after which later arrays sat
+    # on an untrimmed heap (+50 MB peak RSS in a Gaussian n=4096 fit + KRR).
+    d = np.subtract.outer(xs, ys)
+    d /= kernel.bandwidth
     if kernel.variant == GAUSSIAN:
-        return np.exp(-0.5 * d * d)
-    return np.exp(-np.abs(d))
+        d *= d
+        d *= -0.5
+    else:
+        np.abs(d, out=d)
+        np.negative(d, out=d)
+    return np.exp(d, out=d)
 
 
 def gram(kernel: KernelSpec, xs) -> np.ndarray:
@@ -211,7 +346,9 @@ def gram(kernel: KernelSpec, xs) -> np.ndarray:
     out = cross_gram(kernel, xs, xs)
     # entries (i,j) and (j,i) are computed independently; averaging restores
     # exact symmetry without changing values beyond accumulation noise
-    return 0.5 * (out + out.T)
+    out += out.T
+    out *= 0.5
+    return out
 
 
 def kappa(kernel: KernelSpec) -> float:

@@ -20,10 +20,10 @@ from .kernels import (
     DecaySpec,
     KernelSpec,
     as_points,
+    basis_second_moment,
     basis_sup,
     cross_gram,
     eval_kernel,
-    fourier_basis,
     gram,
     kappa,
 )
@@ -74,10 +74,8 @@ def empirical_profile(kernel: KernelSpec, xs) -> SpectralProfile:
     xs = as_points(xs, kernel)
     n = xs.size
     if kernel.is_designed and n > kernel.truncation:
-        mu = kernel.eigenvalues()
-        basis = fourier_basis(xs, kernel.truncation)
-        second_moment = (basis.T @ basis) / n
-        root = np.sqrt(mu)
+        root = np.sqrt(kernel.eigenvalues())
+        second_moment = basis_second_moment(xs, kernel.truncation)
         eig = np.linalg.eigvalsh(root[:, None] * second_moment * root[None, :])[::-1]
     else:
         eig = sym_eigenvalues(gram(kernel, xs) / n)
@@ -179,12 +177,11 @@ def nx_empirical(kernel: KernelSpec, training_xs, x: float, lam: float) -> float
 
 
 def _solve_shifted_gram(big_k, n, lam, rhs):
-    # Not solve_regularized(big_k / n, lam, rhs): that adds an O(n^2) strided
+    # Not solve_regularized(big_k / n, lam, rhs): that adds an O(n^2) tiled
     # symmetry check of a Gram that gram() already made exactly symmetric
-    # (0.6-1.3 s at n=4096, one BLAS thread on a 2-core x86 VM) and keeps one
-    # more n x n array alive.
-    m = big_k.shape[0]
-    factor = cholesky_psd(big_k / n + lam * np.eye(m), jitter_scale=lam)
+    # (about 0.1 s at n=4096, one BLAS thread on a 2-core x86 VM) and keeps
+    # one more n x n array alive.
+    factor = cholesky_psd(big_k / n, jitter_scale=lam, shift=lam)
     return sla.cho_solve((factor, False), rhs, check_finite=False)
 
 

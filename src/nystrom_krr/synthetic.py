@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import DESIGNED, DecaySpec, KernelSpec, fourier_basis
+from .kernels import DESIGNED, DecaySpec, KernelSpec, basis_moments, basis_sum
 from .krr import KernelModel, predict
 from .spectral import IndexFunction
 
@@ -142,7 +142,7 @@ def make_target(
 
 def target_values(target: TargetSpec, xs) -> np.ndarray:
     """Evaluate the regression function f(x) = sum_k f_k e_k(x)."""
-    return fourier_basis(xs, target.f_coefficients.size) @ target.f_coefficients
+    return basis_sum(xs, target.f_coefficients)
 
 
 def sample_dataset(
@@ -171,7 +171,7 @@ def fitted_coefficients(model: KernelModel, kernel: KernelSpec) -> np.ndarray:
         )
     model.check_kernel(kernel)
     mu = kernel.eigenvalues()
-    return mu * (fourier_basis(model.support_xs, kernel.truncation).T @ model.alpha)
+    return mu * basis_moments(model.support_xs, model.alpha, kernel.truncation)
 
 
 def l2_rho_error(model: KernelModel, kernel: KernelSpec, dataset: Dataset) -> float:

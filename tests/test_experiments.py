@@ -1,9 +1,15 @@
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nystrom_krr
 from nystrom_krr import experiments as exp
 from nystrom_krr.cli import main as cli_main
 from nystrom_krr.kernels import KernelSpec
@@ -317,3 +323,70 @@ def test_cli_reps_override(tmp_path):
     assert cli_main(["rate-sweep", "--config", str(cfg), "--reps", "2"]) == 0
     rows = (tmp_path / "out" / "rate_sweep.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 3 * 2
+
+
+def _run_cli(args, blas_threads=1):
+    """Run the CLI in a fresh interpreter with a fixed OpenBLAS thread count."""
+    env = dict(os.environ)
+    src = str(Path(nystrom_krr.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    return subprocess.run(
+        [sys.executable, "-m", "nystrom_krr.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_cli_log_level_shows_jitter_escalation(tmp_path):
+    """With m > T the inducing Gram is singular and its factorization needs
+    jitter; --log-level INFO prints that escalation, the default does not."""
+    cfg = _write_config(
+        tmp_path, kernel={"variant": "designed_spectral", "s": 0.5, "truncation": 8},
+        n_grid=[64], repetitions=1,
+    )
+    quiet = _run_cli(["rate-sweep", "--config", str(cfg)])
+    loud = _run_cli(["rate-sweep", "--config", str(cfg), "--log-level", "INFO"])
+    assert quiet.returncode == loud.returncode == 0
+    assert "cholesky needed jitter" not in quiet.stderr
+    assert "INFO nystrom_krr.linalg: cholesky needed jitter" in loud.stderr
+
+
+# Largest relative move allowed between 1 and 2 BLAS threads. Summation order
+# inside BLAS changes the last digits (4.6e-13 relative on a small sweep); at
+# n=16384 a Cholesky jitter escalation that flipped moved the error by 1.1e-6.
+BLAS_THREAD_RTOL = 1e-5
+
+
+def test_rate_sweep_agrees_across_blas_threads(tmp_path):
+    """One small sweep at 1 and at 2 OpenBLAS threads: same exit code and
+    verdicts, same integer columns, floats within BLAS_THREAD_RTOL. With
+    T = 64 the n = 48 cells take the generic fit and the n = 96, 192 cells the
+    T-space fit."""
+    runs = []
+    for threads in (1, 2):
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        cfg = _write_config(
+            run_dir,
+            kernel={"variant": "designed_spectral", "s": 0.5, "truncation": 64},
+            n_grid=[48, 96, 192], repetitions=2, krr_baseline=True,
+        )
+        proc = _run_cli(["rate-sweep", "--config", str(cfg)], blas_threads=threads)
+        out = run_dir / "out"
+        with open(out / "rate_sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        verdicts = [
+            line.rsplit(":", 1)[1].strip()
+            for line in (out / "rate_sweep_summary.txt").read_text().splitlines()
+            if line.endswith(("PASS", "FAIL"))
+        ]
+        runs.append((proc.returncode, verdicts, rows))
+    (code1, verdicts1, rows1), (code2, verdicts2, rows2) = runs
+    assert code1 == code2 == 0
+    assert verdicts1 == verdicts2 and verdicts1
+    assert len(rows1) == len(rows2) == 6
+    for a, b in zip(rows1, rows2):
+        for key in ("n", "rep", "seed", "m", "flops", "warnings"):
+            assert a[key] == b[key]
+        for key in ("lambda", "error", "krr_error"):
+            assert math.isclose(float(a[key]), float(b[key]), rel_tol=BLAS_THREAD_RTOL)

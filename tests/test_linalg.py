@@ -65,6 +65,19 @@ def test_jitter_escalation_recovers_singular():
     assert np.all(np.isfinite(factor))
 
 
+def test_cholesky_psd_shift_factors_a_copy():
+    """``shift`` factors ``a + shift I``; shifted and jittered retries work on
+    a private copy, so ``a`` is never overwritten, in C or Fortran order."""
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((6, 3))
+    for a in (b @ b.T, np.asfortranarray(b @ b.T)):
+        before = a.copy()
+        factor = cholesky_psd(a, jitter_scale=1e-3, shift=0.5)
+        assert_allclose(factor.T @ factor, a + 0.5 * np.eye(6), atol=1e-12)
+        assert np.all(np.isfinite(cholesky_psd(a, jitter_scale=1e-12)))  # rank 3: jitter
+        assert np.array_equal(a, before)
+
+
 def test_solve_psd_unrecoverable_raises():
     a = -np.eye(3)
     with pytest.raises(NumericalError):

@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nystrom_krr import krr
+from nystrom_krr import krr, nystrom
 from nystrom_krr.kernels import DecaySpec, KernelSpec, cross_gram, gram
 from nystrom_krr.nystrom import (
     SizeRuleParams,
@@ -22,6 +23,7 @@ from nystrom_krr.spectral import analytic_profile, lambda0
 from nystrom_krr.synthetic import (
     Dataset,
     NoiseSpec,
+    fitted_coefficients,
     l2_rho_error,
     make_target,
     sample_dataset,
@@ -144,6 +146,67 @@ def test_duplicate_inputs_resolved_by_jitter():
     ys = np.array([1.0, 1.0, 1.0, 0.0])
     model = fit_nystrom(kernel, _dataset(xs, ys), 0.1, [0, 1, 3])
     assert np.all(np.isfinite(model.alpha))
+
+
+def test_fit_path_follows_n_against_truncation():
+    """A designed kernel solves in T-space once n > T; n <= T and the
+    closed-form kernels take the generic K_nm path. Both paths keep the
+    generic flop model."""
+    rng = np.random.default_rng(4)
+    cases = [
+        (KernelSpec.designed(0.5, 64), 64, False),
+        (KernelSpec.designed(0.5, 64), 65, True),
+        (KernelSpec.designed(0.5, 33), 200, True),
+        (KernelSpec.gaussian(0.3), 200, False),
+    ]
+    for kernel, n, expect_tspace in cases:
+        data = _dataset(rng.uniform(0, 1, n), rng.standard_normal(n))
+        with mock.patch.object(
+            nystrom, "_reduced_tspace", wraps=nystrom._reduced_tspace
+        ) as tspace, mock.patch.object(
+            nystrom, "_reduced_generic", wraps=nystrom._reduced_generic
+        ) as generic:
+            model = fit_nystrom(kernel, data, 0.05, subsample_plain(n, 10, seed=n))
+        assert (tspace.call_count, generic.call_count) == (
+            (1, 0) if expect_tspace else (0, 1)
+        )
+        assert model.opcount.flops == n * 100 + 2 * (1000 // 3) + 100
+
+
+def test_tspace_matches_generic_on_criterion_1_and_rule_sized_cells():
+    """The T-space solve agrees with the generic one to 1e-10 relative in the
+    fitted eigen-coefficients on criterion 1's designed instances (T = 512,
+    full subsample, n <= 200, T-space forced) and on rule-sized cells at
+    n <= 4096 (T = 2048, lambda0, c = 2)."""
+    worst = 0.0
+
+    def compare(kernel, data, lam, idx):
+        with mock.patch.object(nystrom, "_reduced_tspace", nystrom._reduced_generic):
+            ref = fitted_coefficients(fit_nystrom(kernel, data, lam, idx), kernel)
+        with mock.patch.object(nystrom, "_reduced_generic", nystrom._reduced_tspace):
+            got = fitted_coefficients(fit_nystrom(kernel, data, lam, idx), kernel)
+        return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+    rng = np.random.default_rng(2024)  # criterion 1's instance stream
+    for inst in range(50):
+        if inst % 2:
+            kernel = KernelSpec.designed(float(rng.choice([0.4, 0.5, 0.8])), 512)
+        else:
+            kernel = KernelSpec.gaussian(float(rng.uniform(0.2, 2.0)))
+        n = int(rng.integers(5, 201))
+        lam = float(10 ** rng.uniform(-2, 0))
+        data = Dataset(xs=rng.uniform(0.0, 1.0, n), ys=rng.standard_normal(n))
+        if kernel.is_designed:
+            worst = max(worst, compare(kernel, data, lam, subsample_plain(n, n, seed=inst)))
+
+    kernel = KernelSpec.designed(0.5, 2048)
+    target = make_target(kernel.decay, 2048, IndexFunction.holder(0.25), 7, "power_boundary")
+    for n in (2560, 4096):
+        lam = lambda0(analytic_profile(kernel.decay, 2048), n)
+        m = subsample_size(n, lam, SizeRuleParams(c=2.0, delta=0.1), kernel=kernel)
+        data = sample_dataset(kernel.decay, 2048, target, NoiseSpec.gaussian(0.1), n, seed=n)
+        worst = max(worst, compare(kernel, data, lam, subsample_plain(n, m, seed=1)))
+    assert worst <= 1e-10
 
 
 def test_opcount_composition():

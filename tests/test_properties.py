@@ -4,15 +4,24 @@ Few examples each and no deadline, so the suite stays fast and timing noise on
 a loaded machine cannot fail a test.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nystrom_krr import krr, nystrom
-from nystrom_krr.kernels import KernelSpec
-from nystrom_krr.linalg import solve_regularized
+from nystrom_krr.kernels import (
+    KernelSpec,
+    basis_moments,
+    basis_second_moment,
+    basis_sum,
+    fourier_basis,
+    gram,
+)
+from nystrom_krr.linalg import cholesky_psd, solve_regularized
 from nystrom_krr.spectral import SpectralProfile, effective_dimension, lambda0
-from nystrom_krr.synthetic import Dataset
+from nystrom_krr.synthetic import Dataset, fitted_coefficients
 
 FEW = settings(max_examples=25, deadline=None, database=None)
 
@@ -71,3 +80,56 @@ def test_full_subsample_nystrom_matches_krr(kernel, n, log_lam, seed):
     model = nystrom.fit_nystrom(kernel, data, lam, rng.permutation(n))
     ny = krr.predict(model, kernel, grid)
     assert np.linalg.norm(ny - base) <= 1e-8 * np.linalg.norm(base)
+
+
+@FEW
+@given(
+    truncation=st.integers(1, 300),
+    n=st.integers(1, 500),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trig_sums_match_basis_products(truncation, n, seed):
+    """Type 2 is Phi f, type 1 is Phi^T w and the second moment is Phi^T Phi / n,
+    up to the angle round-off both sides share (about eps * 2 pi T per entry)."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, 1.0, n)
+    f, w = rng.standard_normal(truncation), rng.standard_normal(n)
+    basis = fourier_basis(xs, truncation)
+    tol = 1e-14 * truncation
+    assert np.abs(basis_sum(xs, f) - basis @ f).max() <= tol * np.abs(f).sum()
+    assert np.abs(basis_moments(xs, w, truncation) - basis.T @ w).max() <= tol * np.abs(w).sum()
+    assert np.abs(basis_second_moment(xs, truncation) - basis.T @ basis / n).max() <= tol
+
+
+@FEW
+@given(
+    s=st.sampled_from([0.4, 0.5, 0.8]),
+    truncation=st.integers(1, 160),
+    n=st.integers(2, 4096),
+    m_frac=st.floats(0.0, 1.0),
+    log_lam=st.floats(-4.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tspace_fit_matches_generic_fit(s, truncation, n, m_frac, log_lam, seed):
+    """Forcing either reduced solve on the same data and the same ``K_mm``
+    factor R gives the same eigen-coefficients and predictions: to 1e-10
+    relative while cond(R) <= 1e4, and to 1e-14 cond(R) beyond, where both
+    paths lose digits to ``R^{-1}`` (m near or above T). ``alpha`` is not
+    compared: an ill-conditioned R amplifies round-off in it."""
+    kernel = KernelSpec.designed(s, truncation)
+    rng = np.random.default_rng(seed)
+    data = Dataset(xs=rng.uniform(0.0, 1.0, n), ys=rng.standard_normal(n))
+    m = 1 + round(m_frac * (min(n, 2 * truncation) - 1))
+    idx = rng.choice(n, m, replace=False)
+    lam = 10.0**log_lam
+    with mock.patch.object(nystrom, "_reduced_tspace", nystrom._reduced_generic):
+        generic = nystrom.fit_nystrom(kernel, data, lam, idx)
+    with mock.patch.object(nystrom, "_reduced_generic", nystrom._reduced_tspace):
+        tspace = nystrom.fit_nystrom(kernel, data, lam, idx)
+    r_factor = cholesky_psd(gram(kernel, data.xs[idx]), jitter_scale=lam * n)
+    tol = max(1e-10, 1e-14 * np.linalg.cond(r_factor))
+    ref = fitted_coefficients(generic, kernel)
+    assert np.linalg.norm(fitted_coefficients(tspace, kernel) - ref) <= tol * np.linalg.norm(ref)
+    grid = np.linspace(0.0, 1.0, 41)
+    base = krr.predict(generic, kernel, grid)
+    assert np.linalg.norm(krr.predict(tspace, kernel, grid) - base) <= tol * np.linalg.norm(base)
