@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import DecaySpec, KernelSpec, fourier_basis
+from .kernels import DecaySpec, KernelSpec, basis_moments, covariance, sections
 from .nystrom import SizeRuleParams, subsample_size
 from .spectral import IndexFunction, SpectralProfile, effective_dimension
 from .synthetic import target_values
@@ -44,11 +44,6 @@ class BoundCheckReport:
 
 def _trial_rngs(seed: int, trials: int):
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(trials)]
-
-
-def _section_coords(xs, mu):
-    """Rows are w(x)^T = sqrt(mu) * e(x)."""
-    return fourier_basis(xs, mu.size) * np.sqrt(mu)
 
 
 def _projector(w_rows):
@@ -88,7 +83,7 @@ def check_projection_bound(
     for rng in _trial_rngs(seed, trials):
         xs = rng.uniform(0.0, 1.0, n)
         idx = rng.choice(n, size=m, replace=False)
-        proj = _projector(_section_coords(xs[idx], mu))
+        proj = _projector(sections(xs[idx], mu))
         resid = root[:, None] * (eye - proj)
         lhs = np.linalg.norm(resid, 2) ** 2
         max_ratio = max(max_ratio, lhs / (3.0 * lam))
@@ -123,8 +118,7 @@ def check_norm_equivalence(
     violations = 0
     max_ratio = 0.0
     for rng in _trial_rngs(seed, trials):
-        w = _section_coords(rng.uniform(0.0, 1.0, n), mu)
-        s_hat = w.T @ w / n
+        s_hat = covariance(rng.uniform(0.0, 1.0, n), mu)
         evals, evecs = np.linalg.eigh(s_hat)
         inv_root = evecs * (lam + np.clip(evals, 0.0, None)) ** -0.5
         lhs = np.linalg.norm(pop_root[:, None] * (inv_root @ evecs.T), 2)
@@ -173,14 +167,12 @@ def check_concentration(
     lhs_values = []
     for rng in _trial_rngs(seed, trials):
         xs = rng.uniform(0.0, 1.0, n)
-        w = _section_coords(xs, mu)
         if which == "operator":
-            s_hat = w.T @ w / n
-            lhs = np.linalg.norm(warp[:, None] * (np.diag(mu) - s_hat), 2)
+            lhs = np.linalg.norm(warp[:, None] * (np.diag(mu) - covariance(xs, mu)), 2)
         else:
             ys = target_values(target, xs) + noise.sample(rng, n)
             pop_vec = np.sqrt(mu) * target.f_coefficients
-            emp_vec = w.T @ ys / n
+            emp_vec = np.sqrt(mu) * basis_moments(xs, ys, truncation) / n
             lhs = float(np.linalg.norm(warp * (pop_vec - emp_vec)))
         lhs_values.append(lhs)
     lhs_values = np.asarray(lhs_values)
@@ -223,7 +215,7 @@ def check_smoothness_perturbation(
     for rng in _trial_rngs(seed, trials):
         xs = rng.uniform(0.0, 1.0, n)
         idx = rng.choice(n, size=m, replace=False)
-        proj = _projector(_section_coords(xs[idx], mu))
+        proj = _projector(sections(xs[idx], mu))
         m_p = root[:, None] * proj * root[None, :]
         evals, evecs = np.linalg.eigh(m_p)
         phi_mp = (evecs * phi(np.clip(evals, 0.0, None))) @ evecs.T

@@ -15,10 +15,9 @@ a-priori regularization parameters, and exact L2 errors are all computable in
 closed form.
 
 Sums over the basis at many points (target values, data moments, the
-second moment ``Phi^T Phi / n``) go through one blocked trig-sum primitive,
-``trig_sum`` and its adjoint ``trig_moments``, and never form the n x T
-basis matrix. Gram blocks (``cross_gram``, ``gram``) stay explicit,
-vectorized numpy: they are the generic Nystrom path and its reference.
+``covariance``) go through one blocked trig-sum primitive, ``trig_sum`` and
+its adjoint ``trig_moments``, and never form the n x T basis matrix. Gram
+blocks stay explicit numpy, the generic Nystrom path and its reference.
 """
 
 from __future__ import annotations
@@ -181,7 +180,7 @@ def trig_sum(xs, coeffs) -> np.ndarray:
     stand-in for a type-2 non-uniform DFT (Dutt & Rokhlin 1993; Barnett et
     al., FINUFFT 2019).
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    xs = as_points(xs)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     b, q = _split(coeffs.size - 1)
     block = np.zeros(q * b, dtype=np.complex128)
@@ -201,8 +200,10 @@ def trig_moments(xs, weights, degree: int) -> np.ndarray:
     entry (q, r) of ``(w * exp(2 pi i q B x))^T @ exp(2 pi i r x)``,
     accumulated over row chunks.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    xs = as_points(xs)
     weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != xs.shape:
+        raise ValueError(f"need one weight per point, got {weights.shape} for {xs.shape}")
     b, q = _split(degree)
     acc = np.zeros((q, b), dtype=np.complex128)
     for lo, hi in _row_chunks(xs.size, q + b):
@@ -237,17 +238,19 @@ def basis_moments(xs, weights, truncation: int) -> np.ndarray:
     return out
 
 
-def basis_second_moment(xs, truncation: int) -> np.ndarray:
-    """``Phi^T Phi / n`` with ``Phi = fourier_basis(xs, T)``, from the moments
-    ``c_l = mean_i exp(2 pi i l x_i)``, l = 0..2 (T // 2).
+def covariance(xs, mu) -> np.ndarray:
+    """The covariance ``M^(1/2) (Phi^T Phi / n) M^(1/2)``, ``M = diag(mu)``, i.e.
+    the mean of ``w w^T`` over the ``sections`` w, from the moments
+    ``c_l = mean_i exp(2 pi i l x_i)``, l = 0..2 (T // 2), T = ``mu.size``.
 
-    Product-to-sum makes each block Toeplitz-plus-Hankel in the frequencies
-    j, k: ``cos_j cos_k`` gives ``Re c_|j-k| + Re c_{j+k}``, ``sin_j sin_k``
-    gives ``Re c_|j-k| - Re c_{j+k}`` and ``cos_j sin_k`` gives
-    ``Im c_{j+k} - Im c_{j-k}`` (``c_{-l} = conj(c_l)``); the constant pairs
-    with them as ``sqrt(2) Re c_k`` and ``sqrt(2) Im c_k``.
+    Product-to-sum makes each block of ``Phi^T Phi / n`` Toeplitz-plus-Hankel
+    in the frequencies j, k: ``cos_j cos_k`` gives ``Re c_|j-k| + Re c_{j+k}``,
+    ``sin_j sin_k`` gives ``Re c_|j-k| - Re c_{j+k}`` and ``cos_j sin_k``
+    gives ``Im c_{j+k} - Im c_{j-k}`` (``c_{-l} = conj(c_l)``); the constant
+    pairs with them as ``sqrt(2) Re c_k`` and ``sqrt(2) Im c_k``.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    xs = as_points(xs)
+    truncation = mu.size
     n_cos, n_sin = truncation // 2, (truncation - 1) // 2
     # unit weights, divided afterwards, keep c_0 = 1 exactly
     c = trig_moments(xs, np.ones(xs.size), 2 * n_cos) / xs.size
@@ -265,6 +268,17 @@ def basis_second_moment(xs, truncation: int) -> np.ndarray:
         out[2::2, 2::2] = (re_diff - re_sum)[:n_sin, :n_sin]
         out[1::2, 2::2] = cos_sin
         out[2::2, 1::2] = cos_sin.T
+    root = np.sqrt(mu)
+    out *= root[:, None]
+    out *= root
+    return out
+
+
+def sections(xs, mu) -> np.ndarray:
+    """Kernel sections in the eigen-coordinates: row i is
+    ``w(x_i) = sqrt(mu) * e(x_i)``, so ``K(x, y) = w(x) . w(y)``."""
+    out = fourier_basis(as_points(xs), mu.size)
+    out *= np.sqrt(mu)
     return out
 
 
@@ -342,13 +356,15 @@ def cross_gram(kernel: KernelSpec, xs, inducing) -> np.ndarray:
 
 
 def gram(kernel: KernelSpec, xs) -> np.ndarray:
-    """Symmetric Gram matrix; symmetrized to kill round-off asymmetry."""
-    out = cross_gram(kernel, xs, xs)
-    # entries (i,j) and (j,i) are computed independently; averaging restores
-    # exact symmetry without changing values beyond accumulation noise
-    out += out.T
-    out *= 0.5
-    return out
+    """Gram matrix, exactly symmetric by construction: ``W W^T`` (one syrk) over
+    the designed ``sections`` W, else ``cross_gram(xs, xs)``: its entries depend
+    on ``x_i - x_j`` only through its magnitude, and IEEE subtraction is
+    exactly antisymmetric."""
+    xs = as_points(xs, kernel)
+    if kernel.is_designed:
+        w = sections(xs, kernel.eigenvalues())
+        return w @ w.T
+    return cross_gram(kernel, xs, xs)
 
 
 def kappa(kernel: KernelSpec) -> float:

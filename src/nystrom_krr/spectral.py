@@ -20,8 +20,8 @@ from .kernels import (
     DecaySpec,
     KernelSpec,
     as_points,
-    basis_second_moment,
     basis_sup,
+    covariance,
     cross_gram,
     eval_kernel,
     gram,
@@ -67,16 +67,14 @@ def empirical_profile(kernel: KernelSpec, xs) -> SpectralProfile:
     """Eigenvalues of K/n from a training sample.
 
     For designed kernels the nonzero spectrum of K/n equals that of the
-    (truncation x truncation) weighted second-moment matrix, which is much
-    cheaper than an n x n decomposition; both routes agree and the small-n
-    tests cross-check them.
+    (truncation x truncation) ``covariance``, which is much cheaper than an
+    n x n decomposition; both routes agree and the small-n tests cross-check
+    them.
     """
     xs = as_points(xs, kernel)
     n = xs.size
     if kernel.is_designed and n > kernel.truncation:
-        root = np.sqrt(kernel.eigenvalues())
-        second_moment = basis_second_moment(xs, kernel.truncation)
-        eig = np.linalg.eigvalsh(root[:, None] * second_moment * root[None, :])[::-1]
+        eig = np.linalg.eigvalsh(covariance(xs, kernel.eigenvalues()))[::-1]
     else:
         eig = sym_eigenvalues(gram(kernel, xs) / n)
     return SpectralProfile(np.clip(eig, 0.0, None), "empirical")
@@ -160,29 +158,23 @@ def effective_dimension(profile: SpectralProfile, lam: float) -> float:
     return float(np.sum(sig / (sig + lam)))
 
 
+def _shifted_factor(kernel, xs, lam):
+    """Upper Cholesky factor R of ``K/n + lam I = R^T R`` over the points ``xs``."""
+    return cholesky_psd(gram(kernel, xs) / xs.size, jitter_scale=lam, shift=lam)
+
+
 def nx_empirical(kernel: KernelSpec, training_xs, x: float, lam: float) -> float:
     """Pointwise effective dimension with the empirical covariance plug-in.
 
     Woodbury reduction: ``(K(x,x) - k_x^T (lam I + K/n)^{-1} k_x / n) / lam``
-    with ``k_x = (K(x, x_i))_i``.
+    with ``k_x = (K(x, x_i))_i``, whose quadratic form is ``|R^{-T} k_x|^2``.
     """
     check_positive(lam)
     xs = as_points(training_xs, kernel)
-    n = xs.size
     k_x = cross_gram(kernel, xs, [x])[:, 0]
-    big_k = gram(kernel, xs)
-    solved = _solve_shifted_gram(big_k, n, lam, k_x)
-    val = (eval_kernel(kernel, x, x) - k_x @ solved / n) / lam
+    z = sla.solve_triangular(_shifted_factor(kernel, xs, lam), k_x, trans="T")
+    val = (eval_kernel(kernel, x, x) - z @ z / xs.size) / lam
     return float(_check_nx(val, kernel, lam))
-
-
-def _solve_shifted_gram(big_k, n, lam, rhs):
-    # Not solve_regularized(big_k / n, lam, rhs): that adds an O(n^2) tiled
-    # symmetry check of a Gram that gram() already made exactly symmetric
-    # (about 0.1 s at n=4096, one BLAS thread on a 2-core x86 VM) and keeps
-    # one more n x n array alive.
-    factor = cholesky_psd(big_k / n, jitter_scale=lam, shift=lam)
-    return sla.cho_solve((factor, False), rhs, check_finite=False)
 
 
 def _check_nx(vals, kernel, lam):
@@ -194,15 +186,17 @@ def _check_nx(vals, kernel, lam):
 
 
 def nx_empirical_training(kernel: KernelSpec, training_xs, lam: float) -> np.ndarray:
-    """Empirical N_x(lambda) at every training point (vectorized)."""
+    """Empirical N_x(lambda) at every training point: n times the ridge leverage
+    scores (Alaoui & Mahoney 2015), ``n (1 - lam [(K/n + lam I)^{-1}]_ii)``; with
+    ``K/n + lam I = R^T R`` that diagonal is the squared row norms of ``R^{-1}``.
+    """
     check_positive(lam)
     xs = as_points(training_xs, kernel)
-    n = xs.size
-    big_k = gram(kernel, xs)
-    solved = _solve_shifted_gram(big_k, n, lam, big_k)
-    quad = np.einsum("ij,ji->i", big_k, solved) / n
-    vals = (np.diagonal(big_k) - quad) / lam
-    return _check_nx(vals, kernel, lam)
+    r_inv, info = sla.lapack.dtrtri(_shifted_factor(kernel, xs, lam), lower=0, overwrite_c=1)
+    if info != 0:
+        raise NumericalError(f"triangular inverse failed (LAPACK info {info})")
+    inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
+    return _check_nx(xs.size * (1.0 - lam * inv_diag), kernel, lam)
 
 
 def n_infinity(source: KernelSpec, lam: float, xs=None) -> float:

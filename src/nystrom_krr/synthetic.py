@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import DESIGNED, DecaySpec, KernelSpec, basis_moments, basis_sum
+from .kernels import DESIGNED, DecaySpec, KernelSpec, as_points, basis_moments, basis_sum
 from .krr import KernelModel, predict
 from .spectral import IndexFunction
 
@@ -170,8 +170,8 @@ def fitted_coefficients(model: KernelModel, kernel: KernelSpec) -> np.ndarray:
             "use monte_carlo_error for closed-form kernels"
         )
     model.check_kernel(kernel)
-    mu = kernel.eigenvalues()
-    return mu * basis_moments(model.support_xs, model.alpha, kernel.truncation)
+    support = as_points(model.support_xs, kernel)
+    return kernel.eigenvalues() * basis_moments(support, model.alpha, kernel.truncation)
 
 
 def l2_rho_error(model: KernelModel, kernel: KernelSpec, dataset: Dataset) -> float:

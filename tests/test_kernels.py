@@ -124,11 +124,13 @@ def test_gram_empty_errors():
     ],
 )
 def test_symmetry_and_bound(kernel):
+    """``gram`` is exactly symmetric by construction, with no repair pass."""
     rng = np.random.default_rng(3)
-    xs = rng.uniform(0.0, 1.0, 40)
-    g = gram(kernel, xs)
-    assert_allclose(g, g.T, atol=1e-12 * kappa(kernel))
-    assert np.abs(g).max() <= kappa(kernel) + 1e-12
+    repeated = np.repeat(rng.uniform(0.0, 1.0, 7), 3)
+    for xs in ([0.3], rng.uniform(0.0, 1.0, 40), rng.uniform(0.0, 1.0, 301), repeated):
+        g = gram(kernel, xs)
+        assert np.array_equal(g, g.T)
+        assert np.abs(g).max() <= kappa(kernel) + 1e-12
     for _ in range(20):
         x, y = rng.uniform(0.0, 1.0, 2)
         assert abs(eval_kernel(kernel, x, y) - eval_kernel(kernel, y, x)) <= 1e-12 * kappa(kernel)

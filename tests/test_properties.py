@@ -14,10 +14,11 @@ from nystrom_krr import krr, nystrom
 from nystrom_krr.kernels import (
     KernelSpec,
     basis_moments,
-    basis_second_moment,
     basis_sum,
+    covariance,
     fourier_basis,
     gram,
+    sections,
 )
 from nystrom_krr.linalg import cholesky_psd, solve_regularized
 from nystrom_krr.spectral import SpectralProfile, effective_dimension, lambda0
@@ -89,16 +90,19 @@ def test_full_subsample_nystrom_matches_krr(kernel, n, log_lam, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_trig_sums_match_basis_products(truncation, n, seed):
-    """Type 2 is Phi f, type 1 is Phi^T w and the second moment is Phi^T Phi / n,
-    up to the angle round-off both sides share (about eps * 2 pi T per entry)."""
+    """Type 2 is Phi f, type 1 is Phi^T w and the covariance is W^T W / n over
+    the sections W = Phi M^(1/2), up to the angle round-off both sides share
+    (about eps * 2 pi T per entry)."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, n)
     f, w = rng.standard_normal(truncation), rng.standard_normal(n)
+    mu = rng.uniform(0.0, 1.0, truncation)
     basis = fourier_basis(xs, truncation)
     tol = 1e-14 * truncation
     assert np.abs(basis_sum(xs, f) - basis @ f).max() <= tol * np.abs(f).sum()
     assert np.abs(basis_moments(xs, w, truncation) - basis.T @ w).max() <= tol * np.abs(w).sum()
-    assert np.abs(basis_second_moment(xs, truncation) - basis.T @ basis / n).max() <= tol
+    sec = sections(xs, mu)
+    assert np.abs(covariance(xs, mu) - sec.T @ sec / n).max() <= tol
 
 
 @FEW

@@ -17,6 +17,7 @@ from nystrom_krr.spectral import (
     lambda0,
     n_infinity,
     nx_empirical,
+    nx_empirical_training,
     profile_to_csv,
     qualification_margin,
     theta,
@@ -258,6 +259,8 @@ def test_nx_empirical_orthogonal_section():
 
 
 def test_nx_empirical_matches_eigenbasis_oracle():
+    """At a query point and at every training point, N_x is
+    ``w(x)^T (lam I + S_hat)^{-1} w(x)`` in the eigen-coordinates."""
     kernel = KernelSpec.designed(0.5, 64)
     mu = kernel.eigenvalues()
     rng = np.random.default_rng(21)
@@ -270,6 +273,21 @@ def test_nx_empirical_matches_eigenbasis_oracle():
         wx = fourier_basis(np.array([x]), 64)[0] * np.sqrt(mu)
         oracle = float(wx @ np.linalg.solve(lam * np.eye(64) + s_hat, wx))
         assert_allclose(nx_empirical(kernel, xs, x, lam), oracle, rtol=1e-6)
+        at_training = np.einsum("ij,ji->i", w, np.linalg.solve(lam * np.eye(64) + s_hat, w.T))
+        assert_allclose(nx_empirical_training(kernel, xs, lam), at_training, rtol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [KernelSpec.gaussian(0.2), KernelSpec.laplacian(0.3), KernelSpec.designed(0.5, 32)],
+)
+def test_nx_empirical_training_matches_pointwise(kernel):
+    """The leverage-score form at the training points equals the Woodbury
+    form evaluated at each of them."""
+    xs = np.random.default_rng(8).uniform(0.0, 1.0, 60)
+    for lam in (1e-4, 0.01, 0.3):
+        pointwise = [nx_empirical(kernel, xs, x, lam) for x in xs]
+        assert_allclose(nx_empirical_training(kernel, xs, lam), pointwise, rtol=1e-8)
 
 
 def test_n_infinity_constant_basis():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nystrom_krr.kernels import DecaySpec, KernelSpec
-from nystrom_krr.krr import fit_krr
+from nystrom_krr.krr import KernelModel, fit_krr
 from nystrom_krr.spectral import IndexFunction
 from nystrom_krr.synthetic import (
     Dataset,
@@ -13,6 +13,7 @@ from nystrom_krr.synthetic import (
     TargetSpec,
     dataset_from_csv,
     dataset_to_csv,
+    fitted_coefficients,
     hk_norm_proxy,
     l2_rho_error,
     make_target,
@@ -129,8 +130,6 @@ def test_l2_error_zero_coefficients():
     kernel = KernelSpec.designed(0.5, 32)
     target = make_target(DECAY, 32, IndexFunction.holder(0.25), seed=2)
     data = sample_dataset(DECAY, 32, target, NoiseSpec.gaussian(0.1), 20, seed=1)
-    from nystrom_krr.krr import KernelModel
-
     zero = KernelModel(support_xs=data.xs, alpha=np.zeros(20), lam=0.1)
     assert_allclose(
         l2_rho_error(zero, kernel, data), np.linalg.norm(target.f_coefficients), rtol=1e-12
@@ -157,6 +156,23 @@ def test_l2_error_requires_designed_and_truth():
     bare = Dataset(xs=data.xs, ys=data.ys)
     with pytest.raises(ValueError):
         l2_rho_error(model, KernelSpec.designed(0.5, 16), bare)
+
+
+def test_trig_paths_check_their_inputs():
+    """Target values and fitted coefficients run on the trig sums, which
+    take points through the one point check and one weight per point."""
+    kernel = KernelSpec.designed(0.5, 16)
+    target = make_target(DECAY, 16, IndexFunction.holder(0.25), seed=2)
+    with pytest.raises(ValueError, match="finite"):
+        target_values(target, [0.2, math.nan])
+    support = np.array([0.1, 0.5, 0.9])
+    for bad in (
+        KernelModel(support, np.ones(5), 0.1, kernel=kernel),
+        KernelModel(np.array([0.1, math.nan, 0.9]), np.ones(3), 0.1, kernel=kernel),
+        KernelModel(np.array([0.1, 1.7, 0.9]), np.ones(3), 0.1, kernel=kernel),
+    ):
+        with pytest.raises(ValueError):
+            fitted_coefficients(bad, kernel)
 
 
 def test_l2_error_quadrature_oracle():
