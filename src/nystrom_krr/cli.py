@@ -30,7 +30,7 @@ def _add_common(parser):
         "--log-level",
         default="WARNING",
         choices=("DEBUG", "INFO", "WARNING", "ERROR"),
-        help="log to stderr from this level on; INFO shows Cholesky jitter escalations",
+        help="log to stderr from this level on; INFO shows each rank cut of K_mm",
     )
 
 

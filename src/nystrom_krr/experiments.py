@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ValueError("n_grid must be strictly increasing")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        check_positive(self.lambda_factor, "lambda_factor")
+        check_positive(self.exponent_tolerance, "exponent_tolerance")
 
 
 def _require(cfg: dict, key: str, context: str):
@@ -88,43 +90,63 @@ def _require(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
+def _number(value, name: str, kind=float):
+    """A config value as ``kind``; a value ``kind`` cannot take is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config error: '{name}' must be a number, got {value!r}") from exc
+
+
+def _numbers(value, name: str, kind=float) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"config error: '{name}' must be a list, got {value!r}")
+    return [_number(v, name, kind) for v in value]
+
+
+def _optional(value, name: str):
+    return None if value is None else _number(value, name)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     kernel = KernelSpec.from_config(_require(raw, "kernel", "top level"))
     tgt = _require(raw, "target", "top level")
-    phi = IndexFunction(_require(tgt, "family", "target"), float(_require(tgt, "r", "target")))
+    r = _number(_require(tgt, "r", "target"), "target.r")
+    phi = IndexFunction(_require(tgt, "family", "target"), r)
     noise_cfg = _require(raw, "noise", "top level")
     noise = NoiseSpec(
-        _require(noise_cfg, "variant", "noise"), float(_require(noise_cfg, "scale", "noise"))
+        _require(noise_cfg, "variant", "noise"),
+        _number(_require(noise_cfg, "scale", "noise"), "noise.scale"),
     )
     rule_cfg = raw.get("size_rule", {})
     size_rule = SizeRuleParams(
-        c=float(rule_cfg.get("c", 1.0)),
-        delta=float(rule_cfg.get("delta", 0.1)),
-        gamma=rule_cfg.get("gamma"),
-        c_gamma=rule_cfg.get("c_gamma"),
+        c=_number(rule_cfg.get("c", 1.0), "size_rule.c"),
+        delta=_number(rule_cfg.get("delta", 0.1), "size_rule.delta"),
+        gamma=_optional(rule_cfg.get("gamma"), "size_rule.gamma"),
+        c_gamma=_optional(rule_cfg.get("c_gamma"), "size_rule.c_gamma"),
     )
     pol_cfg = raw.get("lambda_policy", {"kind": "lambda0"})
     policy = LambdaPolicy(
         kind=_require(pol_cfg, "kind", "lambda_policy"),
-        value=pol_cfg.get("value"),
-        values=tuple(pol_cfg.get("values", ())),
+        value=_optional(pol_cfg.get("value"), "lambda_policy.value"),
+        values=tuple(_numbers(pol_cfg.get("values", []), "lambda_policy.values")),
     )
     return ExperimentConfig(
         kernel=kernel,
         phi=phi,
         target_profile=tgt.get("profile", "sphere"),
-        coeff_seed=int(tgt.get("coeff_seed", 0)),
+        coeff_seed=_number(tgt.get("coeff_seed", 0), "target.coeff_seed", int),
         noise=noise,
-        n_grid=[int(v) for v in _require(raw, "n_grid", "top level")],
-        repetitions=int(raw.get("repetitions", 1)),
-        seed=int(raw.get("seed", 0)),
+        n_grid=_numbers(_require(raw, "n_grid", "top level"), "n_grid", int),
+        repetitions=_number(raw.get("repetitions", 1), "repetitions", int),
+        seed=_number(raw.get("seed", 0), "seed", int),
         size_rule=size_rule,
         lambda_policy=policy,
         outputs=raw.get("outputs", "out"),
         krr_baseline=bool(raw.get("krr_baseline", False)),
-        gamma=raw.get("gamma"),
-        lambda_factor=float(raw.get("lambda_factor", 3.0)),
-        exponent_tolerance=float(raw.get("exponent_tolerance", 0.15)),
+        gamma=_optional(raw.get("gamma"), "gamma"),
+        lambda_factor=_number(raw.get("lambda_factor", 3.0), "lambda_factor"),
+        exponent_tolerance=_number(raw.get("exponent_tolerance", 0.15), "exponent_tolerance"),
         diagnostics=raw.get("diagnostics", {}),
     )
 
@@ -434,13 +456,14 @@ def run_diagnostics(config: ExperimentConfig):
     """The four operator-bound checks at the configured settings."""
     _require_designed(config, "diagnostics")
     d = config.diagnostics
-    truncation = int(d.get("T", 256))
-    n = int(d.get("n", 2048))
-    trials = int(d.get("trials", 200))
-    delta = float(d.get("delta", 0.1))
+    truncation = _number(d.get("T", 256), "diagnostics.T", int)
+    n = _number(d.get("n", 2048), "diagnostics.n", int)
+    trials = _number(d.get("trials", 200), "diagnostics.trials", int)
+    check_positive(trials, "diagnostics.trials")
+    delta = _number(d.get("delta", 0.1), "diagnostics.delta")
     decay = config.kernel.decay
     profile = analytic_profile(decay, truncation)
-    lam = float(d.get("lambda", lambda0(profile, n)))
+    lam = _number(d.get("lambda", lambda0(profile, n)), "diagnostics.lambda")
     kernel = KernelSpec.designed(decay.s, truncation)
     m = subsample_size(n, lam, SizeRuleParams(c=1.0, delta=delta), kernel=kernel)
     seed = config.seed

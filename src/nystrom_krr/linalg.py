@@ -1,4 +1,4 @@
-"""The regularized symmetric solve, eigenvalues, and the cost model.
+"""The regularized symmetric solve, the rank-revealing factor, eigenvalues, the cost model.
 
 The cost metric is a deterministic flop model rather than wall-clock: an
 ``n x m`` Gram-style product counts ``n * m**2``, an ``m x m`` factorization
@@ -17,16 +17,9 @@ import scipy.linalg as sla
 
 logger = logging.getLogger(__name__)
 
-# Factorization retry schedule: shift inflation factors 10**-j for
-# j = 12, 10, 8, 6, 4, scaled by a conditioning guard (matrix diagonal
-# magnitude over the shift). The fine initial levels matter: a barely
-# indefinite PSD block only needs a round-off-scale repair, and a coarser
-# first jitter is visible in downstream predictions at the 1e-8 level.
-_JITTER_LEVELS = (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
-
 
 class NumericalError(RuntimeError):
-    """Factorization or conditioning failure that jitter escalation cannot fix."""
+    """A factorization failed: not positive definite, or no positive direction."""
 
 
 @dataclass(frozen=True)
@@ -73,61 +66,46 @@ def _require_symmetric(a: np.ndarray, tol: float = 1e-10) -> None:
                 raise ValueError("matrix is not symmetric within 1e-10 relative tolerance")
 
 
-def cholesky_psd(a: np.ndarray, jitter_scale: float, shift: float = 0.0):
-    """Cholesky of ``a + shift * I`` for a (nearly) PSD ``a``, with escalating
-    diagonal jitter.
+def cholesky_psd(a: np.ndarray, shift: float) -> np.ndarray:
+    """Upper Cholesky factor of ``a + shift * I``, ``a`` PSD and ``shift > 0``,
+    factored in place on one Fortran-ordered copy of ``a`` (``a`` is left as
+    it was). Raises ``NumericalError`` if that is not positive definite."""
+    check_positive(shift, "shift")
+    target = np.array(a, dtype=np.float64, order="F")
+    target[np.diag_indices(target.shape[0])] += shift
+    try:
+        return sla.cholesky(target, lower=False, overwrite_a=True, check_finite=False)
+    except sla.LinAlgError as exc:
+        raise NumericalError(f"{a.shape} block + {shift:.3e} I is not positive definite") from exc
 
-    ``jitter_scale`` sets the magnitude reference for the retry shifts; it is
-    the regularization shift in the solvers below. A shifted or jittered
-    matrix is built as one Fortran-ordered copy of ``a`` and factored in
-    place, so no identity or second n x n copy is made. Returns the upper
-    factor.
-    """
+
+def pivoted_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-revealing Cholesky (Higham 1990; LAPACK ``dpstrf`` at its default
+    tolerance ``m * eps * max diag``) of an exactly symmetric PSD ``a``: the r x r
+    upper ``factor`` R and the ``keep`` rows, in pivot order, with
+    ``a[keep][:, keep] = R^T R``; the other rows lie in their span to that
+    tolerance. Factors in place through ``a.T``, so a C-ordered float64 ``a``
+    is overwritten and no m x m copy is made. Raises ``NumericalError`` at r = 0."""
     m = a.shape[0]
-    guard = max(1.0, float(np.abs(np.diagonal(a) + shift).max()) / jitter_scale)
-    for level in _JITTER_LEVELS:
-        jitter = jitter_scale * level * guard
-        if shift == 0.0 and jitter == 0.0:
-            target = a
-        else:
-            target = np.array(a, dtype=np.float64, order="F")
-            diag = np.diag_indices(m)
-            target[diag] += shift
-            target[diag] += jitter
-        try:
-            factor = sla.cholesky(
-                target, lower=False, overwrite_a=target is not a, check_finite=False
-            )
-        except sla.LinAlgError:
-            continue
-        if level > 0.0:
-            logger.info(
-                "cholesky needed jitter %.3e (scale %.3e, guard %.3e) on a %dx%d block",
-                jitter,
-                jitter_scale,
-                guard,
-                m,
-                m,
-            )
-        return factor
-    raise NumericalError(
-        f"factorization failed for a {m}x{m} block even with jitter up to "
-        f"{_JITTER_LEVELS[-1] * guard * jitter_scale:.3e}"
-    )
+    work, piv, rank, info = sla.lapack.dpstrf(a.T, overwrite_a=1)
+    if info < 0 or rank == 0:
+        raise NumericalError(f"pivoted Cholesky of a {m}x{m} block found rank 0")
+    if rank < m:
+        logger.info("pivoted cholesky kept %d of %d", rank, m)
+    # LAPACK pivots are 1-based; rows and columns past the rank are not a factor
+    return np.triu(work[:rank, :rank]), piv[:rank] - 1
 
 
 def solve_regularized(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:
     """Solve ``(a + shift * I) x = b`` by symmetric factorization.
 
     ``a`` must be symmetric PSD up to round-off and ``shift`` strictly
-    positive; near-singular cases fall back to jitter escalation.
-    """
-    check_positive(shift, "shift")
+    positive."""
     _require_symmetric(a)
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"dimension mismatch: matrix {a.shape}, rhs {b.shape}")
-    factor = cholesky_psd(a, jitter_scale=shift, shift=shift)
+    factor = cholesky_psd(a, shift)
     return sla.cho_solve((factor, False), b, check_finite=False)
 
 

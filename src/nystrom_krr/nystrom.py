@@ -7,16 +7,16 @@ kernel sections. With ``K_nm`` the training-by-inducing Gram block and
 
     (K_nm^T K_nm + lam * n * K_mm) alpha = K_nm^T y.
 
-The solve substitutes the Cholesky factor of ``K_mm`` (``K_mm = R^T R``,
-``beta = R alpha``), which turns the system into a shifted SPD one,
-``(G^T G + lam * n * I) beta = G^T y`` with ``G = K_nm R^{-1}``. That avoids
-squaring the conditioning of the plain normal equations while solving exactly
-the same system; near-singular ``K_mm`` blocks (duplicate input values) are
-handled by jitter escalation on the ``K_mm`` factorization.
+``K_mm`` is factored once by a rank-revealing pivoted Cholesky, ``K_rr = R^T R``
+on the ``r <= m`` inducing points whose sections span the rest to round-off
+(r < m for repeated inputs, or m > T for a designed kernel); ``alpha`` is 0 at
+the others (the basic, not the minimum-norm, solution). ``beta = R alpha``
+turns the system on the kept points into the shifted SPD ``(G^T G + lam n I)
+beta = G^T y``, ``G = K_nr R^{-1}``, which avoids squaring cond(``K_rr``).
 
 A designed kernel with n > T solves the same system divided by n in its own
 coordinates, without forming ``K_nm``: with ``M = diag(mu)``, ``Phi`` the
-n x T basis matrix and ``A = M^(1/2) Phi_m^T`` (so ``K_mm = A^T A``),
+n x T basis matrix and ``A = M^(1/2) Phi_r^T`` (so ``K_rr = A^T A``),
 ``G = Phi M^(1/2) Q`` for ``Q = A R^{-1}``, hence ``G^T G / n = Q^T S Q`` and
 ``G^T y / n = Q^T b`` with ``S = M^(1/2) (Phi^T Phi / n) M^(1/2)`` and
 ``b = M^(1/2) Phi^T y / n``, both from the basis moments of the data.
@@ -38,7 +38,7 @@ import scipy.linalg as sla
 from .kernels import KernelSpec, basis_moments, covariance, cross_gram, gram, sections
 # predict is re-exported: one predict serves every model
 from .krr import KernelModel, _training_arrays, predict  # noqa: F401
-from .linalg import OpCount, check_positive, cholesky_psd, solve_regularized
+from .linalg import OpCount, check_positive, pivoted_cholesky, solve_regularized
 from .spectral import n_infinity
 
 
@@ -89,13 +89,14 @@ def fit_nystrom(kernel: KernelSpec, data, lam: float, inducing_indices) -> Kerne
 
     n, m = xs.size, idx.size
     x_ind = xs[idx]
-    r_factor = cholesky_psd(gram(kernel, x_ind), jitter_scale=lam * n)
+    r_factor, keep = pivoted_cholesky(gram(kernel, x_ind))
     # The T-space solve costs O(n sqrt(T) + m T^2) against the generic
     # O(n m T + n m^2); measured at T = 2048, the two cross near n = T.
     tspace = kernel.is_designed and n > kernel.truncation
     reduced = _reduced_tspace if tspace else _reduced_generic
-    beta = reduced(kernel, xs, ys, x_ind, r_factor, lam)
-    alpha = sla.solve_triangular(r_factor, beta, lower=False)
+    beta = reduced(kernel, xs, ys, x_ind[keep], r_factor, lam)
+    alpha = np.zeros(m)
+    alpha[keep] = sla.solve_triangular(r_factor, beta, lower=False)
     return KernelModel(
         x_ind, alpha, lam, OpCount.nystrom(n, m), inducing_indices=idx, kernel=kernel
     )

@@ -158,11 +158,6 @@ def effective_dimension(profile: SpectralProfile, lam: float) -> float:
     return float(np.sum(sig / (sig + lam)))
 
 
-def _shifted_factor(kernel, xs, lam):
-    """Upper Cholesky factor R of ``K/n + lam I = R^T R`` over the points ``xs``."""
-    return cholesky_psd(gram(kernel, xs) / xs.size, jitter_scale=lam, shift=lam)
-
-
 def nx_empirical(kernel: KernelSpec, training_xs, x: float, lam: float) -> float:
     """Pointwise effective dimension with the empirical covariance plug-in.
 
@@ -172,7 +167,7 @@ def nx_empirical(kernel: KernelSpec, training_xs, x: float, lam: float) -> float
     check_positive(lam)
     xs = as_points(training_xs, kernel)
     k_x = cross_gram(kernel, xs, [x])[:, 0]
-    z = sla.solve_triangular(_shifted_factor(kernel, xs, lam), k_x, trans="T")
+    z = sla.solve_triangular(cholesky_psd(gram(kernel, xs) / xs.size, lam), k_x, trans="T")
     val = (eval_kernel(kernel, x, x) - z @ z / xs.size) / lam
     return float(_check_nx(val, kernel, lam))
 
@@ -192,7 +187,8 @@ def nx_empirical_training(kernel: KernelSpec, training_xs, lam: float) -> np.nda
     """
     check_positive(lam)
     xs = as_points(training_xs, kernel)
-    r_inv, info = sla.lapack.dtrtri(_shifted_factor(kernel, xs, lam), lower=0, overwrite_c=1)
+    factor = cholesky_psd(gram(kernel, xs) / xs.size, lam)
+    r_inv, info = sla.lapack.dtrtri(factor, lower=0, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"triangular inverse failed (LAPACK info {info})")
     inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)

@@ -64,8 +64,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.variant not in ("gaussian", "uniform_bounded"):
             raise ValueError(f"unknown noise variant: {self.variant!r}")
-        if self.scale < 0:
-            raise ValueError(f"noise scale must be >= 0, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale >= 0):
+            raise ValueError(f"noise scale must be finite and >= 0, got {self.scale}")
 
     @classmethod
     def gaussian(cls, sigma: float) -> "NoiseSpec":

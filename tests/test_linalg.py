@@ -6,6 +6,7 @@ from nystrom_krr.linalg import (
     NumericalError,
     OpCount,
     cholesky_psd,
+    pivoted_cholesky,
     solve_regularized,
     sym_eigenvalues,
 )
@@ -59,29 +60,29 @@ def test_solve_roundtrip_random_psd():
 
 
 def test_jitter_escalation_recovers_singular():
-    # rank-1 PSD block with an exactly repeated row/column
-    a = np.ones((3, 3))
-    factor = cholesky_psd(a, jitter_scale=1e-12)
+    # rank-1 PSD block with an exactly repeated row/column: the pivoted factor
+    # keeps one row
+    factor, keep = pivoted_cholesky(np.ones((3, 3)))
+    assert factor.shape == (1, 1) and keep.size == 1
     assert np.all(np.isfinite(factor))
 
 
 def test_cholesky_psd_shift_factors_a_copy():
-    """``shift`` factors ``a + shift I``; shifted and jittered retries work on
-    a private copy, so ``a`` is never overwritten, in C or Fortran order."""
+    """``shift`` factors ``a + shift I`` on a private copy, so ``a`` is never
+    overwritten, in C or Fortran order."""
     rng = np.random.default_rng(8)
     b = rng.standard_normal((6, 3))
     for a in (b @ b.T, np.asfortranarray(b @ b.T)):
         before = a.copy()
-        factor = cholesky_psd(a, jitter_scale=1e-3, shift=0.5)
+        factor = cholesky_psd(a, shift=0.5)
         assert_allclose(factor.T @ factor, a + 0.5 * np.eye(6), atol=1e-12)
-        assert np.all(np.isfinite(cholesky_psd(a, jitter_scale=1e-12)))  # rank 3: jitter
         assert np.array_equal(a, before)
 
 
 def test_solve_psd_unrecoverable_raises():
     a = -np.eye(3)
     with pytest.raises(NumericalError):
-        cholesky_psd(a, jitter_scale=1e-12)
+        cholesky_psd(a, shift=1e-12)
 
 
 def test_sym_eigenvalues():

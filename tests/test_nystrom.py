@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nystrom_krr import krr, nystrom
-from nystrom_krr.kernels import DecaySpec, KernelSpec, cross_gram, gram
+from nystrom_krr.kernels import DecaySpec, KernelSpec, cross_gram, gram, sections
 from nystrom_krr.nystrom import (
     SizeRuleParams,
     fit_nystrom,
@@ -259,6 +259,30 @@ def test_restricted_minimizer_property():
         other = fit_nystrom(kernel, data, lam, idx)
         other.alpha = model.alpha + rng.standard_normal(15) * 0.05
         assert krr.empirical_risk(other, kernel, data, lam) >= base - 1e-12
+
+
+@pytest.mark.parametrize("s", [0.4, 0.5, 0.8])
+def test_m_above_truncation_matches_svd_restricted_minimizer(s):
+    """With m > T the inducing sections span at most T directions. The fit
+    matches the restricted minimizer computed on an SVD orthonormal basis V of
+    ``range(W^T)``, W the m x T section matrix: in the eigen-coordinates
+    ``v = V c`` with ``(V^T S V + lam I) c = V^T b``, ``S = W_n^T W_n / n``,
+    ``b = W_n^T y / n``, and eigen-coefficients ``sqrt(mu) v``."""
+    kernel = KernelSpec.designed(s, 64)
+    mu = kernel.eigenvalues()
+    rng = np.random.default_rng(31)
+    n, m, lam = 500, 100, 1e-3
+    xs, ys = rng.uniform(0, 1, n), rng.standard_normal(n)
+    idx = subsample_plain(n, m, seed=3)
+    model = fit_nystrom(kernel, _dataset(xs, ys), lam, idx)
+
+    _, sv, vt = np.linalg.svd(sections(xs[idx], mu), full_matrices=False)
+    basis = vt[sv > sv[0] * max(m, mu.size) * np.finfo(float).eps].T
+    w_n = sections(xs, mu)
+    s_mat, b_vec = basis.T @ (w_n.T @ w_n / n) @ basis, basis.T @ (w_n.T @ ys / n)
+    ref = np.sqrt(mu) * (basis @ np.linalg.solve(s_mat + lam * np.eye(basis.shape[1]), b_vec))
+    got = fitted_coefficients(model, kernel)
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_error_nonincreasing_as_m_doubles():

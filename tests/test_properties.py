@@ -20,7 +20,7 @@ from nystrom_krr.kernels import (
     gram,
     sections,
 )
-from nystrom_krr.linalg import cholesky_psd, solve_regularized
+from nystrom_krr.linalg import pivoted_cholesky, solve_regularized
 from nystrom_krr.spectral import SpectralProfile, effective_dimension, lambda0
 from nystrom_krr.synthetic import Dataset, fitted_coefficients
 
@@ -115,10 +115,10 @@ def test_trig_sums_match_basis_products(truncation, n, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_tspace_fit_matches_generic_fit(s, truncation, n, m_frac, log_lam, seed):
-    """Forcing either reduced solve on the same data and the same ``K_mm``
-    factor R gives the same eigen-coefficients and predictions: to 1e-10
+    """Forcing either reduced solve on the same data and the same pivoted
+    ``K_mm`` factor R gives the same eigen-coefficients and predictions: to 1e-10
     relative while cond(R) <= 1e4, and to 1e-14 cond(R) beyond, where both
-    paths lose digits to ``R^{-1}`` (m near or above T). ``alpha`` is not
+    paths lose digits to ``R^{-1}`` (m near T). ``alpha`` is not
     compared: an ill-conditioned R amplifies round-off in it."""
     kernel = KernelSpec.designed(s, truncation)
     rng = np.random.default_rng(seed)
@@ -130,7 +130,7 @@ def test_tspace_fit_matches_generic_fit(s, truncation, n, m_frac, log_lam, seed)
         generic = nystrom.fit_nystrom(kernel, data, lam, idx)
     with mock.patch.object(nystrom, "_reduced_generic", nystrom._reduced_tspace):
         tspace = nystrom.fit_nystrom(kernel, data, lam, idx)
-    r_factor = cholesky_psd(gram(kernel, data.xs[idx]), jitter_scale=lam * n)
+    r_factor, _ = pivoted_cholesky(gram(kernel, data.xs[idx]))
     tol = max(1e-10, 1e-14 * np.linalg.cond(r_factor))
     ref = fitted_coefficients(generic, kernel)
     assert np.linalg.norm(fitted_coefficients(tspace, kernel) - ref) <= tol * np.linalg.norm(ref)
