@@ -101,28 +101,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nystrom kernel ridge regression sweeps and bound checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rate-sweep", help="error vs sample size, fits the rate exponent")
-    _add_common(p)
-    p.set_defaults(fn=cmd_rate_sweep)
-
-    p = sub.add_parser("cost-sweep", help="flops vs sample size under the size rule")
-    _add_common(p)
-    p.set_defaults(fn=cmd_cost_sweep)
-
-    p = sub.add_parser("lambda-sweep", help="error across a lambda grid around lambda0")
-    _add_common(p)
-    p.set_defaults(fn=cmd_lambda_sweep)
-
-    p = sub.add_parser("diagnostics", help="Monte-Carlo operator bound checks")
-    _add_common(p)
-    p.set_defaults(fn=cmd_diagnostics)
-
-    p = sub.add_parser("lambda0", help="print lambda0 and the rule subsample size")
-    _add_common(p)
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.set_defaults(fn=cmd_lambda0)
-
+    for name, fn, help_text in (
+        ("rate-sweep", cmd_rate_sweep, "error vs sample size, fits the rate exponent"),
+        ("cost-sweep", cmd_cost_sweep, "flops vs sample size under the size rule"),
+        ("lambda-sweep", cmd_lambda_sweep, "error across a lambda grid around lambda0"),
+        ("diagnostics", cmd_diagnostics, "Monte-Carlo operator bound checks"),
+        ("lambda0", cmd_lambda0, "print lambda0 and the rule subsample size"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        p.set_defaults(fn=fn)
+    sub.choices["lambda0"].add_argument("--n", type=int, required=True, help="sample size")
     return parser
 
 

@@ -52,14 +52,15 @@ def _projector(w_rows):
     return q @ q.T
 
 
-def _check_size_rule(decay, truncation, n, m, lam, delta, warnings_list):
+def _size_rule_warnings(decay, truncation, n, m, lam, delta) -> list:
     kernel = KernelSpec.designed(decay.s, truncation)
     needed = subsample_size(n, lam, SizeRuleParams(c=1.0, delta=delta), kernel=kernel)
-    if m < needed:
-        warnings_list.append(
-            f"subsample size m={m} is below the rule value {needed}; "
-            "the bound's premise is not guaranteed"
-        )
+    if m >= needed:
+        return []
+    return [
+        f"subsample size m={m} is below the rule value {needed}; "
+        "the bound's premise is not guaranteed"
+    ]
 
 
 def check_projection_bound(
@@ -73,8 +74,7 @@ def check_projection_bound(
     seed: int,
 ) -> BoundCheckReport:
     """Per trial: is ||sqrt(mu-diag) (I - P)||^2 <= 3 lambda?"""
-    warn: list = []
-    _check_size_rule(decay, truncation, n, m, lam, delta, warn)
+    warn = _size_rule_warnings(decay, truncation, n, m, lam, delta)
     mu = decay.eigenvalues(truncation)
     root = np.sqrt(mu)
     eye = np.eye(truncation)
@@ -206,8 +206,7 @@ def check_smoothness_perturbation(
         raise NotImplementedError(
             "smoothness perturbation check supports holder index functions only"
         )
-    warn: list = []
-    _check_size_rule(decay, truncation, n, m, lam, delta, warn)
+    warn = _size_rule_warnings(decay, truncation, n, m, lam, delta)
     mu = decay.eigenvalues(truncation)
     root = np.sqrt(mu)
     phi_pop = np.diag(phi(mu))

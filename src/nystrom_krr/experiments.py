@@ -26,7 +26,7 @@ from .diagnostics import (
     check_smoothness_perturbation,
 )
 from .kernels import KernelSpec
-from .linalg import check_positive
+from .linalg import check_integer, check_positive
 from .nystrom import SizeRuleParams, lambda_admissible, subsample_plain, subsample_size
 from .spectral import (
     IndexFunction,
@@ -90,18 +90,18 @@ def _require(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
-def _number(value, name: str, kind=float):
-    """A config value as ``kind``; a value ``kind`` cannot take is a config error."""
+def _number(value, name: str) -> float:
+    """A config value as a float; a value float() cannot take is a config error."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config error: '{name}' must be a number, got {value!r}") from exc
 
 
-def _numbers(value, name: str, kind=float) -> list:
+def _list(value, name: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"config error: '{name}' must be a list, got {value!r}")
-    return [_number(v, name, kind) for v in value]
+    return value
 
 
 def _optional(value, name: str):
@@ -126,20 +126,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         c_gamma=_optional(rule_cfg.get("c_gamma"), "size_rule.c_gamma"),
     )
     pol_cfg = raw.get("lambda_policy", {"kind": "lambda0"})
+    lam_values = _list(pol_cfg.get("values", []), "lambda_policy.values")
     policy = LambdaPolicy(
         kind=_require(pol_cfg, "kind", "lambda_policy"),
         value=_optional(pol_cfg.get("value"), "lambda_policy.value"),
-        values=tuple(_numbers(pol_cfg.get("values", []), "lambda_policy.values")),
+        values=tuple(_number(v, "lambda_policy.values") for v in lam_values),
     )
+    n_grid = _list(_require(raw, "n_grid", "top level"), "n_grid")
     return ExperimentConfig(
         kernel=kernel,
         phi=phi,
         target_profile=tgt.get("profile", "sphere"),
-        coeff_seed=_number(tgt.get("coeff_seed", 0), "target.coeff_seed", int),
+        coeff_seed=check_integer(tgt.get("coeff_seed", 0), "config error: 'target.coeff_seed'"),
         noise=noise,
-        n_grid=_numbers(_require(raw, "n_grid", "top level"), "n_grid", int),
-        repetitions=_number(raw.get("repetitions", 1), "repetitions", int),
-        seed=_number(raw.get("seed", 0), "seed", int),
+        n_grid=[check_integer(n, "config error: 'n_grid'") for n in n_grid],
+        repetitions=check_integer(raw.get("repetitions", 1), "config error: 'repetitions'"),
+        seed=check_integer(raw.get("seed", 0), "config error: 'seed'"),
         size_rule=size_rule,
         lambda_policy=policy,
         outputs=raw.get("outputs", "out"),
@@ -208,8 +210,9 @@ def _sweep_cells(config: ExperimentConfig, grid):
     Cell ``index * repetitions + rep`` spawns its dataset and subsample seeds
     from the master seed, samples the dataset, draws ``m`` inducing points,
     fits Nystrom and takes the exact error. Yields
-    ``(index, rep, cell, data, model, error, wall_ms)``; ``wall_ms`` times
-    subsample+fit.
+    ``(index, head, data, model, error, timing_row)``: ``head`` is the CSV row
+    prefix ``[n, rep, seed key, m, repr(lambda)]`` and ``timing_row`` the
+    ``TIMING_CSV_FIELDS`` row, whose wall_ms times subsample+fit.
     """
     target = _make_target(config)
     seeds = np.random.SeedSequence(config.seed).spawn(len(grid) * config.repetitions)
@@ -225,7 +228,8 @@ def _sweep_cells(config: ExperimentConfig, grid):
             model = nystrom.fit_nystrom(config.kernel, data, lam, idx)
             wall_ms = 1000.0 * (time.perf_counter() - t0)
             err = l2_rho_error(model, config.kernel, data)
-            yield index, rep, cell, data, model, err, wall_ms
+            head = [n, rep, f"{config.seed}:{cell}", m, repr(lam)]
+            yield index, head, data, model, err, [n, rep, f"{wall_ms:.1f}"]
 
 
 def _resolve_lambda(config: ExperimentConfig, n: int) -> float:
@@ -286,27 +290,14 @@ def run_rate_sweep(config: ExperimentConfig):
         warns.append("" if admissible else "lambda outside admissible window")
     rows, timing = [], []
     errs = [[] for _ in grid]
-    for i, rep, cell, data, model, err, wall_ms in _sweep_cells(config, grid):
-        n, m, lam = grid[i]
+    for i, head, data, model, err, timing_row in _sweep_cells(config, grid):
         krr_err = ""
         if config.krr_baseline:
-            base = krr.fit_krr(config.kernel, data, lam)
+            base = krr.fit_krr(config.kernel, data, grid[i][2])
             krr_err = repr(l2_rho_error(base, config.kernel, data))
         errs[i].append(err)
-        rows.append(
-            [
-                n,
-                rep,
-                f"{config.seed}:{cell}",
-                m,
-                repr(lam),
-                repr(err),
-                krr_err,
-                model.opcount.flops,
-                warns[i],
-            ]
-        )
-        timing.append([n, rep, f"{wall_ms:.1f}"])
+        rows.append(head + [repr(err), krr_err, model.opcount.flops, warns[i]])
+        timing.append(timing_row)
     medians = [float(np.median(e)) for e in errs]
 
     fit = fit_loglog(config.n_grid, medians) if len(config.n_grid) >= 3 else None
@@ -363,23 +354,10 @@ def run_cost_sweep(config: ExperimentConfig):
         grid.append((n, subsample_size(n, lam, rule, kernel=config.kernel), lam))
     rows, timing = [], []
     cell_flops = [[] for _ in grid]
-    for i, rep, cell, _, model, err, wall_ms in _sweep_cells(config, grid):
-        n, m, lam = grid[i]
+    for i, head, _, model, err, timing_row in _sweep_cells(config, grid):
         cell_flops[i].append(model.opcount.flops)
-        rows.append(
-            [
-                n,
-                rep,
-                f"{config.seed}:{cell}",
-                m,
-                repr(lam),
-                repr(bound.c_gamma),
-                repr(err),
-                model.opcount.flops,
-                warn,
-            ]
-        )
-        timing.append([n, rep, f"{wall_ms:.1f}"])
+        rows.append(head + [repr(bound.c_gamma), repr(err), model.opcount.flops, warn])
+        timing.append(timing_row)
     flops_per_n = [float(np.median(f)) for f in cell_flops]
 
     slope, r2 = fit_loglog_with_loglog_covariate(config.n_grid, flops_per_n)
@@ -422,7 +400,7 @@ def run_lambda_sensitivity(config: ExperimentConfig):
     ]
     errs = [[] for _ in grid]
     flops = [[] for _ in grid]
-    for i, _, _, _, model, err, _ in _sweep_cells(config, grid):
+    for i, _, _, model, err, _ in _sweep_cells(config, grid):
         errs[i].append(err)
         flops[i].append(model.opcount.flops)
     rows, medians = [], {}
@@ -456,9 +434,9 @@ def run_diagnostics(config: ExperimentConfig):
     """The four operator-bound checks at the configured settings."""
     _require_designed(config, "diagnostics")
     d = config.diagnostics
-    truncation = _number(d.get("T", 256), "diagnostics.T", int)
-    n = _number(d.get("n", 2048), "diagnostics.n", int)
-    trials = _number(d.get("trials", 200), "diagnostics.trials", int)
+    truncation = check_integer(d.get("T", 256), "config error: 'diagnostics.T'")
+    n = check_integer(d.get("n", 2048), "config error: 'diagnostics.n'")
+    trials = check_integer(d.get("trials", 200), "config error: 'diagnostics.trials'")
     check_positive(trials, "diagnostics.trials")
     delta = _number(d.get("delta", 0.1), "diagnostics.delta")
     decay = config.kernel.decay

@@ -14,10 +14,10 @@ operator is diagonal with eigenvalues ``mu_k``, so effective dimensions,
 a-priori regularization parameters, and exact L2 errors are all computable in
 closed form.
 
-Sums over the basis at many points (target values, data moments, the
-``covariance``) go through one blocked trig-sum primitive, ``trig_sum`` and
-its adjoint ``trig_moments``, and never form the n x T basis matrix. Gram
-blocks stay explicit numpy, the generic Nystrom path and its reference.
+Sums over the basis at many points (target values, predictions, data
+moments, the ``covariance``) go through one blocked trig-sum primitive,
+``trig_sum`` and its adjoint ``trig_moments``, and never form the n x T
+basis matrix. Gram blocks are products of the kernel ``sections``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import check_positive
+from .linalg import check_integer, check_positive
 
 GAUSSIAN = "gaussian"
 LAPLACIAN = "laplacian"
@@ -37,7 +37,8 @@ DESIGNED = "designed_spectral"
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
 
-# Row-block size for feature-matrix assembly, keeps peak memory ~32 MB.
+# Doubles per row chunk of the trig sums' exponential blocks: ~32 MB a chunk,
+# whatever the number of points.
 _CHUNK_ELEMENTS = 1 << 22
 
 
@@ -124,7 +125,8 @@ class KernelSpec:
         if variant == DESIGNED:
             if "s" not in cfg:
                 raise ValueError("designed_spectral kernel config needs 's'")
-            return cls.designed(float(cfg["s"]), int(cfg.get("truncation", 2048)))
+            truncation = check_integer(cfg.get("truncation", 2048), "kernel.truncation")
+            return cls.designed(float(cfg["s"]), truncation)
         if variant in (GAUSSIAN, LAPLACIAN):
             if "bandwidth" not in cfg:
                 raise ValueError(f"{variant} kernel config needs 'bandwidth'")
@@ -213,7 +215,8 @@ def trig_moments(xs, weights, degree: int) -> np.ndarray:
 
 
 def basis_sum(xs, coeffs) -> np.ndarray:
-    """``fourier_basis(xs, T) @ coeffs`` with T = ``coeffs.size``, via ``trig_sum``.
+    """``Phi @ coeffs`` for the n x T basis matrix ``Phi`` of ``fourier_basis``,
+    T = ``coeffs.size``, via ``trig_sum``.
 
     ``e_1 = 1``, and a cos/sin pair ``sqrt(2) (a cos + b sin)`` of frequency j
     is ``Re(sqrt(2) (a - i b) exp(2 pi i j x))``.
@@ -228,8 +231,8 @@ def basis_sum(xs, coeffs) -> np.ndarray:
 
 
 def basis_moments(xs, weights, truncation: int) -> np.ndarray:
-    """``fourier_basis(xs, T).T @ weights`` via ``trig_moments``: the cos and
-    sin columns of frequency j get ``sqrt(2)`` times Re and Im of ``c_j``."""
+    """``Phi^T @ weights`` for the basis matrix ``Phi`` via ``trig_moments``: the
+    cos and sin columns of frequency j get ``sqrt(2)`` times Re and Im of ``c_j``."""
     c = trig_moments(xs, weights, truncation // 2)
     out = np.empty(truncation)
     out[0] = c[0].real
@@ -311,20 +314,6 @@ def basis_sup(weights) -> float:
     return float(w[0] + 2.0 * w[1::2].sum())
 
 
-def _designed_cross(kernel, xs, ys):
-    """(n, m) Gram block for the designed kernel, chunked over rows of xs."""
-    mu = kernel.eigenvalues()
-    t = kernel.truncation
-    weighted = (fourier_basis(ys, t) * mu).T  # (T, m)
-    n = xs.shape[0]
-    out = np.empty((n, ys.shape[0]))
-    step = max(1, _CHUNK_ELEMENTS // t)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        out[lo:hi] = fourier_basis(xs[lo:hi], t) @ weighted
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -336,11 +325,16 @@ def eval_kernel(kernel: KernelSpec, x: float, y: float) -> float:
 
 
 def cross_gram(kernel: KernelSpec, xs, inducing) -> np.ndarray:
-    """Rectangular Gram block: entry (i, j) is K(xs[i], inducing[j])."""
+    """Rectangular Gram block: entry (i, j) is K(xs[i], inducing[j]); for a
+    designed kernel the product of the two point sets' ``sections``, which
+    takes (n + m) T doubles beside the block (``predict`` takes neither)."""
     xs = as_points(xs, kernel)
     ys = as_points(inducing, kernel)
     if kernel.is_designed:
-        return _designed_cross(kernel, xs, ys)
+        mu = kernel.eigenvalues()
+        w = sections(xs, mu)
+        # gram's one point set: W W^T is one syrk, exactly symmetric
+        return w @ (w if ys is xs else sections(ys, mu)).T
     # In place: one n x m array and no n x m temporaries. Freeing such
     # temporaries raises glibc's mmap threshold, after which later arrays sat
     # on an untrimmed heap (+50 MB peak RSS in a Gaussian n=4096 fit + KRR).
@@ -356,14 +350,11 @@ def cross_gram(kernel: KernelSpec, xs, inducing) -> np.ndarray:
 
 
 def gram(kernel: KernelSpec, xs) -> np.ndarray:
-    """Gram matrix, exactly symmetric by construction: ``W W^T`` (one syrk) over
-    the designed ``sections`` W, else ``cross_gram(xs, xs)``: its entries depend
-    on ``x_i - x_j`` only through its magnitude, and IEEE subtraction is
-    exactly antisymmetric."""
+    """Gram matrix ``cross_gram(xs, xs)``, exactly symmetric by construction:
+    ``W W^T`` (one syrk) over the designed ``sections`` W, and otherwise
+    entries that depend on ``x_i - x_j`` only through its magnitude, as IEEE
+    subtraction is exactly antisymmetric."""
     xs = as_points(xs, kernel)
-    if kernel.is_designed:
-        w = sections(xs, kernel.eigenvalues())
-        return w @ w.T
     return cross_gram(kernel, xs, xs)
 
 

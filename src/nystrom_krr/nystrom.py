@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .kernels import KernelSpec, basis_moments, covariance, cross_gram, gram, sections
+from .kernels import KernelSpec, as_points, basis_moments, covariance, cross_gram, gram, sections
 # predict is re-exported: one predict serves every model
 from .krr import KernelModel, _training_arrays, predict  # noqa: F401
 from .linalg import OpCount, check_positive, pivoted_cholesky, solve_regularized
@@ -77,16 +77,24 @@ def subsample_plain(n: int, m: int, seed: int) -> np.ndarray:
     return rng.choice(n, size=m, replace=False)
 
 
+def _inducing_indices(indices, n: int | None = None) -> np.ndarray:
+    """The one check for inducing indices: a nonempty 1-D array of distinct
+    integers or integral floats (not a bool array) >= 0, and < ``n`` when ``n``
+    is given. Returns them as int64."""
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iuf" or not np.all(np.isfinite(idx) & (idx == np.trunc(idx))):
+        raise ValueError("inducing indices must be integers, not bools or fractions")
+    idx = idx.astype(np.int64)
+    if idx.ndim != 1 or idx.size == 0 or np.unique(idx).size != idx.size:
+        raise ValueError("inducing indices must be a nonempty 1-D array of distinct values")
+    if idx.min() < 0 or n is not None and idx.max() >= n:
+        raise ValueError("inducing indices out of range")
+    return idx
+
+
 def fit_nystrom(kernel: KernelSpec, data, lam: float, inducing_indices) -> KernelModel:
     xs, ys = _training_arrays(kernel, data, lam)
-    idx = np.asarray(inducing_indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("need at least one inducing index")
-    if np.unique(idx).size != idx.size:
-        raise ValueError("inducing indices must be distinct")
-    if idx.min() < 0 or idx.max() >= xs.size:
-        raise ValueError("inducing indices out of range")
-
+    idx = _inducing_indices(inducing_indices, xs.size)
     n, m = xs.size, idx.size
     x_ind = xs[idx]
     r_factor, keep = pivoted_cholesky(gram(kernel, x_ind))
@@ -179,7 +187,8 @@ def save_model(model: KernelModel, path) -> None:
 
 def load_model(path) -> KernelModel:
     """Read a version-2 ``save_model`` artifact; rejects other versions, a
-    missing or invalid kernel, and mismatched or non-finite arrays."""
+    missing or invalid kernel, invalid inducing indices or lambda, and
+    mismatched or non-finite arrays."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("format") != "nystrom-krr-model":
@@ -189,15 +198,14 @@ def load_model(path) -> KernelModel:
     if "kernel" not in payload:
         raise ValueError(f"{path}: artifact carries no kernel")
     kernel = KernelSpec.from_config(payload["kernel"])
-    idx = np.asarray(payload["inducing_indices"], dtype=np.int64)
-    support = np.asarray(payload["inducing_xs"], dtype=np.float64)
-    alpha = np.asarray(payload["alpha"], dtype=np.float64)
+    idx = _inducing_indices(payload["inducing_indices"])
+    support = as_points(payload["inducing_xs"], kernel)
+    alpha = as_points(payload["alpha"])
     lam = float(payload["lambda"])
+    check_positive(lam, f"{path}: lambda")
     if not idx.size == support.size == alpha.size:
         raise ValueError(
             f"{path}: inducing_indices, inducing_xs and alpha differ in length "
             f"({idx.size}, {support.size}, {alpha.size})"
         )
-    if not (np.all(np.isfinite(support)) and np.all(np.isfinite(alpha)) and math.isfinite(lam)):
-        raise ValueError(f"{path}: inducing_xs, alpha and lambda must be finite")
     return KernelModel(support, alpha, lam, inducing_indices=idx, kernel=kernel)

@@ -25,8 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import DESIGNED, DecaySpec, KernelSpec, as_points, basis_moments, basis_sum
-from .krr import KernelModel, predict
+from .kernels import DecaySpec, KernelSpec, basis_sum
+# fitted_coefficients is re-exported: predict and the exact error share it
+from .krr import KernelModel, fitted_coefficients, predict  # noqa: F401
 from .spectral import IndexFunction
 
 SPHERE = "sphere"
@@ -162,18 +163,6 @@ def sample_dataset(
     return Dataset(xs=xs, ys=ys, decay=decay, truncation=truncation, target=target)
 
 
-def fitted_coefficients(model: KernelModel, kernel: KernelSpec) -> np.ndarray:
-    """Eigenbasis coefficients of the fitted function: mu_k sum_j c_j e_k(x_j)."""
-    if kernel.variant != DESIGNED:
-        raise NotImplementedError(
-            "exact basis coefficients need a designed kernel; "
-            "use monte_carlo_error for closed-form kernels"
-        )
-    model.check_kernel(kernel)
-    support = as_points(model.support_xs, kernel)
-    return kernel.eigenvalues() * basis_moments(support, model.alpha, kernel.truncation)
-
-
 def l2_rho_error(model: KernelModel, kernel: KernelSpec, dataset: Dataset) -> float:
     """Exact L2 error ||f_hat - f||, computed coefficient-wise in the basis.
 
@@ -202,8 +191,10 @@ def monte_carlo_error(
         raise ValueError(f"n_mc must be >= 1, got {n_mc}")
     rng = np.random.default_rng(seed)
     us = rng.uniform(0.0, 1.0, n_mc)
-    preds = predict(model, kernel, us)
-    sq = (preds - np.asarray(target_fn(us), dtype=np.float64)) ** 2
+    truth = np.asarray(target_fn(us), dtype=np.float64)
+    if truth.shape != us.shape or not np.all(np.isfinite(truth)):
+        raise ValueError(f"target_fn must return {n_mc} finite values, got shape {truth.shape}")
+    sq = (predict(model, kernel, us) - truth) ** 2
     mean_sq = float(np.mean(sq))
     rmse = math.sqrt(mean_sq)
     var_of_mean = float(np.var(sq, ddof=1)) / n_mc if n_mc > 1 else 0.0

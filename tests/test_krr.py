@@ -167,3 +167,24 @@ def test_opcount_recorded():
     kernel = KernelSpec.gaussian(1.0)
     model = fit_krr(kernel, _dataset(np.linspace(0, 1, 50), np.ones(50)), 0.1)
     assert model.opcount.flops == 50**3 // 3 + 50**2
+
+
+def test_designed_predict_allocates_o_n():
+    """A designed model predicts through one type-2 trig sum, in memory fixed
+    by its row chunk: no n x m kernel block (512 MiB here)."""
+    import tracemalloc
+
+    kernel = KernelSpec.designed(0.5, 2048)
+    rng = np.random.default_rng(3)
+    model = KernelModel(
+        rng.uniform(0.0, 1.0, 1000), rng.standard_normal(1000), 1e-3, kernel=kernel
+    )
+    xs = rng.uniform(0.0, 1.0, 1 << 16)
+    tracemalloc.start()
+    try:
+        preds = predict(model, kernel, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert preds.shape == xs.shape and np.all(np.isfinite(preds))
+    assert peak < 160 * 2**20, peak / 2**20

@@ -69,14 +69,21 @@ def test_jitter_escalation_recovers_singular():
 
 def test_cholesky_psd_shift_factors_a_copy():
     """``shift`` factors ``a + shift I`` on a private copy, so ``a`` is never
-    overwritten, in C or Fortran order."""
+    overwritten, in C or Fortran order. The copy goes through ``a.T``; for an
+    exactly symmetric ``a`` the factor is bit for bit the one LAPACK computes
+    from ``a`` itself, past the 64-row blocking of ``dpotrf`` too."""
+    import scipy.linalg as sla
+
     rng = np.random.default_rng(8)
-    b = rng.standard_normal((6, 3))
-    for a in (b @ b.T, np.asfortranarray(b @ b.T)):
-        before = a.copy()
-        factor = cholesky_psd(a, shift=0.5)
-        assert_allclose(factor.T @ factor, a + 0.5 * np.eye(6), atol=1e-12)
-        assert np.array_equal(a, before)
+    for rows, cols, atol in ((6, 3, 1e-12), (200, 150, 1e-11)):
+        b = rng.standard_normal((rows, cols))
+        for a in (b @ b.T, np.asfortranarray(b @ b.T)):
+            before = a.copy()
+            factor = cholesky_psd(a, shift=0.5)
+            shifted = a + 0.5 * np.eye(rows)
+            assert_allclose(factor.T @ factor, shifted, atol=atol)
+            assert np.array_equal(factor, sla.cholesky(shifted, lower=False))
+            assert np.array_equal(a, before)
 
 
 def test_solve_psd_unrecoverable_raises():

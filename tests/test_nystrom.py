@@ -245,6 +245,22 @@ def test_predict_cases():
     )
     assert_allclose(predict(model, kernel, [0.3]), [direct], rtol=1e-12)
 
+    # A designed model predicts through its eigen-coefficients and one type-2
+    # sum; pointwise it matches the cross-Gram expansion to round-off of the
+    # terms' magnitudes, also for rank-cut fits (m > T) and at x = 0 and 1.
+    rng = np.random.default_rng(17)
+    grid = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 200)])
+    for truncation in (1, 2, 3, 8, 63, 64):
+        kernel = KernelSpec.designed(0.5, truncation)
+        n = 300
+        data = _dataset(rng.uniform(0.0, 1.0, n), rng.standard_normal(n))
+        for m in {max(1, truncation // 3), truncation, 3 * truncation}:
+            model = fit_nystrom(kernel, data, 1e-3, subsample_plain(n, m, seed=m))
+            k_block = cross_gram(kernel, grid, model.support_xs)
+            scale = np.abs(k_block) @ np.abs(model.alpha)
+            err = np.abs(predict(model, kernel, grid) - k_block @ model.alpha)
+            assert np.all(err <= 1e-12 * scale), (truncation, m)
+
 
 def test_restricted_minimizer_property():
     kernel = KernelSpec.designed(0.5, 64)
@@ -424,3 +440,74 @@ def test_load_model_rejects_inconsistent_artifact(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=match):
             load_model(path)
+
+
+def test_integer_inputs_are_checked_not_truncated(tmp_path):
+    """Inducing indices, saved artifacts and integer config values take ints or
+    integral floats only: a fractional value or a bool raises ``ValueError``
+    naming the input instead of being truncated to an int."""
+    from nystrom_krr.experiments import config_from_dict
+    from nystrom_krr.linalg import check_integer
+
+    assert check_integer(np.int64(3), "k") == 3 and check_integer(64.0, "k") == 64
+    for bad in (True, np.bool_(False), 64.9, float("nan"), float("inf"), "64", None, [64]):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            check_integer(bad, "k")
+
+    kernel = KernelSpec.gaussian(0.5)
+    data = _dataset(np.linspace(0.0, 1.0, 5), np.ones(5))
+    assert fit_nystrom(kernel, data, 0.1, [0.0, 2.0]).inducing_indices.tolist() == [0, 2]
+    for bad, match in (
+        ([0.9, 2.7], "integer"),
+        ([True, False], "integer"),
+        ([[1], [4]], "1-D"),
+        ([-1, 2], "out of range"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            fit_nystrom(kernel, data, 0.1, bad)
+
+    base = {
+        "format": "nystrom-krr-model",
+        "version": 2,
+        "kernel": {"variant": "gaussian", "bandwidth": 0.1},
+        "lambda": 0.1,
+        "inducing_indices": [1, 4],
+        "inducing_xs": [0.1, 0.5],
+        "alpha": [1.0, 0.0],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(base))
+    assert load_model(path).inducing_indices.tolist() == [1, 4]
+    for key, bad, match in (
+        ("inducing_indices", [1.5, -4.2], "integer"),
+        ("inducing_indices", [[1], [4]], "1-D"),
+        ("inducing_indices", [1, -4], "out of range"),
+        ("inducing_indices", [True, False], "integer"),
+        ("lambda", -3.0, "lambda"),
+        ("lambda", 0.0, "lambda"),
+    ):
+        path.write_text(json.dumps({**base, key: bad}))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
+
+    raw = {
+        "kernel": {"variant": "designed_spectral", "s": 0.5, "truncation": 64},
+        "target": {"family": "holder", "r": 0.25},
+        "noise": {"variant": "gaussian", "scale": 0.1},
+        "n_grid": [100, 200, 400],
+    }
+    config = config_from_dict({**raw, "repetitions": 2.0, "seed": 5})
+    assert (config.kernel.truncation, config.repetitions, config.seed) == (64, 2, 5)
+    for override, name in (
+        ({"kernel": {**raw["kernel"], "truncation": 64.9}}, "kernel.truncation"),
+        ({"n_grid": [100.7, 200.2, 400.9]}, "'n_grid'"),
+        ({"repetitions": 2.9}, "'repetitions'"),
+        ({"seed": True}, "'seed'"),
+        ({"seed": [1, 2]}, "'seed'"),
+        ({"repetitions": [2]}, "'repetitions'"),
+        ({"kernel": {**raw["kernel"], "truncation": [64]}}, "kernel.truncation"),
+        ({"n_grid": [100, True, 400]}, "'n_grid'"),
+        ({"target": {**raw["target"], "coeff_seed": 1.5}}, "'target.coeff_seed'"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            config_from_dict({**raw, **override})

@@ -219,6 +219,26 @@ def test_monte_carlo_error_cases():
     assert abs(mc.value - exact) <= 3.0 * mc.stderr + 1e-9
 
 
+def test_monte_carlo_error_rejects_bad_target_values():
+    """A target that returns the wrong shape or a non-finite value fails
+    instead of broadcasting to an n x n array or reporting NaN."""
+    kernel = KernelSpec.gaussian(0.2)
+    target = make_target(DECAY, 32, IndexFunction.holder(0.25), seed=2)
+    data = sample_dataset(DECAY, 32, target, NoiseSpec.gaussian(0.1), 40, seed=1)
+    model = fit_krr(kernel, data, 0.05)
+    good = monte_carlo_error(model, kernel, lambda u: target_values(target, u), 500, seed=3)
+    assert math.isfinite(good.value)
+    for bad in (
+        lambda u: target_values(target, u)[:, None],
+        lambda u: target_values(target, u)[:-1],
+        lambda u: 0.0,
+        lambda u: np.full(u.shape, np.nan),
+        lambda u: np.where(u < 0.5, np.inf, 0.0),
+    ):
+        with pytest.raises(ValueError, match="target_fn"):
+            monte_carlo_error(model, kernel, bad, 500, seed=3)
+
+
 def test_dataset_csv_roundtrip(tmp_path):
     target = make_target(DECAY, 16, IndexFunction.holder(0.25), seed=2)
     data = sample_dataset(DECAY, 16, target, NoiseSpec.gaussian(0.1), 25, seed=1)
