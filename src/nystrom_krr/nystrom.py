@@ -79,10 +79,18 @@ def subsample_plain(n: int, m: int, seed: int) -> np.ndarray:
 
 def _inducing_indices(indices, n: int | None = None) -> np.ndarray:
     """The one check for inducing indices: a nonempty 1-D array of distinct
-    integers or integral floats (not a bool array) >= 0, and < ``n`` when ``n``
-    is given. Returns them as int64."""
+    integers or integral floats (not a bool array, nor a bool in a list or
+    tuple, which ``np.asarray`` would turn into an int) >= 0, and < ``n`` when
+    ``n`` is given. Returns them as int64."""
     idx = np.asarray(indices)
-    if idx.dtype.kind not in "iuf" or not np.all(np.isfinite(idx) & (idx == np.trunc(idx))):
+    listed_bool = isinstance(indices, (list, tuple)) and any(
+        isinstance(v, (bool, np.bool_)) for v in indices
+    )
+    if (
+        listed_bool
+        or idx.dtype.kind not in "iuf"
+        or not np.all(np.isfinite(idx) & (idx == np.trunc(idx)))
+    ):
         raise ValueError("inducing indices must be integers, not bools or fractions")
     idx = idx.astype(np.int64)
     if idx.ndim != 1 or idx.size == 0 or np.unique(idx).size != idx.size:

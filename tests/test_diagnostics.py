@@ -8,7 +8,8 @@ from nystrom_krr.diagnostics import (
     check_smoothness_perturbation,
     reports_to_csv,
 )
-from nystrom_krr.kernels import DecaySpec, KernelSpec
+from nystrom_krr.kernels import DecaySpec, KernelSpec, sections
+from nystrom_krr.nystrom import SizeRuleParams, subsample_size
 from nystrom_krr.spectral import IndexFunction, analytic_profile, lambda0
 from nystrom_krr.synthetic import NoiseSpec, TargetSpec
 
@@ -183,3 +184,77 @@ def test_reports_deterministic_and_csv(tmp_path):
     assert len(lines) == 2
     assert lines[0].startswith("bound_name,")
     assert lines[1].startswith("projection,128,20,")
+
+
+def test_checks_reject_bad_settings():
+    """lambda, T, n, m and trials pass one input check in all four checks: a
+    NaN lambda, no trials, m > n, a fraction or a bool is a ``ValueError``
+    naming the input, not an SVD, division or sampling error."""
+    phi = IndexFunction.holder(0.5)
+    checks = {
+        "projection": lambda **kw: check_projection_bound(
+            DECAY, kw["T"], kw["n"], kw["m"], kw["lam"], 0.1, kw["trials"], 0
+        ),
+        "smoothness": lambda **kw: check_smoothness_perturbation(
+            DECAY, kw["T"], kw["n"], kw["m"], kw["lam"], phi, kw["trials"], 0
+        ),
+        "norm_equivalence": lambda **kw: check_norm_equivalence(
+            DECAY, kw["T"], kw["n"], kw["lam"], 0.1, kw["trials"], 0
+        ),
+        "concentration": lambda **kw: check_concentration(
+            DECAY, kw["T"], kw["n"], kw["lam"], kw["trials"], 0
+        ),
+    }
+    good = dict(T=16, n=50, m=5, lam=0.1, trials=3)
+    bad_cases = [
+        ({"lam": float("nan")}, "lambda must be finite and positive"),
+        ({"lam": 0.0}, "lambda must be finite and positive"),
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"trials": 2.5}, "trials must be an integer"),
+        ({"T": 16.5}, "truncation must be an integer"),
+        ({"n": True}, "n must be an integer"),
+        ({"n": 0}, "n must be >= 1"),
+        ({"m": 51}, "m=51 exceeds the sample size n=50"),
+        ({"m": 0}, "m must be >= 1"),
+    ]
+    for name, check in checks.items():
+        base = check(**good)
+        # integral floats are accepted as their int
+        same = check(**{**good, "T": 16.0, "n": 50.0, "m": 5.0, "trials": 3.0})
+        assert same.observed_max_ratio == base.observed_max_ratio, name
+        for override, match in bad_cases:
+            if "m" in override and name not in ("projection", "smoothness"):
+                continue  # these two draw no subsample
+            with pytest.raises(ValueError, match=match):
+                check(**{**good, **override})
+
+
+def test_smoothness_matches_rank_truncated_reference():
+    """At the README diagnostics settings (T=256, n=2048, rule-sized m with
+    c=1) and phi = t^0.25, the check equals the direct formula on the rank-m
+    spectrum of M_P: eigh with eigenvectors of the T x T matrix, its T - m
+    round-off eigenvalues set to zero, and the SVD norm of the difference."""
+    decay, truncation, n, delta, trials, seed = DECAY, 256, 2048, 0.1, 12, 31415
+    phi = IndexFunction.holder(0.25)
+    lam = lambda0(analytic_profile(decay, truncation), n)
+    kernel = KernelSpec.designed(decay.s, truncation)
+    m = subsample_size(n, lam, SizeRuleParams(c=1.0, delta=delta), kernel=kernel)
+    report = check_smoothness_perturbation(decay, truncation, n, m, lam, phi, trials, seed, delta)
+
+    mu = decay.eigenvalues(truncation)
+    root = np.sqrt(mu)
+    ratios = []
+    for ss in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(ss)
+        xs = rng.uniform(0.0, 1.0, n)
+        idx = rng.choice(n, size=m, replace=False)
+        q, _ = np.linalg.qr(sections(xs[idx], mu).T)
+        evals, evecs = np.linalg.eigh(root[:, None] * (q @ q.T) * root[None, :])
+        evals[: truncation - min(m, truncation)] = 0.0
+        phi_mp = (evecs * phi(np.clip(evals, 0.0, None))) @ evecs.T
+        ratios.append(np.linalg.norm(np.diag(phi(mu)) - phi_mp, 2) / phi(lam))
+    assert m < truncation
+    assert report.observed_max_ratio == pytest.approx(max(ratios), rel=1e-10, abs=0.0)
+    assert report.quantile_ratio == pytest.approx(
+        np.quantile(ratios, 1.0 - delta), rel=1e-10, abs=0.0
+    )

@@ -511,3 +511,30 @@ def test_integer_inputs_are_checked_not_truncated(tmp_path):
     ):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             config_from_dict({**raw, **override})
+
+
+def test_inducing_indices_reject_bool_in_list(tmp_path):
+    """A bool inside a list or tuple of ints is rejected like a bool array,
+    by ``fit_nystrom`` and by ``load_model``, instead of being read as 0 or 1."""
+    kernel = KernelSpec.gaussian(0.5)
+    data = _dataset(np.linspace(0.0, 1.0, 5), np.ones(5))
+    for bad in ([0, True], (2, np.bool_(False)), [1.0, True]):
+        with pytest.raises(ValueError, match="integers, not bools"):
+            nystrom._inducing_indices(bad, 5)
+        with pytest.raises(ValueError, match="integers, not bools"):
+            fit_nystrom(kernel, data, 0.1, bad)
+    assert nystrom._inducing_indices((0, np.int64(3)), 5).tolist() == [0, 3]
+
+    payload = {
+        "format": "nystrom-krr-model",
+        "version": 2,
+        "kernel": {"variant": "gaussian", "bandwidth": 0.1},
+        "lambda": 0.1,
+        "inducing_indices": [0, True],
+        "inducing_xs": [0.1, 0.5],
+        "alpha": [1.0, 0.0],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="integers, not bools"):
+        load_model(path)

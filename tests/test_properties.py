@@ -4,14 +4,16 @@ Few examples each and no deadline, so the suite stays fast and timing noise on
 a loaded machine cannot fail a test.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nystrom_krr import krr, nystrom
+from nystrom_krr import diagnostics, krr, nystrom
 from nystrom_krr.kernels import (
+    DecaySpec,
     KernelSpec,
     basis_moments,
     basis_sum,
@@ -21,7 +23,7 @@ from nystrom_krr.kernels import (
     sections,
 )
 from nystrom_krr.linalg import pivoted_cholesky, solve_regularized
-from nystrom_krr.spectral import SpectralProfile, effective_dimension, lambda0
+from nystrom_krr.spectral import IndexFunction, SpectralProfile, effective_dimension, lambda0
 from nystrom_krr.synthetic import Dataset, fitted_coefficients
 
 FEW = settings(max_examples=25, deadline=None, database=None)
@@ -137,3 +139,63 @@ def test_tspace_fit_matches_generic_fit(s, truncation, n, m_frac, log_lam, seed)
     grid = np.linspace(0.0, 1.0, 41)
     base = krr.predict(generic, kernel, grid)
     assert np.linalg.norm(krr.predict(tspace, kernel, grid) - base) <= tol * np.linalg.norm(base)
+
+
+@FEW
+@given(
+    s=st.sampled_from([0.4, 0.5, 0.8]),
+    truncation=st.integers(1, 40),
+    m_extra=st.integers(0, 44),
+    n_extra=st.integers(0, 200),
+    log_lam=st.floats(-4.0, -0.01),  # the size rule needs lambda < 1
+    r=st.sampled_from([0.1, 0.25, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagnostics_match_direct_formulas(s, truncation, m_extra, n_extra, log_lam, r, seed):
+    """Each check's extreme-eigenvalue closed form equals the direct formula on
+    the same draw (one trial): the SVD norm, the inverse square root through
+    eigenvectors, and phi(M_P) on the rank-min(m, T) spectrum of the T x T
+    M_P. To 1e-10 relative, with an absolute floor of 1e-12 ||M|| where the
+    value is round-off (the projection residual at m >= T)."""
+    decay = DecaySpec(s)
+    m = 1 + m_extra % (truncation + 5)  # m < T, m = T and m > T
+    n, lam, phi, delta = m + n_extra, 10.0**log_lam, IndexFunction.holder(r), 0.1
+    mu = decay.eigenvalues(truncation)
+    root, pop = np.sqrt(mu), np.diag(mu)
+    floor = 1e-12 * mu.max()
+
+    def close(value, reference):
+        return abs(value - reference) <= 1e-10 * abs(reference) + floor
+
+    # projection and smoothness draw (xs, idx); norm equivalence and
+    # concentration draw xs; each with the trial's own generator
+    (ss,) = np.random.SeedSequence(seed).spawn(1)
+    rng = np.random.default_rng(ss)
+    xs = rng.uniform(0.0, 1.0, n)
+    q, _ = np.linalg.qr(sections(xs[rng.choice(n, size=m, replace=False)], mu).T)
+    resid = np.linalg.norm(root[:, None] * (np.eye(truncation) - q @ q.T), 2) ** 2
+    rep = diagnostics.check_projection_bound(decay, truncation, n, m, lam, delta, 1, seed)
+    assert close(3.0 * lam * rep.observed_max_ratio, resid)
+
+    evals, evecs = np.linalg.eigh(root[:, None] * (q @ q.T) * root[None, :])
+    evals[: truncation - min(m, truncation)] = 0.0
+    phi_mp = (evecs * phi(np.clip(evals, 0.0, None))) @ evecs.T
+    smooth = np.linalg.norm(np.diag(phi(mu)) - phi_mp, 2)
+    rep = diagnostics.check_smoothness_perturbation(
+        decay, truncation, n, m, lam, phi, 1, seed, delta
+    )
+    assert close(phi(lam) * rep.observed_max_ratio, smooth)
+
+    s_hat = covariance(np.random.default_rng(ss).uniform(0.0, 1.0, n), mu)
+    evals, evecs = np.linalg.eigh(s_hat)
+    inv_root = (evecs * (lam + np.clip(evals, 0.0, None)) ** -0.5) @ evecs.T
+    norm_eq = np.linalg.norm(np.sqrt(lam + mu)[:, None] * inv_root, 2)
+    rep = diagnostics.check_norm_equivalence(decay, truncation, n, lam, delta, 1, seed)
+    assert close(2.0 * rep.observed_max_ratio, norm_eq)
+
+    conc = np.linalg.norm((lam + mu)[:, None] ** -0.5 * (pop - s_hat), 2)
+    rate = math.log(1.0 / delta) * math.sqrt(
+        effective_dimension(SpectralProfile(mu, "analytic"), lam) / n
+    )
+    rep = diagnostics.check_concentration(decay, truncation, n, lam, 1, seed, delta=delta)
+    assert close(rate * rep.observed_max_ratio, conc)
