@@ -30,7 +30,8 @@ def _add_common(parser):
         "--log-level",
         default="WARNING",
         choices=("DEBUG", "INFO", "WARNING", "ERROR"),
-        help="log to stderr from this level on; INFO shows each rank cut of K_mm",
+        help="log to stderr from this level on; INFO shows each fit that keeps fewer "
+        "directions than inducing points",
     )
 
 

@@ -84,7 +84,11 @@ class KernelSpec:
         elif self.variant == DESIGNED:
             if self.decay is None:
                 raise ValueError("designed_spectral kernel needs a DecaySpec")
-            if self.truncation is None or self.truncation < 1:
+            # frozen: store the checked int (64.0 -> 64) in place of the input
+            object.__setattr__(
+                self, "truncation", check_integer(self.truncation, "kernel.truncation")
+            )
+            if self.truncation < 1:
                 raise ValueError(
                     f"designed_spectral truncation must be >= 1, got {self.truncation}"
                 )
@@ -125,8 +129,7 @@ class KernelSpec:
         if variant == DESIGNED:
             if "s" not in cfg:
                 raise ValueError("designed_spectral kernel config needs 's'")
-            truncation = check_integer(cfg.get("truncation", 2048), "kernel.truncation")
-            return cls.designed(float(cfg["s"]), truncation)
+            return cls.designed(float(cfg["s"]), cfg.get("truncation", 2048))
         if variant in (GAUSSIAN, LAPLACIAN):
             if "bandwidth" not in cfg:
                 raise ValueError(f"{variant} kernel config needs 'bandwidth'")
@@ -135,19 +138,30 @@ class KernelSpec:
 
 
 def fourier_basis(xs, truncation: int) -> np.ndarray:
-    """Evaluate the designed basis: (n, truncation) matrix with columns e_k."""
+    """Evaluate the designed basis: (n, truncation) matrix with columns e_k.
+
+    Built from the trig sums' blocked exponentials, row chunk by row chunk:
+    frequency ``l = q B + r`` is ``exp(2 pi i q B x) exp(2 pi i r x)``, whose
+    real and imaginary parts give the cos and sin columns, one block of B
+    frequencies at a time (O(n sqrt(T)) exponentials, no n x T temporary).
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     out = np.empty((xs.shape[0], truncation))
     out[:, 0] = 1.0
-    if truncation > 1:
-        n_cos = truncation // 2  # columns k = 2, 4, ...
-        ang = _TWO_PI * xs[:, None] * np.arange(1, n_cos + 1)[None, :]
-        # written in place: no n x T/2 temporaries beside the angles
-        np.cos(ang, out=out[:, 1::2])
-        n_sin = (truncation - 1) // 2  # columns k = 3, 5, ...
-        if n_sin:
-            np.sin(ang[:, :n_sin], out=out[:, 2::2])
-        out[:, 1:] *= _SQRT2
+    n_cos, n_sin = truncation // 2, (truncation - 1) // 2  # columns 2, 4, ... and 3, 5, ...
+    if not n_cos:
+        return out
+    b, q = _split(n_cos)
+    for lo, hi in _row_chunks(xs.size, q + b):
+        e_q, e_b = _exp_blocks(xs[lo:hi], b, q)
+        for k in range(q):
+            # frequencies l0..l1-1 of block k; l = 0 is the constant column
+            l0, l1 = max(k * b, 1), min(k * b + b, n_cos + 1)
+            block = e_q[:, k, None] * e_b[:, l0 - k * b : l1 - k * b]
+            out[lo:hi, 2 * l0 - 1 : 2 * l1 - 1 : 2] = block.real
+            s1 = min(l1, n_sin + 1)  # an even T has no sin column at l = T / 2
+            out[lo:hi, 2 * l0 : 2 * s1 : 2] = block.imag[:, : s1 - l0]
+    out[:, 1:] *= _SQRT2
     return out
 
 
@@ -160,7 +174,7 @@ def _split(degree: int) -> tuple[int, int]:
 def _exp_blocks(xs, b: int, q: int):
     """``exp(2 pi i q B x)`` (n x Q) and ``exp(2 pi i r x)`` (n x B) for one row chunk.
 
-    The angles are ``(2 pi x) l``, rounded as in ``fourier_basis``.
+    The angles are ``(2 pi x) l`` for ``l = q B`` and ``l = r``.
     """
     ang = _TWO_PI * xs[:, None]
     return np.exp(1j * (ang * (b * np.arange(q)))), np.exp(1j * (ang * np.arange(b)))

@@ -9,17 +9,18 @@ matches the population-scaled spectral quantities used elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.linalg as sla
 
-from .kernels import KernelSpec, as_points, basis_moments, basis_sum, cross_gram, gram
+from .kernels import KernelSpec, as_points, basis_moments, basis_sum, cross_gram, gram, sections
 from .linalg import OpCount, check_positive, solve_regularized
 
 
-@dataclass
 class KernelModel:
-    """A fitted kernel expansion ``f(x) = sum_j alpha_j K(x, support_xs[j])``.
+    """A fitted function, in one of two forms: the expansion
+    ``f(x) = sum_j alpha_j K(x, support_xs[j])`` (full KRR, every Gaussian or
+    Laplacian model, and hand-built models), or, for a designed-kernel Nystrom
+    fit, its eigen-``coefficients`` ``f = sum_k f_k e_k`` and no ``alpha``.
 
     Full KRR supports on every training point; a Nystrom model supports on
     the inducing points and records their training-set ``inducing_indices``
@@ -28,12 +29,33 @@ class KernelModel:
     another kernel is an error.
     """
 
-    support_xs: np.ndarray
-    alpha: np.ndarray
-    lam: float
-    opcount: OpCount = OpCount()
-    inducing_indices: np.ndarray | None = None
-    kernel: KernelSpec | None = None
+    def __init__(
+        self,
+        support_xs: np.ndarray,
+        alpha: np.ndarray | None,
+        lam: float,
+        opcount: OpCount = OpCount(),
+        inducing_indices: np.ndarray | None = None,
+        kernel: KernelSpec | None = None,
+        coefficients: np.ndarray | None = None,
+    ):
+        designed = kernel is not None and kernel.is_designed
+        if (alpha is None) == (coefficients is None) or coefficients is not None and not designed:
+            raise ValueError("a model carries alpha, or eigen-coefficients and their kernel")
+        self.support_xs, self._alpha, self.lam, self.opcount = support_xs, alpha, lam, opcount
+        self.inducing_indices, self.kernel, self.coefficients = inducing_indices, kernel, coefficients
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """The expansion weights. A designed fit has none of its own; for callers
+        that ask, this is then the least-squares solution of
+        ``sections(support_xs)^T alpha = coefficients / sqrt(mu)`` (computed once,
+        O(m T min(m, T))). The package reads ``coefficients`` instead."""
+        if self._alpha is None:
+            mu = self.kernel.eigenvalues()
+            w_t = sections(self.support_xs, mu).T
+            self._alpha = sla.lstsq(w_t, self.coefficients / np.sqrt(mu), lapack_driver="gelsy")[0]
+        return self._alpha
 
     def check_kernel(self, kernel: KernelSpec) -> None:
         """Reject a kernel other than the one the model was fitted with."""
@@ -62,21 +84,25 @@ def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
 
 
 def fitted_coefficients(model: KernelModel, kernel: KernelSpec) -> np.ndarray:
-    """Eigenbasis coefficients of the fitted function: mu_k sum_j c_j e_k(x_j)."""
+    """Eigenbasis coefficients of the fitted function: a designed fit's own
+    ``coefficients``, else ``mu_k sum_j alpha_j e_k(x_j)``."""
     if not kernel.is_designed:
         raise NotImplementedError(
             "exact basis coefficients need a designed kernel; "
             "use monte_carlo_error for closed-form kernels"
         )
     model.check_kernel(kernel)
+    if model.coefficients is not None:
+        return model.coefficients
     support = as_points(model.support_xs, kernel)
     return kernel.eigenvalues() * basis_moments(support, model.alpha, kernel.truncation)
 
 
 def predict(model: KernelModel, kernel: KernelSpec, xs) -> np.ndarray:
-    """Evaluate f(x) = sum_j alpha_j K(x, x_j) over the model's support points:
-    for a designed kernel, its ``fitted_coefficients`` summed by one type-2 trig
-    sum (O((n + m) sqrt(T)) exponentials, no n x m block), else by ``cross_gram``."""
+    """Evaluate the model at ``xs``: for a designed kernel, its
+    ``fitted_coefficients`` summed by one type-2 trig sum (O(n sqrt(T))
+    exponentials, plus O(m sqrt(T)) for an expansion's coefficients; no n x m
+    block), else ``sum_j alpha_j K(x, x_j)`` by ``cross_gram``."""
     model.check_kernel(kernel)
     if kernel.is_designed:
         return basis_sum(as_points(xs, kernel), fitted_coefficients(model, kernel))
@@ -86,12 +112,17 @@ def predict(model: KernelModel, kernel: KernelSpec, xs) -> np.ndarray:
 def empirical_risk(model: KernelModel, kernel: KernelSpec, data, lam: float) -> float:
     """Regularized empirical risk of a fitted model on its training data.
 
-    Works for both full-KRR and Nystrom models; the RKHS-norm term is
-    ``c^T K_ss c`` over the model's support points.
+    Works for both full-KRR and Nystrom models. The RKHS-norm term is
+    ``sum_k f_k^2 / mu_k`` over the eigen-coefficients for a designed kernel
+    (for an expansion this equals ``alpha^T K_ss alpha``), and
+    ``alpha^T K_ss alpha`` over the support points otherwise.
     """
     xs, ys = _training_arrays(kernel, data, lam)
     preds = predict(model, kernel, xs)
     fit_term = float(np.mean((preds - ys) ** 2))
-    coeff = model.alpha
-    rkhs_sq = float(coeff @ (gram(kernel, model.support_xs) @ coeff))
+    if kernel.is_designed:
+        coeff = fitted_coefficients(model, kernel)
+        rkhs_sq = float(np.sum(coeff * coeff / kernel.eigenvalues()))
+    else:
+        rkhs_sq = float(model.alpha @ (gram(kernel, model.support_xs) @ model.alpha))
     return fit_term + lam * rkhs_sq

@@ -8,14 +8,11 @@ side. Wall-clock is reported separately by the experiment harness.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-
-logger = logging.getLogger(__name__)
 
 
 class NumericalError(RuntimeError):
@@ -104,8 +101,6 @@ def pivoted_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     work, piv, rank, info = sla.lapack.dpstrf(a.T, overwrite_a=1)
     if info < 0 or rank == 0:
         raise NumericalError(f"pivoted Cholesky of a {m}x{m} block found rank 0")
-    if rank < m:
-        logger.info("pivoted cholesky kept %d of %d", rank, m)
     # LAPACK pivots are 1-based; rows and columns past the rank are not a factor
     return np.triu(work[:rank, :rank]), piv[:rank] - 1
 

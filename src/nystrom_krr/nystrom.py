@@ -1,34 +1,57 @@
 """Plain Nystrom subsampling for kernel ridge regression.
 
 Inducing points are drawn uniformly without replacement from the training
-set; the estimator is the risk minimizer restricted to the span of their
-kernel sections. With ``K_nm`` the training-by-inducing Gram block and
-``K_mm`` the inducing Gram, the coefficients solve
+set; the estimator is the regularized risk minimizer restricted to the span
+of their kernel sections (Rudi, Camoriano & Rosasco 2015).
+
+Designed kernel: the span and the closed form. With the sections
+``w(x) = sqrt(mu) * e(x)`` (``K(x, y) = w(x) . w(y)``) and ``W`` those of the
+m inducing points (m x T), the span is ``range(W^T)`` in the eigen-coordinates.
+For an orthonormal basis ``Q`` of it, a function ``f = sqrt(mu) * Q beta`` has
+``||f||_H = ||beta||``, so the restricted minimizer solves
+
+    (Q^T S Q + lam I) beta = Q^T b,   S = W_n^T W_n / n,   b = W_n^T y / n,
+
+``W_n`` the sections of the n training points; ``S`` (``covariance``) and
+``b`` come from the trig moments when n > T, and for n <= T the same system
+times n is ``(G^T G + lam n I) beta = G^T y`` with ``G = W_n Q``. The model is
+its eigen-coefficients ``sqrt(mu) * Q beta``; it carries no ``alpha``.
+
+The span. When m >= T and a pivoted Cholesky of the T x T ``covariance`` of
+the inducing points keeps all T directions, the sections span R^T: ``Q`` drops
+out and the fit is the closed form ``(S + lam I) v = b``, ``f = sqrt(mu) * v``,
+with no m x m or m x T array. Otherwise one Householder factorization of
+``W^T`` gives a square triangular R with ``range(W^T) = Q range(R)``: QR
+``W^T = Q R`` below T, and RQ ``W^T = R Q'`` (``Q = I``) from T on, where the
+covariance, which squares cond(W), can miss a span that W has. R has full rank
+unless LAPACK's estimates of its ``1 / cond_1`` and ``1 / cond_inf`` allow a
+singular-value ratio at or below ``max(m, T) eps`` (``cond_2^2 <= cond_1
+cond_inf``); then the rank rule keeps the left singular directions ``U_r`` of
+R, whose singular values are W's, above ``max(m, T) eps sigma_max``, and the
+basis is ``Q U_r`` (Chan 1982). A pivoted QR's diagonal overestimates the
+smallest singular values and would keep round-off directions this rule drops.
+
+Closed-form kernels (Gaussian, Laplacian): with ``K_nm`` the training-by-inducing
+Gram block and ``K_mm`` the inducing Gram, the coefficients solve
 
     (K_nm^T K_nm + lam * n * K_mm) alpha = K_nm^T y.
 
 ``K_mm`` is factored once by a rank-revealing pivoted Cholesky, ``K_rr = R^T R``
-on the ``r <= m`` inducing points whose sections span the rest to round-off
-(r < m for repeated inputs, or m > T for a designed kernel); ``alpha`` is 0 at
-the others (the basic, not the minimum-norm, solution). ``beta = R alpha``
-turns the system on the kept points into the shifted SPD ``(G^T G + lam n I)
-beta = G^T y``, ``G = K_nr R^{-1}``, which avoids squaring cond(``K_rr``).
+on the ``r <= m`` inducing points whose sections span the rest to round-off;
+``alpha`` is 0 at the others (the basic, not the minimum-norm, solution).
+``beta = R alpha`` turns the system on the kept points into the shifted SPD
+``(G^T G + lam n I) beta = G^T y``, ``G = K_nr R^{-1}``, which avoids squaring
+cond(``K_rr``).
 
-A designed kernel with n > T solves the same system divided by n in its own
-coordinates, without forming ``K_nm``: with ``M = diag(mu)``, ``Phi`` the
-n x T basis matrix and ``A = M^(1/2) Phi_r^T`` (so ``K_rr = A^T A``),
-``G = Phi M^(1/2) Q`` for ``Q = A R^{-1}``, hence ``G^T G / n = Q^T S Q`` and
-``G^T y / n = Q^T b`` with ``S = M^(1/2) (Phi^T Phi / n) M^(1/2)`` and
-``b = M^(1/2) Phi^T y / n``, both from the basis moments of the data.
-
-Cost: Theta(n m^2) for the products plus Theta(m^3) for factorizations,
-recorded in the model's OpCount (``OpCount.nystrom``); the flop model stays
-that of the generic algorithm on either path.
+A fit that keeps r < m directions logs ``kept r of m`` at INFO. Every model's
+OpCount is the generic algorithm's flop model ``OpCount.nystrom(n, m)``:
+Theta(n m^2) for the products plus Theta(m^3) for factorizations.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 
@@ -40,6 +63,8 @@ from .kernels import KernelSpec, as_points, basis_moments, covariance, cross_gra
 from .krr import KernelModel, _training_arrays, predict  # noqa: F401
 from .linalg import OpCount, check_positive, pivoted_cholesky, solve_regularized
 from .spectral import n_infinity
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -105,17 +130,60 @@ def fit_nystrom(kernel: KernelSpec, data, lam: float, inducing_indices) -> Kerne
     idx = _inducing_indices(inducing_indices, xs.size)
     n, m = xs.size, idx.size
     x_ind = xs[idx]
-    r_factor, keep = pivoted_cholesky(gram(kernel, x_ind))
-    # The T-space solve costs O(n sqrt(T) + m T^2) against the generic
-    # O(n m T + n m^2); measured at T = 2048, the two cross near n = T.
-    tspace = kernel.is_designed and n > kernel.truncation
-    reduced = _reduced_tspace if tspace else _reduced_generic
-    beta = reduced(kernel, xs, ys, x_ind[keep], r_factor, lam)
-    alpha = np.zeros(m)
-    alpha[keep] = sla.solve_triangular(r_factor, beta, lower=False)
+    alpha = coeff = None
+    if kernel.is_designed:
+        coeff, rank = _designed_fit(kernel, xs, ys, x_ind, lam)
+    else:
+        r_factor, keep = pivoted_cholesky(gram(kernel, x_ind))
+        beta = _reduced_generic(kernel, xs, ys, x_ind[keep], r_factor, lam)
+        alpha = np.zeros(m)
+        alpha[keep] = sla.solve_triangular(r_factor, beta, lower=False)
+        rank = keep.size
+    if rank < m:
+        logger.info("kept %d of %d", rank, m)
     return KernelModel(
-        x_ind, alpha, lam, OpCount.nystrom(n, m), inducing_indices=idx, kernel=kernel
+        x_ind, alpha, lam, OpCount.nystrom(n, m), idx, kernel, coefficients=coeff
     )
+
+
+def _designed_fit(kernel, xs, ys, x_ind, lam):
+    """Eigen-coefficients of the restricted minimizer and the dimension of the
+    span, by the closed form or on ``Q`` from the rank rule (module docstring)."""
+    mu = kernel.eigenvalues()
+    n, m, t = xs.size, x_ind.size, mu.size
+    if n > t:
+        # S before Q: built after Q, the moment blocks of S stack on it (peak RSS
+        # 150-155 MB against 136-140 MB on rate cells n=16384, m=978, T=2048)
+        a_mat, rhs, shift = covariance(xs, mu), np.sqrt(mu) * basis_moments(xs, ys, t) / n, lam
+    q_mat = u_mat = None
+    if m < t or pivoted_cholesky(covariance(x_ind, mu))[1].size < t:
+        # W^T (T x m, Fortran order) is factored in place: below T as Q R, so
+        # range(W^T) = Q range(R); from T on as R Q' with R square, range(R)
+        w_t, args = sections(x_ind, mu).T, {"overwrite_a": True, "check_finite": False}
+        if m < t:
+            q_mat, r_mat = sla.qr(w_t, mode="economic", **args)
+        else:
+            r_mat = sla.rq(w_t, mode="r", **args)[:, -t:]
+        del w_t
+        tol = max(m, t) * np.finfo(np.float64).eps
+        # cond_2(R)^2 <= cond_1(R) cond_inf(R): LAPACK's estimates of the square
+        # R's 1 / cond_1 and 1 / cond_inf rule out a rank cut without an SVD
+        if math.prod(sla.lapack.dtrcon(r_mat, norm=c)[0] for c in "1I") <= tol**2:
+            # R's singular values are W's; the kept directions are applied in the
+            # reduced coordinates, never as a T x r array
+            u_mat, sv = sla.svd(r_mat, full_matrices=False, check_finite=False)[:2]
+            u_mat = u_mat[:, : np.count_nonzero(sv > tol * sv[0])]
+        del r_mat  # freed before the reduced products
+    if n <= t:
+        g_mat = sections(xs, mu) if q_mat is None else sections(xs, mu) @ q_mat
+        a_mat, rhs, shift = g_mat.T @ g_mat, g_mat.T @ ys, lam * n
+    elif q_mat is not None:
+        a_mat, rhs = q_mat.T @ a_mat @ q_mat, q_mat.T @ rhs
+    if u_mat is not None:
+        a_mat, rhs = u_mat.T @ a_mat @ u_mat, u_mat.T @ rhs
+    beta = solve_regularized(a_mat, shift, rhs)
+    v_vec = beta if u_mat is None else u_mat @ beta
+    return np.sqrt(mu) * (v_vec if q_mat is None else q_mat @ v_vec), beta.size
 
 
 def _reduced_generic(kernel, xs, ys, x_ind, r_factor, lam):
@@ -123,18 +191,6 @@ def _reduced_generic(kernel, xs, ys, x_ind, r_factor, lam):
     k_nm = cross_gram(kernel, xs, x_ind)
     g_mat = sla.solve_triangular(r_factor, k_nm.T, lower=False, trans="T").T
     return solve_regularized(g_mat.T @ g_mat, lam * xs.size, g_mat.T @ ys)
-
-
-def _reduced_tspace(kernel, xs, ys, x_ind, r_factor, lam):
-    """The same ``beta`` from ``(Q^T S Q + lam I) beta = Q^T b`` (module docstring)."""
-    mu = kernel.eigenvalues()
-    # S before Q: forming S after the m x T sections raised a rate cell's peak
-    # RSS from 153 to 180 MB (n=16384, m=978, T=2048, one BLAS thread)
-    s_mat = covariance(xs, mu)
-    b_vec = np.sqrt(mu) * basis_moments(xs, ys, mu.size) / xs.size
-    q_t = sla.solve_triangular(r_factor, sections(x_ind, mu), lower=False, trans="T")
-    reduced = q_t @ s_mat @ q_t.T
-    return solve_regularized(0.5 * (reduced + reduced.T), lam, q_t @ b_vec)
 
 
 def subsample_size(
@@ -177,43 +233,54 @@ def lambda_admissible(
 
 
 def save_model(model: KernelModel, path) -> None:
-    """Self-describing text artifact: kernel, indices, inducing points, alpha, lambda."""
+    """Self-describing text artifact (format v3): kernel, indices, inducing
+    points, lambda, and the eigen-``coefficients`` of a designed fit or the
+    ``alpha`` of any other model."""
     if model.inducing_indices is None or model.kernel is None:
         raise ValueError("save_model stores Nystrom models that carry their kernel")
     payload = {
         "format": "nystrom-krr-model",
-        "version": 2,
+        "version": 3,
         "kernel": model.kernel.to_config(),
         "lambda": model.lam,
         "inducing_indices": model.inducing_indices.tolist(),
         "inducing_xs": model.support_xs.tolist(),
-        "alpha": model.alpha.tolist(),
     }
+    if model.coefficients is not None:
+        payload["coefficients"] = model.coefficients.tolist()
+    else:
+        payload["alpha"] = model.alpha.tolist()
     with open(path, "w") as fh:
         json.dump(payload, fh)
 
 
 def load_model(path) -> KernelModel:
-    """Read a version-2 ``save_model`` artifact; rejects other versions, a
-    missing or invalid kernel, invalid inducing indices or lambda, and
-    mismatched or non-finite arrays."""
+    """Read a ``save_model`` artifact, version 3 or 2 (which stores ``alpha``);
+    rejects other versions, a missing or invalid kernel, invalid inducing
+    indices or lambda, and mismatched or non-finite arrays."""
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("format") != "nystrom-krr-model":
         raise ValueError(f"{path} is not a saved model artifact")
-    if payload.get("version") != 2:
-        raise ValueError(f"{path}: artifact version {payload.get('version')!r} is not 2")
+    version = payload.get("version")
+    if version not in (2, 3):
+        raise ValueError(f"{path}: artifact version {version!r} is not 2 or 3")
     if "kernel" not in payload:
         raise ValueError(f"{path}: artifact carries no kernel")
     kernel = KernelSpec.from_config(payload["kernel"])
     idx = _inducing_indices(payload["inducing_indices"])
     support = as_points(payload["inducing_xs"], kernel)
-    alpha = as_points(payload["alpha"])
     lam = float(payload["lambda"])
     check_positive(lam, f"{path}: lambda")
-    if not idx.size == support.size == alpha.size:
+    if ("alpha" in payload) == ("coefficients" in payload) or version == 2 and "alpha" not in payload:
+        raise ValueError(f"{path}: an artifact carries alpha, or (v3) coefficients, not both")
+    alpha = as_points(payload["alpha"]) if "alpha" in payload else None
+    coeff = None if alpha is not None else as_points(payload["coefficients"])
+    if coeff is not None and not (kernel.is_designed and coeff.size == kernel.truncation):
+        raise ValueError(f"{path}: coefficients need a designed kernel of truncation {coeff.size}")
+    if not idx.size == support.size == (support if alpha is None else alpha).size:
         raise ValueError(
             f"{path}: inducing_indices, inducing_xs and alpha differ in length "
-            f"({idx.size}, {support.size}, {alpha.size})"
+            f"({idx.size}, {support.size}, {(support if alpha is None else alpha).size})"
         )
-    return KernelModel(support, alpha, lam, inducing_indices=idx, kernel=kernel)
+    return KernelModel(support, alpha, lam, inducing_indices=idx, kernel=kernel, coefficients=coeff)

@@ -46,6 +46,18 @@ def test_kernel_spec_validation():
         KernelSpec("triangle", bandwidth=1.0)
 
 
+def test_designed_truncation_is_checked_at_construction():
+    """Direct construction checks the truncation as the config does: an
+    integral float becomes an int, a fraction or a bool is rejected instead
+    of building round(T) or one eigenvalue."""
+    spec = KernelSpec.designed(0.5, 64.0)
+    assert spec.truncation == 64 and type(spec.truncation) is int
+    assert spec.eigenvalues().size == 64
+    for bad in (64.5, True, np.bool_(True), "64", None):
+        with pytest.raises(ValueError, match="kernel.truncation must be an integer"):
+            KernelSpec.designed(0.5, bad)
+
+
 def test_eval_gaussian_diagonal():
     assert eval_kernel(KernelSpec.gaussian(1.0), 0.3, 0.3) == 1.0
     assert eval_kernel(KernelSpec.laplacian(1.0), 0.0, 0.0) == 1.0

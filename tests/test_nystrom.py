@@ -1,14 +1,25 @@
 import itertools
 import json
+import logging
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nystrom_krr import krr, nystrom
-from nystrom_krr.kernels import DecaySpec, KernelSpec, cross_gram, gram, sections
+from nystrom_krr.krr import KernelModel
+from nystrom_krr.kernels import (
+    DecaySpec,
+    KernelSpec,
+    basis_moments,
+    covariance,
+    cross_gram,
+    gram,
+    sections,
+)
 from nystrom_krr.nystrom import (
     SizeRuleParams,
     fit_nystrom,
@@ -31,8 +42,41 @@ from nystrom_krr.synthetic import (
 from nystrom_krr.spectral import IndexFunction
 
 
+EPS = np.finfo(float).eps
+
+
 def _dataset(xs, ys):
     return Dataset(xs=np.asarray(xs, float), ys=np.asarray(ys, float))
+
+
+def _svd_oracle(kernel, xs, ys, idx, lam):
+    """The restricted minimizer's eigen-coefficients on an SVD orthonormal basis
+    V of ``range(W^T)``, W the m x T inducing sections, with the rank threshold
+    ``max(m, T) eps sigma_max``: ``sqrt(mu) V c``, ``(V^T S V + lam I) c = V^T b``,
+    ``S = W_n^T W_n / n`` and ``b = W_n^T y / n`` (from the trig moments beyond
+    n = 4096). Also returns ``kappa(W) eps``, ``kappa(W) = sigma_max / sigma_min``."""
+    mu = kernel.eigenvalues()
+    n, m = xs.size, idx.size
+    _, sv, vt = np.linalg.svd(sections(xs[idx], mu), full_matrices=False)
+    kept = sv > max(m, mu.size) * EPS * sv[0]
+    basis = vt[kept].T
+    if n > 4096:
+        s_mat, b_vec = covariance(xs, mu), np.sqrt(mu) * basis_moments(xs, ys, mu.size) / n
+    else:
+        w_n = sections(xs, mu)
+        s_mat, b_vec = w_n.T @ w_n / n, w_n.T @ ys / n
+    reduced = basis.T @ s_mat @ basis + lam * np.eye(basis.shape[1])
+    c = np.linalg.solve(reduced, basis.T @ b_vec)
+    return np.sqrt(mu) * (basis @ c), sv[0] / sv[-1] * EPS
+
+
+def _oracle_error(kernel, data, lam, idx):
+    """Relative distance of the fit's eigen-coefficients from ``_svd_oracle``,
+    the fit and ``kappa(W) eps``."""
+    model = fit_nystrom(kernel, data, lam, idx)
+    ref, kappa_eps = _svd_oracle(kernel, data.xs, data.ys, np.asarray(idx), lam)
+    got = fitted_coefficients(model, kernel)
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref), model, kappa_eps
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +153,24 @@ def test_fit_two_point_scalar_reduction_oracle():
 
 
 def test_reduced_system_residual():
+    """The designed fit's eigen-coefficients ``f = sqrt(mu) v`` solve the
+    Nystrom system ``(K_nm^T K_nm + lam n K_mm) alpha = K_nm^T y`` for any
+    ``alpha`` with ``W_m^T alpha = v``: ``W_m ((W_n^T W_n + lam n I) v - W_n^T y)
+    = 0``, and ``v`` lies in ``range(W_m^T)``."""
     kernel = KernelSpec.designed(0.5, 128)
+    mu = kernel.eigenvalues()
     rng = np.random.default_rng(8)
     xs, ys = rng.uniform(0, 1, 200), rng.standard_normal(200)
     lam = 0.05
     idx = subsample_plain(200, 40, seed=1)
     model = fit_nystrom(kernel, _dataset(xs, ys), lam, idx)
-    k_nm = cross_gram(kernel, xs, xs[idx])
-    k_mm = gram(kernel, xs[idx])
-    lhs = (k_nm.T @ k_nm + lam * 200 * k_mm) @ model.alpha
-    rhs = k_nm.T @ ys
+    v = fitted_coefficients(model, kernel) / np.sqrt(mu)
+    w_n, w_m = sections(xs, mu), sections(xs[idx], mu)
+    lhs = w_m @ (w_n.T @ (w_n @ v) + lam * 200 * v)
+    rhs = cross_gram(kernel, xs, xs[idx]).T @ ys
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
+    in_span = w_m.T @ np.linalg.lstsq(w_m.T, v, rcond=None)[0]
+    assert np.linalg.norm(in_span - v) <= 1e-10 * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize(
@@ -148,65 +199,92 @@ def test_duplicate_inputs_resolved_by_jitter():
     assert np.all(np.isfinite(model.alpha))
 
 
-def test_fit_path_follows_n_against_truncation():
-    """A designed kernel solves in T-space once n > T; n <= T and the
-    closed-form kernels take the generic K_nm path. Both paths keep the
-    generic flop model."""
-    rng = np.random.default_rng(4)
+def test_designed_fit_matches_svd_oracle():
+    """The designed fit is the restricted minimizer: within
+    ``10 max(1e-10, kappa(W) eps)`` relative of ``_svd_oracle`` near m = T
+    (m = T - 1, T, T + 1, 2T; n below and above T), within 1e-12 on degenerate
+    inducing sets (exact repeats, x = 0 with x = 1, identical sections at T = 2),
+    and with the generic flop model for every kernel."""
+    rng = np.random.default_rng(90)
+    for s, t in itertools.product((0.4, 0.5, 0.8), (63, 64, 90, 91)):
+        kernel = KernelSpec.designed(s, t)
+        for m, n in itertools.product((t - 1, t, t + 1, 2 * t), (t - 1, 3 * t)):
+            if m > n:
+                continue
+            for _ in range(2):
+                data = _dataset(rng.uniform(0, 1, n), rng.standard_normal(n))
+                lam = float(10 ** rng.uniform(-4, -1))
+                idx = subsample_plain(n, m, seed=int(rng.integers(2**31)))
+                err, model, kappa_eps = _oracle_error(kernel, data, lam, idx)
+                assert err <= 10 * max(1e-10, kappa_eps), (s, t, m, n, err, kappa_eps)
+                assert model.opcount.flops == n * m * m + 2 * (m**3 // 3) + m * m
+
+    rng = np.random.default_rng(91)
+    repeats = np.concatenate([np.full(6, 0.25), rng.uniform(0, 1, 94)])
+    ends = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 98)])
+    twin = np.concatenate([[0.3, 0.7], rng.uniform(0, 1, 48)])
     cases = [
-        (KernelSpec.designed(0.5, 64), 64, False),
-        (KernelSpec.designed(0.5, 64), 65, True),
-        (KernelSpec.designed(0.5, 33), 200, True),
-        (KernelSpec.gaussian(0.3), 200, False),
+        (KernelSpec.designed(0.5, 16), repeats, list(range(10))),
+        (KernelSpec.designed(0.5, 256), repeats, list(range(10))),
+        (KernelSpec.designed(0.5, 8), repeats, list(range(30))),
+        (KernelSpec.designed(0.5, 64), ends, [0, 1, 5, 9]),
+        (KernelSpec.designed(0.5, 256), ends, [0, 1, 5, 9]),
+        (KernelSpec.designed(0.5, 2), twin, [0, 1]),
+        (KernelSpec.designed(0.5, 2), twin[:2], [0, 1]),
     ]
-    for kernel, n, expect_tspace in cases:
+    for kernel, xs, idx in cases:
+        data = _dataset(xs, rng.standard_normal(xs.size))
+        err, _, _ = _oracle_error(kernel, data, 1e-3, idx)
+        assert err <= 1e-12, (kernel.truncation, xs.size, len(idx), err)
+
+    # the flop model is the generic algorithm's on every path
+    flop_cases = [
+        (KernelSpec.designed(0.5, 64), 64),
+        (KernelSpec.designed(0.5, 64), 65),
+        (KernelSpec.designed(0.5, 33), 200),
+        (KernelSpec.gaussian(0.3), 200),
+    ]
+    for kernel, n in flop_cases:
         data = _dataset(rng.uniform(0, 1, n), rng.standard_normal(n))
-        with mock.patch.object(
-            nystrom, "_reduced_tspace", wraps=nystrom._reduced_tspace
-        ) as tspace, mock.patch.object(
-            nystrom, "_reduced_generic", wraps=nystrom._reduced_generic
-        ) as generic:
-            model = fit_nystrom(kernel, data, 0.05, subsample_plain(n, 10, seed=n))
-        assert (tspace.call_count, generic.call_count) == (
-            (1, 0) if expect_tspace else (0, 1)
-        )
+        model = fit_nystrom(kernel, data, 0.05, subsample_plain(n, 10, seed=n))
         assert model.opcount.flops == n * 100 + 2 * (1000 // 3) + 100
 
 
-def test_tspace_matches_generic_on_criterion_1_and_rule_sized_cells():
-    """The T-space solve agrees with the generic one to 1e-10 relative in the
-    fitted eigen-coefficients on criterion 1's designed instances (T = 512,
-    full subsample, n <= 200, T-space forced) and on rule-sized cells at
-    n <= 4096 (T = 2048, lambda0, c = 2)."""
-    worst = 0.0
-
-    def compare(kernel, data, lam, idx):
-        with mock.patch.object(nystrom, "_reduced_tspace", nystrom._reduced_generic):
-            ref = fitted_coefficients(fit_nystrom(kernel, data, lam, idx), kernel)
-        with mock.patch.object(nystrom, "_reduced_generic", nystrom._reduced_tspace):
-            got = fitted_coefficients(fit_nystrom(kernel, data, lam, idx), kernel)
-        return np.linalg.norm(got - ref) / np.linalg.norm(ref)
-
-    rng = np.random.default_rng(2024)  # criterion 1's instance stream
-    for inst in range(50):
-        if inst % 2:
-            kernel = KernelSpec.designed(float(rng.choice([0.4, 0.5, 0.8])), 512)
-        else:
-            kernel = KernelSpec.gaussian(float(rng.uniform(0.2, 2.0)))
-        n = int(rng.integers(5, 201))
-        lam = float(10 ** rng.uniform(-2, 0))
-        data = Dataset(xs=rng.uniform(0.0, 1.0, n), ys=rng.standard_normal(n))
-        if kernel.is_designed:
-            worst = max(worst, compare(kernel, data, lam, subsample_plain(n, n, seed=inst)))
-
+def test_designed_fit_matches_svd_oracle_on_rate_cells():
+    """Four rule-sized criterion-3 rate cells (n = 16384, T = 2048, lambda0,
+    c = 2): the fit is within 1e-12 relative of ``_svd_oracle``."""
     kernel = KernelSpec.designed(0.5, 2048)
     target = make_target(kernel.decay, 2048, IndexFunction.holder(0.25), 7, "power_boundary")
-    for n in (2560, 4096):
-        lam = lambda0(analytic_profile(kernel.decay, 2048), n)
-        m = subsample_size(n, lam, SizeRuleParams(c=2.0, delta=0.1), kernel=kernel)
-        data = sample_dataset(kernel.decay, 2048, target, NoiseSpec.gaussian(0.1), n, seed=n)
-        worst = max(worst, compare(kernel, data, lam, subsample_plain(n, m, seed=1)))
-    assert worst <= 1e-10
+    n = 16384
+    lam = lambda0(analytic_profile(kernel.decay, 2048), n)
+    m = subsample_size(n, lam, SizeRuleParams(c=2.0, delta=0.1), kernel=kernel)
+    for seed in range(4):
+        data = sample_dataset(kernel.decay, 2048, target, NoiseSpec.gaussian(0.1), n, seed=seed)
+        err, _, _ = _oracle_error(kernel, data, lam, subsample_plain(n, m, seed=100 + seed))
+        assert err <= 1e-12, (seed, err)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    s=st.sampled_from([0.4, 0.5, 0.8]),
+    truncation=st.integers(1, 160),
+    n_frac=st.floats(0.0, 1.0),
+    m_frac=st.floats(0.0, 1.0),
+    log_lam=st.floats(-4.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_designed_fit_matches_svd_oracle_property(s, truncation, n_frac, m_frac, log_lam, seed):
+    """Over s, T in 1..160, n in 1..4T (both sides of T) and m in
+    1..min(n, 2T): the fit is within ``10 max(1e-10, kappa(W) eps)`` relative
+    of ``_svd_oracle``."""
+    kernel = KernelSpec.designed(s, truncation)
+    rng = np.random.default_rng(seed)
+    n = 1 + round(n_frac * (4 * truncation - 1))
+    m = 1 + round(m_frac * (min(n, 2 * truncation) - 1))
+    data = _dataset(rng.uniform(0.0, 1.0, n), rng.standard_normal(n))
+    idx = rng.choice(n, m, replace=False)
+    err, _, kappa_eps = _oracle_error(kernel, data, 10.0**log_lam, idx)
+    assert err <= 10 * max(1e-10, kappa_eps), (err, kappa_eps)
 
 
 def test_opcount_composition():
@@ -245,21 +323,45 @@ def test_predict_cases():
     )
     assert_allclose(predict(model, kernel, [0.3]), [direct], rtol=1e-12)
 
-    # A designed model predicts through its eigen-coefficients and one type-2
-    # sum; pointwise it matches the cross-Gram expansion to round-off of the
-    # terms' magnitudes, also for rank-cut fits (m > T) and at x = 0 and 1.
+    # A designed expansion predicts through its eigen-coefficients and one
+    # type-2 sum; pointwise it matches the cross-Gram expansion to round-off of
+    # the terms' magnitudes, also with m > T support points and at x = 0 and 1.
     rng = np.random.default_rng(17)
     grid = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 200)])
     for truncation in (1, 2, 3, 8, 63, 64):
         kernel = KernelSpec.designed(0.5, truncation)
-        n = 300
-        data = _dataset(rng.uniform(0.0, 1.0, n), rng.standard_normal(n))
         for m in {max(1, truncation // 3), truncation, 3 * truncation}:
-            model = fit_nystrom(kernel, data, 1e-3, subsample_plain(n, m, seed=m))
-            k_block = cross_gram(kernel, grid, model.support_xs)
-            scale = np.abs(k_block) @ np.abs(model.alpha)
-            err = np.abs(predict(model, kernel, grid) - k_block @ model.alpha)
+            support, alpha = rng.uniform(0.0, 1.0, m), rng.standard_normal(m)
+            model = KernelModel(support, alpha, 1e-3, kernel=kernel)
+            k_block = cross_gram(kernel, grid, support)
+            scale = np.abs(k_block) @ np.abs(alpha)
+            err = np.abs(predict(model, kernel, grid) - k_block @ alpha)
             assert np.all(err <= 1e-12 * scale), (truncation, m)
+
+
+def test_designed_fit_alpha_on_request():
+    """A designed fit carries eigen-coefficients only; asked for ``alpha``, it
+    returns an expansion over its support points with the same predictions,
+    to round-off of the terms' magnitudes (m below, at and above T)."""
+    kernel = KernelSpec.designed(0.5, 32)
+    rng = np.random.default_rng(29)
+    data = _dataset(rng.uniform(0, 1, 150), rng.standard_normal(150))
+    grid = np.linspace(0, 1, 23)
+    for m in (10, 32, 70):
+        model = fit_nystrom(kernel, data, 1e-3, subsample_plain(150, m, seed=m))
+        assert model.coefficients.shape == (32,) and model.alpha.shape == (m,)
+        k_block = cross_gram(kernel, grid, model.support_xs)
+        err = np.abs(k_block @ model.alpha - predict(model, kernel, grid))
+        assert np.all(err <= 1e-12 * (np.abs(k_block) @ np.abs(model.alpha))), m
+    support, coeff = np.array([0.2, 0.6]), np.ones(32)
+    for args, kwargs in (
+        ((support, None, 0.1), {"kernel": kernel}),
+        ((support, np.ones(2), 0.1), {"kernel": kernel, "coefficients": coeff}),
+        ((support, None, 0.1), {"coefficients": coeff}),
+        ((support, None, 0.1), {"kernel": KernelSpec.gaussian(0.5), "coefficients": coeff}),
+    ):
+        with pytest.raises(ValueError, match="carries alpha"):
+            KernelModel(*args, **kwargs)
 
 
 def test_restricted_minimizer_property():
@@ -271,34 +373,45 @@ def test_restricted_minimizer_property():
     idx = subsample_plain(120, 15, seed=5)
     model = fit_nystrom(kernel, data, lam, idx)
     base = krr.empirical_risk(model, kernel, data, lam)
+    mu = kernel.eigenvalues()
     for _ in range(100):
-        other = fit_nystrom(kernel, data, lam, idx)
-        other.alpha = model.alpha + rng.standard_normal(15) * 0.05
+        # alpha + delta in eigen-coordinates: a step inside the span
+        step = mu * basis_moments(xs[idx], rng.standard_normal(15) * 0.05, 64)
+        other = KernelModel(
+            xs[idx], None, lam, kernel=kernel, coefficients=model.coefficients + step
+        )
         assert krr.empirical_risk(other, kernel, data, lam) >= base - 1e-12
+
+
+def test_designed_fit_logs_rank_cut(caplog):
+    """A designed fit logs one INFO line ``kept r of m`` when its span keeps
+    fewer than m directions (m > T, or repeated inducing points), else none."""
+    kernel = KernelSpec.designed(0.5, 16)
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([np.full(4, 0.5), rng.uniform(0, 1, 60)])
+    data = _dataset(xs, rng.standard_normal(64))
+    for idx, message in (
+        (range(32), "kept 16 of 32"),
+        (range(8), "kept 5 of 8"),
+        (range(4, 12), None),
+    ):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="nystrom_krr"):
+            fit_nystrom(kernel, data, 1e-2, list(idx))
+        assert [r.getMessage() for r in caplog.records] == ([message] if message else [])
 
 
 @pytest.mark.parametrize("s", [0.4, 0.5, 0.8])
 def test_m_above_truncation_matches_svd_restricted_minimizer(s):
-    """With m > T the inducing sections span at most T directions. The fit
-    matches the restricted minimizer computed on an SVD orthonormal basis V of
-    ``range(W^T)``, W the m x T section matrix: in the eigen-coordinates
-    ``v = V c`` with ``(V^T S V + lam I) c = V^T b``, ``S = W_n^T W_n / n``,
-    ``b = W_n^T y / n``, and eigen-coefficients ``sqrt(mu) v``."""
+    """With m > T the inducing sections span at most T directions; the fit
+    matches ``_svd_oracle``, the restricted minimizer on an SVD orthonormal
+    basis of ``range(W^T)``, to 1e-10 relative."""
     kernel = KernelSpec.designed(s, 64)
-    mu = kernel.eigenvalues()
     rng = np.random.default_rng(31)
     n, m, lam = 500, 100, 1e-3
-    xs, ys = rng.uniform(0, 1, n), rng.standard_normal(n)
-    idx = subsample_plain(n, m, seed=3)
-    model = fit_nystrom(kernel, _dataset(xs, ys), lam, idx)
-
-    _, sv, vt = np.linalg.svd(sections(xs[idx], mu), full_matrices=False)
-    basis = vt[sv > sv[0] * max(m, mu.size) * np.finfo(float).eps].T
-    w_n = sections(xs, mu)
-    s_mat, b_vec = basis.T @ (w_n.T @ w_n / n) @ basis, basis.T @ (w_n.T @ ys / n)
-    ref = np.sqrt(mu) * (basis @ np.linalg.solve(s_mat + lam * np.eye(basis.shape[1]), b_vec))
-    got = fitted_coefficients(model, kernel)
-    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+    data = _dataset(rng.uniform(0, 1, n), rng.standard_normal(n))
+    err, _, _ = _oracle_error(kernel, data, lam, subsample_plain(n, m, seed=3))
+    assert err <= 1e-10
 
 
 def test_error_nonincreasing_as_m_doubles():
@@ -414,6 +527,58 @@ def test_model_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         (tmp_path / "bogus.json").write_text('{"format": "other"}')
         load_model(tmp_path / "bogus.json")
+
+
+def test_designed_model_roundtrip_v3(tmp_path):
+    """A designed fit saves its eigen-coefficients (format v3, no alpha) and
+    loads with the same coefficients and predictions."""
+    kernel = KernelSpec.designed(0.5, 64)
+    rng = np.random.default_rng(3)
+    data = _dataset(rng.uniform(0, 1, 200), rng.standard_normal(200))
+    model = fit_nystrom(kernel, data, 1e-3, subsample_plain(200, 20, seed=4))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 3 and "alpha" not in payload
+    assert len(payload["coefficients"]) == 64
+    loaded = load_model(path)
+    assert np.array_equal(loaded.coefficients, model.coefficients)
+    assert np.array_equal(loaded.inducing_indices, model.inducing_indices)
+    grid = np.linspace(0, 1, 17)
+    assert np.array_equal(predict(loaded, kernel, grid), predict(model, kernel, grid))
+    assert krr.empirical_risk(loaded, kernel, data, 1e-3) == krr.empirical_risk(
+        model, kernel, data, 1e-3
+    )
+    for bad, match in (
+        ({"alpha": [0.0] * 20}, "not both"),
+        ({"coefficients": [0.0] * 63}, "truncation"),
+        ({"coefficients": [float("nan")] + [0.0] * 63}, "finite"),
+    ):
+        path.write_text(json.dumps({**payload, **bad}))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
+
+
+def test_load_model_reads_v2_artifact(tmp_path):
+    """A v2 artifact (an ``alpha`` expansion, designed kernels included) still
+    loads, and its model predicts ``sum_j alpha_j K(x, x_j)``."""
+    kernel = KernelSpec.designed(0.5, 32)
+    payload = {
+        "format": "nystrom-krr-model",
+        "version": 2,
+        "kernel": kernel.to_config(),
+        "lambda": 0.01,
+        "inducing_indices": [3, 7],
+        "inducing_xs": [0.2, 0.9],
+        "alpha": [1.5, -0.5],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    loaded = load_model(path)
+    assert loaded.coefficients is None and loaded.alpha.tolist() == [1.5, -0.5]
+    grid = np.linspace(0, 1, 11)
+    expected = cross_gram(kernel, grid, [0.2, 0.9]) @ np.array([1.5, -0.5])
+    assert_allclose(predict(loaded, kernel, grid), expected, rtol=1e-12, atol=1e-14)
 
 
 def test_load_model_rejects_inconsistent_artifact(tmp_path):

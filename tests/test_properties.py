@@ -5,7 +5,6 @@ a loaded machine cannot fail a test.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,12 +18,11 @@ from nystrom_krr.kernels import (
     basis_sum,
     covariance,
     fourier_basis,
-    gram,
     sections,
 )
-from nystrom_krr.linalg import pivoted_cholesky, solve_regularized
+from nystrom_krr.linalg import solve_regularized
 from nystrom_krr.spectral import IndexFunction, SpectralProfile, effective_dimension, lambda0
-from nystrom_krr.synthetic import Dataset, fitted_coefficients
+from nystrom_krr.synthetic import Dataset
 
 FEW = settings(max_examples=25, deadline=None, database=None)
 
@@ -105,40 +103,6 @@ def test_trig_sums_match_basis_products(truncation, n, seed):
     assert np.abs(basis_moments(xs, w, truncation) - basis.T @ w).max() <= tol * np.abs(w).sum()
     sec = sections(xs, mu)
     assert np.abs(covariance(xs, mu) - sec.T @ sec / n).max() <= tol
-
-
-@FEW
-@given(
-    s=st.sampled_from([0.4, 0.5, 0.8]),
-    truncation=st.integers(1, 160),
-    n=st.integers(2, 4096),
-    m_frac=st.floats(0.0, 1.0),
-    log_lam=st.floats(-4.0, 0.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_tspace_fit_matches_generic_fit(s, truncation, n, m_frac, log_lam, seed):
-    """Forcing either reduced solve on the same data and the same pivoted
-    ``K_mm`` factor R gives the same eigen-coefficients and predictions: to 1e-10
-    relative while cond(R) <= 1e4, and to 1e-14 cond(R) beyond, where both
-    paths lose digits to ``R^{-1}`` (m near T). ``alpha`` is not
-    compared: an ill-conditioned R amplifies round-off in it."""
-    kernel = KernelSpec.designed(s, truncation)
-    rng = np.random.default_rng(seed)
-    data = Dataset(xs=rng.uniform(0.0, 1.0, n), ys=rng.standard_normal(n))
-    m = 1 + round(m_frac * (min(n, 2 * truncation) - 1))
-    idx = rng.choice(n, m, replace=False)
-    lam = 10.0**log_lam
-    with mock.patch.object(nystrom, "_reduced_tspace", nystrom._reduced_generic):
-        generic = nystrom.fit_nystrom(kernel, data, lam, idx)
-    with mock.patch.object(nystrom, "_reduced_generic", nystrom._reduced_tspace):
-        tspace = nystrom.fit_nystrom(kernel, data, lam, idx)
-    r_factor, _ = pivoted_cholesky(gram(kernel, data.xs[idx]))
-    tol = max(1e-10, 1e-14 * np.linalg.cond(r_factor))
-    ref = fitted_coefficients(generic, kernel)
-    assert np.linalg.norm(fitted_coefficients(tspace, kernel) - ref) <= tol * np.linalg.norm(ref)
-    grid = np.linspace(0.0, 1.0, 41)
-    base = krr.predict(generic, kernel, grid)
-    assert np.linalg.norm(krr.predict(tspace, kernel, grid) - base) <= tol * np.linalg.norm(base)
 
 
 @FEW
