@@ -39,7 +39,6 @@ do not depend on execution order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -319,9 +318,3 @@ def report_rows(reports) -> list:
         for rep in reports
     ]
 
-
-def reports_to_csv(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        writer.writerows(report_rows(reports))

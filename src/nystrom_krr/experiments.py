@@ -98,9 +98,11 @@ def _number(value, name: str) -> float:
         raise ValueError(f"config error: '{name}' must be a number, got {value!r}") from exc
 
 
-def _list(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"config error: '{name}' must be a list, got {value!r}")
+def _typed(value, kind: type, name: str, what: str):
+    """A config value of JSON type ``kind`` (``what`` names it); any other is a
+    config error, so ``"false"`` is not read as true nor ``5`` as a path."""
+    if not isinstance(value, kind):
+        raise ValueError(f"config error: '{name}' must be {what}, got {value!r}")
     return value
 
 
@@ -126,13 +128,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         c_gamma=_optional(rule_cfg.get("c_gamma"), "size_rule.c_gamma"),
     )
     pol_cfg = raw.get("lambda_policy", {"kind": "lambda0"})
-    lam_values = _list(pol_cfg.get("values", []), "lambda_policy.values")
+    lam_values = _typed(pol_cfg.get("values", []), list, "lambda_policy.values", "a list")
     policy = LambdaPolicy(
         kind=_require(pol_cfg, "kind", "lambda_policy"),
         value=_optional(pol_cfg.get("value"), "lambda_policy.value"),
         values=tuple(_number(v, "lambda_policy.values") for v in lam_values),
     )
-    n_grid = _list(_require(raw, "n_grid", "top level"), "n_grid")
+    n_grid = _typed(_require(raw, "n_grid", "top level"), list, "n_grid", "a list")
     return ExperimentConfig(
         kernel=kernel,
         phi=phi,
@@ -144,12 +146,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         seed=check_integer(raw.get("seed", 0), "config error: 'seed'"),
         size_rule=size_rule,
         lambda_policy=policy,
-        outputs=raw.get("outputs", "out"),
-        krr_baseline=bool(raw.get("krr_baseline", False)),
+        outputs=_typed(raw.get("outputs", "out"), str, "outputs", "a string"),
+        krr_baseline=_typed(raw.get("krr_baseline", False), bool, "krr_baseline", "true or false"),
         gamma=_optional(raw.get("gamma"), "gamma"),
         lambda_factor=_number(raw.get("lambda_factor", 3.0), "lambda_factor"),
         exponent_tolerance=_number(raw.get("exponent_tolerance", 0.15), "exponent_tolerance"),
-        diagnostics=raw.get("diagnostics", {}),
+        diagnostics=_typed(raw.get("diagnostics", {}), dict, "diagnostics", "an object"),
     )
 
 
@@ -257,6 +259,13 @@ def _require_designed(config: ExperimentConfig, what: str):
         raise ValueError(f"{what} needs a designed_spectral kernel for exact errors")
 
 
+def _row_warnings(config: ExperimentConfig, m: int, warning: str) -> str:
+    """A row's ``warning`` (may be empty), joined by ``; `` with the flag of a
+    cell whose m >= T inducing sections make it full KRR, not a subsample."""
+    flag = "m >= T: estimator equals full KRR" if m >= config.kernel.truncation else ""
+    return "; ".join(w for w in (warning, flag) if w)
+
+
 # The result CSVs are byte-identical across re-runs with the same config and
 # seed; wall-clock goes to a companion timing file instead of the result rows.
 RATE_CSV_FIELDS = ["n", "rep", "seed", "m", "lambda", "error", "krr_error", "flops", "warnings"]
@@ -285,9 +294,11 @@ def run_rate_sweep(config: ExperimentConfig):
     grid, warns = [], []
     for n in config.n_grid:
         lam = _resolve_lambda(config, n)
-        grid.append((n, subsample_size(n, lam, config.size_rule, kernel=config.kernel), lam))
+        m = subsample_size(n, lam, config.size_rule, kernel=config.kernel)
+        grid.append((n, m, lam))
         admissible = lambda_admissible(lam, n, delta, top_eig)
-        warns.append("" if admissible else "lambda outside admissible window")
+        warn = "" if admissible else "lambda outside admissible window"
+        warns.append(_row_warnings(config, m, warn))
     rows, timing = [], []
     errs = [[] for _ in grid]
     for i, head, data, model, err, timing_row in _sweep_cells(config, grid):
@@ -354,9 +365,10 @@ def run_cost_sweep(config: ExperimentConfig):
         grid.append((n, subsample_size(n, lam, rule, kernel=config.kernel), lam))
     rows, timing = [], []
     cell_flops = [[] for _ in grid]
+    warns = [_row_warnings(config, m, warn) for _, m, _ in grid]
     for i, head, _, model, err, timing_row in _sweep_cells(config, grid):
         cell_flops[i].append(model.opcount.flops)
-        rows.append(head + [repr(bound.c_gamma), repr(err), model.opcount.flops, warn])
+        rows.append(head + [repr(bound.c_gamma), repr(err), model.opcount.flops, warns[i]])
         timing.append(timing_row)
     flops_per_n = [float(np.median(f)) for f in cell_flops]
 
@@ -416,7 +428,7 @@ def run_lambda_sensitivity(config: ExperimentConfig):
                 repr(med),
                 int(np.median(flops[i_l])),
                 int(lam == lam0),
-                "",
+                _row_warnings(config, m, ""),
             ]
         )
     best = min(medians.values())

@@ -5,6 +5,13 @@ Minimizes the regularized empirical risk
 theorem the coefficients solve ``(K + lam * n * I) c = y``. Note the ``n``
 factor: it comes from the 1/n weighting of the data-fit term, so ``lam``
 matches the population-scaled spectral quantities used elsewhere.
+
+A designed kernel has rank T: with the sections ``w(x) = sqrt(mu) * e(x)``
+(``W_n`` those of the n training points), the minimizer is ``f = sqrt(mu) * u``
+with ``(S + lam I) u = b``, ``S = W_n^T W_n / n`` and ``b = W_n^T y / n``
+(``_moment_system``). ``(S + lam I)^-1`` maps ``b`` into ``range(W_n^T)``, so
+this is the exact full-KRR minimizer for any n points, repeated or not. Above
+T it replaces the n x n system: O(n sqrt(T) + T^3) and no n x n array.
 """
 
 from __future__ import annotations
@@ -12,15 +19,25 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .kernels import KernelSpec, as_points, basis_moments, basis_sum, cross_gram, gram, sections
+from .kernels import (
+    KernelSpec,
+    as_points,
+    basis_moments,
+    basis_sum,
+    covariance,
+    cross_gram,
+    gram,
+    sections,
+)
 from .linalg import OpCount, check_positive, solve_regularized
 
 
 class KernelModel:
     """A fitted function, in one of two forms: the expansion
-    ``f(x) = sum_j alpha_j K(x, support_xs[j])`` (full KRR, every Gaussian or
-    Laplacian model, and hand-built models), or, for a designed-kernel Nystrom
-    fit, its eigen-``coefficients`` ``f = sum_k f_k e_k`` and no ``alpha``.
+    ``f(x) = sum_j alpha_j K(x, support_xs[j])`` (every Gaussian or Laplacian
+    model, designed full KRR on n <= T points, and hand-built models), or, for
+    a designed-kernel Nystrom fit or designed full KRR on n > T points, its
+    eigen-``coefficients`` ``f = sum_k f_k e_k`` and no ``alpha``.
 
     Full KRR supports on every training point; a Nystrom model supports on
     the inducing points and records their training-set ``inducing_indices``
@@ -76,11 +93,24 @@ def _training_arrays(kernel: KernelSpec, data, lam: float):
     return xs, ys
 
 
+def _moment_system(xs, ys, mu):
+    """``S = covariance(xs, mu)`` and ``b = sqrt(mu) * Phi^T y / n`` from the trig
+    moments: the eigen-coordinate system ``(S + lam I) u = b`` of n > T points."""
+    return covariance(xs, mu), np.sqrt(mu) * basis_moments(xs, ys, mu.size) / xs.size
+
+
 def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
-    """Fit by solving the n x n shifted Gram system."""
+    """Fit by solving the n x n shifted Gram system, or for a designed kernel
+    and n > T the T x T closed form (module docstring)."""
     xs, ys = _training_arrays(kernel, data, lam)
-    coeff = solve_regularized(gram(kernel, xs), lam * xs.size, ys)
-    return KernelModel(xs, coeff, lam, OpCount.krr(xs.size), kernel=kernel)
+    n = xs.size
+    if kernel.is_designed and n > kernel.truncation:
+        mu = kernel.eigenvalues()
+        s_mat, rhs = _moment_system(xs, ys, mu)
+        coeff = np.sqrt(mu) * solve_regularized(s_mat, lam, rhs)
+        return KernelModel(xs, None, lam, OpCount.krr(n), kernel=kernel, coefficients=coeff)
+    alpha = solve_regularized(gram(kernel, xs), lam * n, ys)
+    return KernelModel(xs, alpha, lam, OpCount.krr(n), kernel=kernel)
 
 
 def fitted_coefficients(model: KernelModel, kernel: KernelSpec) -> np.ndarray:

@@ -13,7 +13,8 @@ For an orthonormal basis ``Q`` of it, a function ``f = sqrt(mu) * Q beta`` has
     (Q^T S Q + lam I) beta = Q^T b,   S = W_n^T W_n / n,   b = W_n^T y / n,
 
 ``W_n`` the sections of the n training points; ``S`` (``covariance``) and
-``b`` come from the trig moments when n > T, and for n <= T the same system
+``b`` come from the trig moments when n > T (``krr._moment_system``, the
+system designed full KRR solves with Q = I), and for n <= T the same system
 times n is ``(G^T G + lam n I) beta = G^T y`` with ``G = W_n Q``. The model is
 its eigen-coefficients ``sqrt(mu) * Q beta``; it carries no ``alpha``.
 
@@ -58,9 +59,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .kernels import KernelSpec, as_points, basis_moments, covariance, cross_gram, gram, sections
+from .kernels import KernelSpec, as_points, covariance, cross_gram, gram, sections
 # predict is re-exported: one predict serves every model
-from .krr import KernelModel, _training_arrays, predict  # noqa: F401
+from .krr import KernelModel, _moment_system, _training_arrays, predict  # noqa: F401
 from .linalg import OpCount, check_positive, pivoted_cholesky, solve_regularized
 from .spectral import n_infinity
 
@@ -154,7 +155,7 @@ def _designed_fit(kernel, xs, ys, x_ind, lam):
     if n > t:
         # S before Q: built after Q, the moment blocks of S stack on it (peak RSS
         # 150-155 MB against 136-140 MB on rate cells n=16384, m=978, T=2048)
-        a_mat, rhs, shift = covariance(xs, mu), np.sqrt(mu) * basis_moments(xs, ys, t) / n, lam
+        (a_mat, rhs), shift = _moment_system(xs, ys, mu), lam
     q_mat = u_mat = None
     if m < t or pivoted_cholesky(covariance(x_ind, mu))[1].size < t:
         # W^T (T x m, Fortran order) is factored in place: below T as Q R, so

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from nystrom_krr.diagnostics import (
+    CSV_FIELDS,
     check_concentration,
     check_norm_equivalence,
     check_projection_bound,
     check_smoothness_perturbation,
-    reports_to_csv,
+    report_rows,
 )
+from nystrom_krr.experiments import write_rows
 from nystrom_krr.kernels import DecaySpec, KernelSpec, sections
 from nystrom_krr.nystrom import SizeRuleParams, subsample_size
 from nystrom_krr.spectral import IndexFunction, analytic_profile, lambda0
@@ -177,7 +179,7 @@ def test_reports_deterministic_and_csv(tmp_path):
     assert a.observed_max_ratio == b.observed_max_ratio
 
     path = tmp_path / "reports.csv"
-    reports_to_csv([a], path)
+    write_rows(path, CSV_FIELDS, report_rows([a]))
     text = path.read_text()
     assert "np.float" not in text  # plain scalars only
     lines = text.strip().splitlines()

@@ -131,6 +131,27 @@ def test_rate_sweep_nystrom_close_to_full_krr():
         assert float(np.median(ratios)) <= 1.5
 
 
+def test_rows_flag_m_at_or_above_truncation():
+    """At T = 16 a row whose m >= T says its estimator is full KRR, joined by
+    ``; `` after any other warning; rows with m < T carry no flag."""
+    flag = "m >= T: estimator equals full KRR"
+    kernel = KernelSpec.designed(0.5, 16)
+    config = small_config(kernel=kernel, n_grid=[8, 64, 256], repetitions=1, gamma=0.25)
+    rate_rows = exp.run_rate_sweep(config)[1]
+    cost_rows = exp.run_cost_sweep(config)[2]
+    lambda_rows = exp.run_lambda_sensitivity(config)[0]
+    for rows, other in (
+        (rate_rows, "lambda outside admissible window"),
+        (cost_rows, "no subquadratic guarantee (2 gamma + s <= 1)"),
+        (lambda_rows, ""),
+    ):
+        flagged = [row[3] >= 16 for row in rows]
+        assert any(flagged) and not all(flagged)
+        for row, above in zip(rows, flagged):
+            want = "; ".join(w for w in (other, flag if above else "") if w)
+            assert row[-1] == want, row
+
+
 def test_rate_sweep_requires_designed_kernel():
     with pytest.raises(ValueError, match="designed_spectral"):
         exp.run_rate_sweep(small_config(kernel=KernelSpec.gaussian(1.0)))
@@ -244,8 +265,7 @@ def test_run_diagnostics_rows(tmp_path):
 
 
 def _write_config(tmp_path, **overrides):
-    raw = config_dict(**overrides)
-    raw["outputs"] = str(tmp_path / "out")
+    raw = config_dict(**{"outputs": str(tmp_path / "out"), **overrides})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return path
@@ -367,6 +387,9 @@ def test_cli_rejects_bad_config_values(tmp_path):
         ("rate-sweep", {"noise": {"variant": "gaussian", "scale": "inf"}}, "noise scale"),
         ("rate-sweep", {"exponent_tolerance": "nan"}, "exponent_tolerance"),
         ("lambda-sweep", {"lambda_factor": -1}, "lambda_factor"),
+        ("rate-sweep", {"krr_baseline": "false"}, "krr_baseline"),
+        ("diagnostics", {"diagnostics": [1]}, "diagnostics"),
+        ("rate-sweep", {"outputs": 5}, "outputs"),
     ]
     for i, (command, overrides, key) in enumerate(cases):
         case_dir = tmp_path / str(i)
@@ -388,7 +411,8 @@ def test_rate_sweep_agrees_across_blas_threads(tmp_path):
     """One small sweep at 1 and at 2 OpenBLAS threads: same exit code and
     verdicts, same integer columns, floats within BLAS_THREAD_RTOL. With
     T = 64 the n = 48 cells solve on the training points' sections and the
-    n = 96, 192 cells on the trig-moment covariance."""
+    n = 96, 192 cells on the trig-moment covariance; the KRR baseline takes
+    the n x n Gram at n = 48 and the T x T closed form at n = 96, 192."""
     runs = []
     for threads in (1, 2):
         run_dir = tmp_path / f"threads{threads}"

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nystrom_krr.kernels import KernelSpec, gram
-from nystrom_krr.krr import KernelModel, empirical_risk, fit_krr, predict
+from nystrom_krr.krr import KernelModel, empirical_risk, fit_krr, fitted_coefficients, predict
+from nystrom_krr.linalg import OpCount, solve_regularized
 from nystrom_krr.synthetic import Dataset
 
 
@@ -188,3 +189,51 @@ def test_designed_predict_allocates_o_n():
         tracemalloc.stop()
     assert preds.shape == xs.shape and np.all(np.isfinite(preds))
     assert peak < 160 * 2**20, peak / 2**20
+
+
+def test_designed_fit_above_truncation_matches_nxn_reference():
+    """Above T a designed fit solves ``(S + lam I) u = b`` in the T
+    eigen-coordinates and returns eigen-coefficients; it is the n x n fit to
+    1e-10 relative in grid predictions and coefficients, also on training sets
+    with fewer than T distinct points."""
+    rng = np.random.default_rng(12)
+    grid = np.linspace(0.0, 1.0, 257)
+    cells = [
+        (s, t, n, False) for s in (0.4, 0.5, 0.8) for t in (63, 64, 256) for n in (t + 1, 2 * t)
+    ]
+    cells += [(0.5, 63, 4096, True), (0.4, 64, 128, True), (0.8, 256, 300, True)]
+    for s, t, n, repeated in cells:
+        kernel = KernelSpec.designed(s, t)
+        xs = rng.uniform(0.0, 1.0, n)
+        if repeated:
+            xs = rng.choice(xs[: t // 2], n)  # t // 2 distinct points
+        ys = rng.standard_normal(n)
+        lam = float(10 ** rng.uniform(-5.0, -1.0))
+        model = fit_krr(kernel, _dataset(xs, ys), lam)
+        ref = KernelModel(xs, solve_regularized(gram(kernel, xs), lam * n, ys), lam, kernel=kernel)
+        assert model.coefficients is not None
+        assert model.opcount == OpCount.krr(n)
+        for got, want in (
+            (predict(model, kernel, grid), predict(ref, kernel, grid)),
+            (fitted_coefficients(model, kernel), fitted_coefficients(ref, kernel)),
+        ):
+            rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert rel <= 1e-10, (s, t, n, repeated, lam, rel)
+
+
+def test_designed_fit_above_truncation_allocates_no_nxn_array():
+    """T = 2048, n = 8192: the closed form holds T x T arrays; the n x n Gram
+    alone would be 512 MiB."""
+    import tracemalloc
+
+    kernel = KernelSpec.designed(0.5, 2048)
+    rng = np.random.default_rng(8)
+    data = _dataset(rng.uniform(0.0, 1.0, 8192), rng.standard_normal(8192))
+    tracemalloc.start()
+    try:
+        model = fit_krr(kernel, data, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20, peak / 2**20
+    assert model.coefficients.shape == (2048,)
