@@ -35,12 +35,21 @@ bounds with an unspecified generic constant report the (1-delta)-quantile of
 the left-hand side divided by the rate factor ``log(1/delta) sqrt(N/n)``
 instead. Per-trial seeds spawn from the master seed by trial index, so results
 do not depend on execution order.
+
+One loop runs the trials of the checks in a call, drawing each trial once: the
+n uniform points, then the m inducing indices when a check uses a subsample,
+then the label noise (vector concentration only). ``S_hat`` and ``V`` are built
+at most once per trial and shared by the checks run together
+(``check_all_bounds``); with the points drawn first, a report does not depend
+on which other checks run beside it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -64,11 +73,107 @@ class BoundCheckReport:
     warnings: list = field(default_factory=list)
 
 
-def _check_settings(truncation, n, m, lam, trials) -> tuple:
-    """The one input check of the four bound checks: ``lam`` finite and
-    positive; T, n, m (None where no subsample is drawn) and trials integers
-    >= 1, with m <= n. Returns T, n, m and trials as ints."""
+class _Draw:
+    """One trial's draw: n uniform points, then m inducing indices unless m is
+    None. ``s_hat`` and ``v`` are built on first use, once per trial."""
+
+    def __init__(self, rng, n: int, m: int | None, mu):
+        self.rng, self.mu, self.xs = rng, mu, rng.uniform(0.0, 1.0, n)
+        self.idx = None if m is None else rng.choice(n, size=m, replace=False)
+
+    @cached_property
+    def s_hat(self) -> np.ndarray:
+        return covariance(self.xs, self.mu)
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        q, _ = sla.qr(sections(self.xs[self.idx], self.mu).T, mode="economic", check_finite=False)
+        return np.sqrt(self.mu)[:, None] * q
+
+
+# A bound: its left-hand side as a function of a ``_Draw``, the scale it is read
+# against, whether its constant is generic (so the quantile is reported too),
+# whether it reads the subsample, and the settings only its report carries.
+_Check = namedtuple("_Check", "name lhs scale generic subsample settings", defaults=(False, False, {}))
+
+
+def _projection(mu, lam, **_) -> _Check:
+    pop = np.diag(mu)
+    lhs = lambda d: sym_eigenvalues(pop - d.v @ d.v.T)[0]  # noqa: E731
+    return _Check("projection", lhs, 3.0 * lam, subsample=True)
+
+
+def _norm_equivalence(mu, lam, **_) -> _Check:
+    inv_root = (lam + mu) ** -0.5
+    # exactly symmetric, so the scaled matrix is as symmetric as S_hat
+    scale = np.outer(inv_root, inv_root)
+    # lam D^-2 >= lam / (lam + mu_1) bounds the smallest eigenvalue from below,
+    # which keeps a round-off-level lambda from reaching a nonpositive one
+    floor, shift = lam / (lam + mu[0]), lam * np.eye(mu.size)
+    lhs = lambda d: max(sym_eigenvalues((d.s_hat + shift) * scale)[-1], floor) ** -0.5  # noqa: E731
+    return _Check("norm_equivalence", lhs, 2.0)
+
+
+def _concentration(which, target, noise, mu, n, lam, delta) -> _Check:
+    warp, pop = (lam + mu) ** -0.5, np.diag(mu)
+    profile = SpectralProfile(mu, "analytic")
+    rate_factor = math.log(1.0 / delta) * math.sqrt(effective_dimension(profile, lam) / n)
+
+    def lhs(d):
+        if which == "operator":
+            a = warp[:, None] * (pop - d.s_hat)
+            return math.sqrt(sym_eigenvalues(a.T @ a)[0])
+        ys = target_values(target, d.xs) + noise.sample(d.rng, n)
+        emp_vec = np.sqrt(mu) * basis_moments(d.xs, ys, mu.size) / n
+        return float(np.linalg.norm(warp * (np.sqrt(mu) * target.f_coefficients - emp_vec)))
+
+    return _Check(f"concentration_{which}", lhs, rate_factor, generic=True)
+
+
+def _smoothness(phi, mu, lam, **_) -> _Check:
+    if phi.family != "holder":
+        raise NotImplementedError(
+            "smoothness perturbation check supports holder index functions only"
+        )
+    phi_pop = np.diag(phi(mu))
+
+    def lhs(d):
+        sig2, y = np.linalg.eigh(d.v.T @ d.v)
+        # at or below the pivoted Cholesky's tolerance an eigenvalue is an
+        # exact zero, so phi (steep at 0) never sees round-off
+        keep = sig2 > sig2.size * np.finfo(np.float64).eps * sig2[-1]
+        # U phi(Sigma^2)^(1/2), so that phi(M_P) is one symmetric product
+        half = d.v @ (y[:, keep] * np.sqrt(phi(sig2[keep]) / sig2[keep]))
+        evals = sym_eigenvalues(phi_pop - half @ half.T)
+        return max(evals[0], -evals[-1])
+
+    return _Check("smoothness_perturbation", lhs, phi(lam), True, True, {"r": phi.r})
+
+
+def _report(check: _Check, lhs, delta, common, warnings) -> BoundCheckReport:
+    """The one report builder: the share of trials with ``lhs > scale``, the
+    largest ``lhs / scale`` and, for a generic constant, the quantile's."""
+    quantile = np.quantile(lhs, 1.0 - delta) / check.scale if check.generic else None
+    return BoundCheckReport(
+        bound_name=check.name,
+        trials=lhs.size,
+        delta=delta,
+        violation_rate=float(np.mean(lhs > check.scale)),
+        observed_max_ratio=float(max(0.0, lhs.max()) / check.scale),
+        quantile_ratio=None if quantile is None else float(quantile),
+        settings={k: v for k, v in common.items() if k != "m" or check.subsample} | check.settings,
+        warnings=warnings if check.subsample else [],
+    )
+
+
+def _run_checks(decay, truncation, n, m, lam, delta, trials, seed, makers) -> list:
+    """The one trial loop: one report per check ``make(mu=, n=, lam=, delta=)``,
+    each read from every trial's one ``_Draw``. First the one input check:
+    ``lam`` finite and positive, ``delta`` in (0, 1), and T, n, m (None where no
+    check uses a subsample) and trials integers >= 1, with m <= n."""
     check_positive(lam)
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
     sizes = {"truncation": truncation, "n": n, "m": m, "trials": trials}
     for name, value in sizes.items():
         if value is not None:
@@ -77,31 +182,25 @@ def _check_settings(truncation, n, m, lam, trials) -> tuple:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
     if m is not None and sizes["m"] > sizes["n"]:
         raise ValueError(f"subsample size m={m} exceeds the sample size n={n}")
-    return tuple(sizes.values())
-
-
-def _trial_rngs(seed: int, trials: int):
-    return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(trials)]
-
-
-def _compressed_factor(rng, n: int, m: int, mu) -> np.ndarray:
-    """``V = M^(1/2) Q`` for one trial's m inducing points out of n uniform
-    draws, Q an orthonormal basis of their sections: ``M^(1/2) P M^(1/2) = V V^T``."""
-    xs = rng.uniform(0.0, 1.0, n)
-    idx = rng.choice(n, size=m, replace=False)
-    q, _ = sla.qr(sections(xs[idx], mu).T, mode="economic", check_finite=False)
-    return np.sqrt(mu)[:, None] * q
-
-
-def _size_rule_warnings(decay, truncation, n, m, lam, delta) -> list:
-    kernel = KernelSpec.designed(decay.s, truncation)
-    needed = subsample_size(n, lam, SizeRuleParams(c=1.0, delta=delta), kernel=kernel)
-    if m >= needed:
-        return []
-    return [
-        f"subsample size m={m} is below the rule value {needed}; "
-        "the bound's premise is not guaranteed"
-    ]
+    truncation, n, m, trials = sizes.values()
+    mu = decay.eigenvalues(truncation)
+    checks = [make(mu=mu, n=n, lam=lam, delta=delta) for make in makers]
+    warnings = []
+    if m is not None:
+        kernel = KernelSpec.designed(decay.s, truncation)
+        needed = subsample_size(n, lam, SizeRuleParams(c=1.0, delta=delta), kernel=kernel)
+        if m < needed:
+            warnings.append(
+                f"subsample size m={m} is below the rule value {needed}; "
+                "the bound's premise is not guaranteed"
+            )
+    lhs = np.empty((len(checks), trials))
+    for t, ss in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        draw = _Draw(np.random.default_rng(ss), n, m, mu)
+        for c, check in enumerate(checks):
+            lhs[c, t] = check.lhs(draw)
+    common = {"n": n, "m": m, "lambda": lam, "T": truncation, "s": decay.s}
+    return [_report(check, values, delta, common, warnings) for check, values in zip(checks, lhs)]
 
 
 def check_projection_bound(
@@ -115,26 +214,7 @@ def check_projection_bound(
     seed: int,
 ) -> BoundCheckReport:
     """Per trial: is ||sqrt(mu-diag) (I - P)||^2 = lambda_max(M - V V^T) <= 3 lambda?"""
-    truncation, n, m, trials = _check_settings(truncation, n, m, lam, trials)
-    warn = _size_rule_warnings(decay, truncation, n, m, lam, delta)
-    mu = decay.eigenvalues(truncation)
-    pop = np.diag(mu)
-    violations = 0
-    max_ratio = 0.0
-    for rng in _trial_rngs(seed, trials):
-        v = _compressed_factor(rng, n, m, mu)
-        lhs = sym_eigenvalues(pop - v @ v.T)[0]
-        max_ratio = max(max_ratio, lhs / (3.0 * lam))
-        violations += lhs > 3.0 * lam
-    return BoundCheckReport(
-        bound_name="projection",
-        trials=trials,
-        delta=delta,
-        violation_rate=float(violations) / trials,
-        observed_max_ratio=float(max_ratio),
-        settings={"n": n, "m": m, "lambda": lam, "T": truncation, "s": decay.s},
-        warnings=warn,
-    )
+    return _run_checks(decay, truncation, n, m, lam, delta, trials, seed, [_projection])[0]
 
 
 def check_norm_equivalence(
@@ -152,30 +232,7 @@ def check_norm_equivalence(
     empirical side, which is the form the error analysis consumes, as
     ``lambda_min(D^-1 (lam I + S_hat) D^-1)^(-1/2)``.
     """
-    truncation, n, _, trials = _check_settings(truncation, n, None, lam, trials)
-    mu = decay.eigenvalues(truncation)
-    inv_root = (lam + mu) ** -0.5
-    # exactly symmetric, so the scaled matrix is as symmetric as S_hat
-    scale = np.outer(inv_root, inv_root)
-    # lam D^-2 >= lam / (lam + mu_1) bounds the smallest eigenvalue from below,
-    # which keeps a round-off-level lambda from reaching a nonpositive one
-    floor = lam / (lam + mu[0])
-    violations = 0
-    max_ratio = 0.0
-    for rng in _trial_rngs(seed, trials):
-        shifted = covariance(rng.uniform(0.0, 1.0, n), mu)
-        shifted[np.diag_indices(truncation)] += lam
-        lhs = max(sym_eigenvalues(shifted * scale)[-1], floor) ** -0.5
-        max_ratio = max(max_ratio, lhs / 2.0)
-        violations += lhs > 2.0
-    return BoundCheckReport(
-        bound_name="norm_equivalence",
-        trials=trials,
-        delta=delta,
-        violation_rate=float(violations) / trials,
-        observed_max_ratio=float(max_ratio),
-        settings={"n": n, "lambda": lam, "T": truncation, "s": decay.s},
-    )
+    return _run_checks(decay, truncation, n, None, lam, delta, trials, seed, [_norm_equivalence])[0]
 
 
 def check_concentration(
@@ -202,37 +259,8 @@ def check_concentration(
         raise ValueError(f"which must be 'operator' or 'vector', got {which!r}")
     if which == "vector" and (target is None or noise is None):
         raise ValueError("the vector variant needs a target and a noise spec")
-    truncation, n, _, trials = _check_settings(truncation, n, None, lam, trials)
-    mu = decay.eigenvalues(truncation)
-    warp = (lam + mu) ** -0.5
-    pop = np.diag(mu)
-    profile = SpectralProfile(mu, "analytic")
-    rate_factor = math.log(1.0 / delta) * math.sqrt(
-        effective_dimension(profile, lam) / n
-    )
-    lhs_values = []
-    for rng in _trial_rngs(seed, trials):
-        xs = rng.uniform(0.0, 1.0, n)
-        if which == "operator":
-            a = warp[:, None] * (pop - covariance(xs, mu))
-            lhs = math.sqrt(sym_eigenvalues(a.T @ a)[0])
-        else:
-            ys = target_values(target, xs) + noise.sample(rng, n)
-            pop_vec = np.sqrt(mu) * target.f_coefficients
-            emp_vec = np.sqrt(mu) * basis_moments(xs, ys, truncation) / n
-            lhs = float(np.linalg.norm(warp * (pop_vec - emp_vec)))
-        lhs_values.append(lhs)
-    lhs_values = np.asarray(lhs_values)
-    quantile = float(np.quantile(lhs_values, 1.0 - delta))
-    return BoundCheckReport(
-        bound_name=f"concentration_{which}",
-        trials=trials,
-        delta=delta,
-        violation_rate=float(np.mean(lhs_values > rate_factor)),
-        observed_max_ratio=float(lhs_values.max() / rate_factor),
-        quantile_ratio=quantile / rate_factor,
-        settings={"n": n, "lambda": lam, "T": truncation, "s": decay.s},
-    )
+    make = partial(_concentration, which, target, noise)
+    return _run_checks(decay, truncation, n, None, lam, delta, trials, seed, [make])[0]
 
 
 def check_smoothness_perturbation(
@@ -249,37 +277,20 @@ def check_smoothness_perturbation(
     """Quantile ratio of ||phi(diag mu) - phi(M_P)|| against phi(lambda),
     where ``M_P = V V^T`` is the population covariance compressed by the
     subsample projector, with ``phi(M_P)`` from the eigenpairs of ``V^T V``."""
-    if phi.family != "holder":
-        raise NotImplementedError(
-            "smoothness perturbation check supports holder index functions only"
-        )
-    truncation, n, m, trials = _check_settings(truncation, n, m, lam, trials)
-    warn = _size_rule_warnings(decay, truncation, n, m, lam, delta)
-    mu = decay.eigenvalues(truncation)
-    phi_pop = np.diag(phi(mu))
-    eps = np.finfo(np.float64).eps
-    ratios = []
-    for rng in _trial_rngs(seed, trials):
-        v = _compressed_factor(rng, n, m, mu)
-        sig2, y = np.linalg.eigh(v.T @ v)
-        # at or below the pivoted Cholesky's tolerance an eigenvalue is an
-        # exact zero, so phi (steep at 0) never sees round-off
-        keep = sig2 > sig2.size * eps * sig2[-1]
-        # U phi(Sigma^2)^(1/2), so that phi(M_P) is one symmetric product
-        half = v @ (y[:, keep] * np.sqrt(phi(sig2[keep]) / sig2[keep]))
-        evals = sym_eigenvalues(phi_pop - half @ half.T)
-        ratios.append(max(evals[0], -evals[-1]) / phi(lam))
-    ratios = np.asarray(ratios)
-    return BoundCheckReport(
-        bound_name="smoothness_perturbation",
-        trials=trials,
-        delta=delta,
-        violation_rate=float(np.mean(ratios > 1.0)),
-        observed_max_ratio=float(ratios.max()),
-        quantile_ratio=float(np.quantile(ratios, 1.0 - delta)),
-        settings={"n": n, "m": m, "lambda": lam, "T": truncation, "s": decay.s, "r": phi.r},
-        warnings=warn,
-    )
+    make = partial(_smoothness, phi)
+    return _run_checks(decay, truncation, n, m, lam, delta, trials, seed, [make])[0]
+
+
+def check_all_bounds(
+    decay: DecaySpec, truncation: int, n: int, m: int, lam: float, phi: IndexFunction,
+    delta: float, trials: int, seed: int,
+) -> list:
+    """The projection, norm equivalence, operator concentration and
+    smoothness checks, in that order, on one draw per trial. Each report
+    equals the one its own check returns for the same settings."""
+    concentration = partial(_concentration, "operator", None, None)
+    makers = [_projection, _norm_equivalence, concentration, partial(_smoothness, phi)]
+    return _run_checks(decay, truncation, n, m, lam, delta, trials, seed, makers)
 
 
 CSV_FIELDS = [

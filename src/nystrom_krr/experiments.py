@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import krr, nystrom
-from .diagnostics import (
-    check_concentration,
-    check_norm_equivalence,
-    check_projection_bound,
-    check_smoothness_perturbation,
-)
+from .diagnostics import check_all_bounds
 from .kernels import KernelSpec
 from .linalg import check_integer, check_positive
 from .nystrom import SizeRuleParams, lambda_admissible, subsample_plain, subsample_size
@@ -111,23 +106,26 @@ def _optional(value, name: str):
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    kernel = KernelSpec.from_config(_require(raw, "kernel", "top level"))
-    tgt = _require(raw, "target", "top level")
+    kernel_cfg = _typed(_require(raw, "kernel", "top level"), dict, "kernel", "an object")
+    kernel = KernelSpec.from_config(kernel_cfg)
+    tgt = _typed(_require(raw, "target", "top level"), dict, "target", "an object")
     r = _number(_require(tgt, "r", "target"), "target.r")
     phi = IndexFunction(_require(tgt, "family", "target"), r)
-    noise_cfg = _require(raw, "noise", "top level")
+    noise_cfg = _typed(_require(raw, "noise", "top level"), dict, "noise", "an object")
     noise = NoiseSpec(
         _require(noise_cfg, "variant", "noise"),
         _number(_require(noise_cfg, "scale", "noise"), "noise.scale"),
     )
-    rule_cfg = raw.get("size_rule", {})
+    rule_cfg = _typed(raw.get("size_rule", {}), dict, "size_rule", "an object")
     size_rule = SizeRuleParams(
         c=_number(rule_cfg.get("c", 1.0), "size_rule.c"),
         delta=_number(rule_cfg.get("delta", 0.1), "size_rule.delta"),
         gamma=_optional(rule_cfg.get("gamma"), "size_rule.gamma"),
         c_gamma=_optional(rule_cfg.get("c_gamma"), "size_rule.c_gamma"),
     )
-    pol_cfg = raw.get("lambda_policy", {"kind": "lambda0"})
+    pol_cfg = _typed(
+        raw.get("lambda_policy", {"kind": "lambda0"}), dict, "lambda_policy", "an object"
+    )
     lam_values = _typed(pol_cfg.get("values", []), list, "lambda_policy.values", "a list")
     policy = LambdaPolicy(
         kind=_require(pol_cfg, "kind", "lambda_policy"),
@@ -443,9 +441,11 @@ def run_lambda_sensitivity(config: ExperimentConfig):
 
 
 def run_diagnostics(config: ExperimentConfig):
-    """The four operator-bound checks at the configured settings."""
+    """The four operator-bound checks at the configured settings, one draw per trial."""
     _require_designed(config, "diagnostics")
     d = config.diagnostics
+    for key in sorted(d.keys() - {"T", "n", "trials", "delta", "lambda"}):
+        raise ValueError(f"config error: 'diagnostics.{key}' is not a diagnostics setting")
     truncation = check_integer(d.get("T", 256), "config error: 'diagnostics.T'")
     n = check_integer(d.get("n", 2048), "config error: 'diagnostics.n'")
     trials = check_integer(d.get("trials", 200), "config error: 'diagnostics.trials'")
@@ -456,26 +456,9 @@ def run_diagnostics(config: ExperimentConfig):
     lam = _number(d.get("lambda", lambda0(profile, n)), "diagnostics.lambda")
     kernel = KernelSpec.designed(decay.s, truncation)
     m = subsample_size(n, lam, SizeRuleParams(c=1.0, delta=delta), kernel=kernel)
-    seed = config.seed
-    target = _make_target(config)
-    reports = [
-        check_projection_bound(decay, truncation, n, m, lam, delta, trials, seed),
-        check_norm_equivalence(decay, truncation, n, lam, delta, trials, seed),
-        check_concentration(
-            decay, truncation, n, lam, trials, seed, which="operator", delta=delta
-        ),
-        check_smoothness_perturbation(
-            decay,
-            truncation,
-            n,
-            m,
-            lam,
-            config.phi if config.phi.family == "holder" else IndexFunction.holder(0.5),
-            trials,
-            seed,
-            delta,
-        ),
-    ]
+    _make_target(config)  # no check reads the target; an invalid one is still an error
+    phi = config.phi if config.phi.family == "holder" else IndexFunction.holder(0.5)
+    reports = check_all_bounds(decay, truncation, n, m, lam, phi, delta, trials, config.seed)
     summary = [
         f"{r.bound_name}: violation_rate={r.violation_rate:.3f} "
         f"max_ratio={r.observed_max_ratio:.3f}"

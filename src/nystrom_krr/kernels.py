@@ -126,15 +126,18 @@ class KernelSpec:
         if "variant" not in cfg:
             raise ValueError("kernel config needs a 'variant' key")
         variant = cfg["variant"]
+        if variant not in (DESIGNED, GAUSSIAN, LAPLACIAN):
+            raise ValueError(f"unknown kernel variant: {variant!r}")
+        key = "s" if variant == DESIGNED else "bandwidth"
+        if key not in cfg:
+            raise ValueError(f"{variant} kernel config needs '{key}'")
+        try:
+            value = float(cfg[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"kernel.{key} must be a number, got {cfg[key]!r}") from exc
         if variant == DESIGNED:
-            if "s" not in cfg:
-                raise ValueError("designed_spectral kernel config needs 's'")
-            return cls.designed(float(cfg["s"]), cfg.get("truncation", 2048))
-        if variant in (GAUSSIAN, LAPLACIAN):
-            if "bandwidth" not in cfg:
-                raise ValueError(f"{variant} kernel config needs 'bandwidth'")
-            return cls(variant, bandwidth=float(cfg["bandwidth"]))
-        raise ValueError(f"unknown kernel variant: {variant!r}")
+            return cls.designed(value, cfg.get("truncation", 2048))
+        return cls(variant, bandwidth=value)
 
 
 def fourier_basis(xs, truncation: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nystrom_krr import diagnostics
 from nystrom_krr.diagnostics import (
     CSV_FIELDS,
     check_concentration,
@@ -9,7 +10,7 @@ from nystrom_krr.diagnostics import (
     check_smoothness_perturbation,
     report_rows,
 )
-from nystrom_krr.experiments import write_rows
+from nystrom_krr.experiments import ExperimentConfig, LambdaPolicy, run_diagnostics, write_rows
 from nystrom_krr.kernels import DecaySpec, KernelSpec, sections
 from nystrom_krr.nystrom import SizeRuleParams, subsample_size
 from nystrom_krr.spectral import IndexFunction, analytic_profile, lambda0
@@ -189,25 +190,26 @@ def test_reports_deterministic_and_csv(tmp_path):
 
 
 def test_checks_reject_bad_settings():
-    """lambda, T, n, m and trials pass one input check in all four checks: a
-    NaN lambda, no trials, m > n, a fraction or a bool is a ``ValueError``
-    naming the input, not an SVD, division or sampling error."""
+    """lambda, delta, T, n, m and trials pass one input check in all four
+    checks: a NaN lambda, a delta outside (0, 1), no trials, m > n, a fraction
+    or a bool is a ``ValueError`` naming the input, not an SVD, division,
+    quantile or sampling error."""
     phi = IndexFunction.holder(0.5)
     checks = {
         "projection": lambda **kw: check_projection_bound(
-            DECAY, kw["T"], kw["n"], kw["m"], kw["lam"], 0.1, kw["trials"], 0
+            DECAY, kw["T"], kw["n"], kw["m"], kw["lam"], kw["delta"], kw["trials"], 0
         ),
         "smoothness": lambda **kw: check_smoothness_perturbation(
-            DECAY, kw["T"], kw["n"], kw["m"], kw["lam"], phi, kw["trials"], 0
+            DECAY, kw["T"], kw["n"], kw["m"], kw["lam"], phi, kw["trials"], 0, kw["delta"]
         ),
         "norm_equivalence": lambda **kw: check_norm_equivalence(
-            DECAY, kw["T"], kw["n"], kw["lam"], 0.1, kw["trials"], 0
+            DECAY, kw["T"], kw["n"], kw["lam"], kw["delta"], kw["trials"], 0
         ),
         "concentration": lambda **kw: check_concentration(
-            DECAY, kw["T"], kw["n"], kw["lam"], kw["trials"], 0
+            DECAY, kw["T"], kw["n"], kw["lam"], kw["trials"], 0, delta=kw["delta"]
         ),
     }
-    good = dict(T=16, n=50, m=5, lam=0.1, trials=3)
+    good = dict(T=16, n=50, m=5, lam=0.1, delta=0.1, trials=3)
     bad_cases = [
         ({"lam": float("nan")}, "lambda must be finite and positive"),
         ({"lam": 0.0}, "lambda must be finite and positive"),
@@ -218,6 +220,10 @@ def test_checks_reject_bad_settings():
         ({"n": 0}, "n must be >= 1"),
         ({"m": 51}, "m=51 exceeds the sample size n=50"),
         ({"m": 0}, "m must be >= 1"),
+        *[
+            ({"delta": delta}, r"delta must be in \(0, 1\)")
+            for delta in (0.0, 1.0, 1.5, float("nan"))
+        ],
     ]
     for name, check in checks.items():
         base = check(**good)
@@ -260,3 +266,64 @@ def test_smoothness_matches_rank_truncated_reference():
     assert report.quantile_ratio == pytest.approx(
         np.quantile(ratios, 1.0 - delta), rel=1e-10, abs=0.0
     )
+
+
+def _diagnostics_config(phi, trials):
+    return ExperimentConfig(
+        kernel=KernelSpec.designed(DECAY.s, 64),
+        phi=phi,
+        target_profile="power_boundary",
+        coeff_seed=7,
+        noise=NoiseSpec.gaussian(0.1),
+        n_grid=[256],
+        repetitions=1,
+        seed=17,
+        size_rule=SizeRuleParams(),
+        lambda_policy=LambdaPolicy("lambda0"),
+        diagnostics={"T": 32, "n": 256, "trials": trials, "delta": 0.2},
+    )
+
+
+def test_run_diagnostics_equals_separate_checks():
+    """One draw per trial shared by the four checks gives, field by field, the
+    reports of four separate calls, which each draw the trial on their own. A
+    log_type target falls back to holder(0.5) for the smoothness check."""
+    truncation, n, trials, delta, seed = 32, 256, 10, 0.2, 17
+    lam = lambda0(analytic_profile(DECAY, truncation), n)
+    kernel = KernelSpec.designed(DECAY.s, truncation)
+    m = subsample_size(n, lam, SizeRuleParams(c=1.0, delta=delta), kernel=kernel)
+    for phi, smooth_phi in [
+        (IndexFunction.holder(0.25), IndexFunction.holder(0.25)),
+        (IndexFunction.log_type(0.5), IndexFunction.holder(0.5)),
+    ]:
+        reports, _, _ = run_diagnostics(_diagnostics_config(phi, trials))
+        separate = [
+            check_projection_bound(DECAY, truncation, n, m, lam, delta, trials, seed),
+            check_norm_equivalence(DECAY, truncation, n, lam, delta, trials, seed),
+            check_concentration(DECAY, truncation, n, lam, trials, seed, delta=delta),
+            check_smoothness_perturbation(
+                DECAY, truncation, n, m, lam, smooth_phi, trials, seed, delta
+            ),
+        ]
+        assert len(reports) == len(separate) == 4
+        for joint, alone in zip(reports, separate):
+            assert vars(joint) == vars(alone), alone.bound_name
+
+
+def test_run_diagnostics_builds_each_trial_once(monkeypatch):
+    """A run of k trials builds k empirical covariances and k QRs of the
+    inducing sections: each trial's draw is shared by the four checks."""
+    calls = {"covariance": 0, "qr": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(diagnostics, "covariance", counted("covariance", diagnostics.covariance))
+    monkeypatch.setattr(diagnostics.sla, "qr", counted("qr", diagnostics.sla.qr))
+    trials = 7
+    run_diagnostics(_diagnostics_config(IndexFunction.holder(0.25), trials))
+    assert calls == {"covariance": trials, "qr": trials}

@@ -374,10 +374,12 @@ def test_cli_log_level_shows_jitter_escalation(tmp_path):
 
 
 def test_cli_rejects_bad_config_values(tmp_path):
-    """A config value of the wrong type or out of range ends in exit 1 and an
-    ``error:`` line naming it: no traceback, and no silent FAIL verdict."""
+    """A config value or section of the wrong type, a value out of range or an
+    unknown diagnostics key ends in exit 1 and an ``error:`` line naming it: no
+    traceback, and no silent FAIL verdict."""
     rule = {"c": 2.0, "delta": 0.1}
     grid = {"kind": "grid", "values": ["a"]}
+    diag = {"T": 32, "n": 256, "trials": 4}
     cases = [
         ("rate-sweep", {"size_rule": {**rule, "gamma": "half", "c_gamma": 1.0}}, "size_rule.gamma"),
         ("rate-sweep", {"size_rule": {**rule, "gamma": 0.5, "c_gamma": "x"}}, "size_rule.c_gamma"),
@@ -390,6 +392,13 @@ def test_cli_rejects_bad_config_values(tmp_path):
         ("rate-sweep", {"krr_baseline": "false"}, "krr_baseline"),
         ("diagnostics", {"diagnostics": [1]}, "diagnostics"),
         ("rate-sweep", {"outputs": 5}, "outputs"),
+        ("rate-sweep", {"kernel": 5}, "'kernel'"),
+        ("rate-sweep", {"target": 5}, "'target'"),
+        ("rate-sweep", {"size_rule": []}, "'size_rule'"),
+        ("lambda-sweep", {"lambda_policy": 3}, "'lambda_policy'"),
+        ("rate-sweep", {"kernel": {"variant": "designed_spectral", "s": [0.5]}}, "kernel.s"),
+        ("rate-sweep", {"kernel": {"variant": "gaussian", "bandwidth": None}}, "kernel.bandwidth"),
+        ("diagnostics", {"diagnostics": {**diag, "Tx": 3}}, "diagnostics.Tx"),
     ]
     for i, (command, overrides, key) in enumerate(cases):
         case_dir = tmp_path / str(i)
