@@ -147,7 +147,8 @@ def _smoothness(phi, mu, lam, **_) -> _Check:
         evals = sym_eigenvalues(phi_pop - half @ half.T)
         return max(evals[0], -evals[-1])
 
-    return _Check("smoothness_perturbation", lhs, phi(lam), True, True, {"r": phi.r})
+    settings = {"phi": phi.family, "r": phi.r}
+    return _Check("smoothness_perturbation", lhs, phi(lam), True, True, settings)
 
 
 def _report(check: _Check, lhs, delta, common, warnings) -> BoundCheckReport:
@@ -300,6 +301,8 @@ CSV_FIELDS = [
     "lambda",
     "T",
     "s",
+    "phi",
+    "r",
     "trials",
     "delta",
     "violation_rate",
@@ -319,6 +322,8 @@ def report_rows(reports) -> list:
             rep.settings.get("lambda", ""),
             rep.settings.get("T", ""),
             rep.settings.get("s", ""),
+            rep.settings.get("phi", ""),
+            rep.settings.get("r", ""),
             rep.trials,
             rep.delta,
             repr(float(rep.violation_rate)),

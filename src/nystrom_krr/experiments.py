@@ -21,7 +21,7 @@ import numpy as np
 from . import krr, nystrom
 from .diagnostics import check_all_bounds
 from .kernels import KernelSpec
-from .linalg import check_integer, check_positive
+from .linalg import check_integer, check_number, check_positive
 from .nystrom import SizeRuleParams, lambda_admissible, subsample_plain, subsample_size
 from .spectral import (
     IndexFunction,
@@ -86,11 +86,9 @@ def _require(cfg: dict, key: str, context: str):
 
 
 def _number(value, name: str) -> float:
-    """A config value as a float; a value float() cannot take is a config error."""
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config error: '{name}' must be a number, got {value!r}") from exc
+    """A config value as a float; anything but a JSON number (a bool, a string
+    such as ``"3"``) is a config error."""
+    return check_number(value, f"config error: '{name}'")
 
 
 def _typed(value, kind: type, name: str, what: str):

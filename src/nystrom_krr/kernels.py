@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import check_integer, check_positive
+from .linalg import check_integer, check_number, check_positive, partial_cholesky
 
 GAUSSIAN = "gaussian"
 LAPLACIAN = "laplacian"
@@ -131,10 +131,7 @@ class KernelSpec:
         key = "s" if variant == DESIGNED else "bandwidth"
         if key not in cfg:
             raise ValueError(f"{variant} kernel config needs '{key}'")
-        try:
-            value = float(cfg[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"kernel.{key} must be a number, got {cfg[key]!r}") from exc
+        value = check_number(cfg[key], f"kernel.{key}")
         if variant == DESIGNED:
             return cls.designed(value, cfg.get("truncation", 2048))
         return cls(variant, bandwidth=value)
@@ -373,6 +370,22 @@ def gram(kernel: KernelSpec, xs) -> np.ndarray:
     subtraction is exactly antisymmetric."""
     xs = as_points(xs, kernel)
     return cross_gram(kernel, xs, xs)
+
+
+def low_rank_gram(kernel: KernelSpec, xs, shift: float) -> np.ndarray | None:
+    """``L^T`` (r x n) of a closed-form kernel's Gram ``gram(kernel, xs) ~ L L^T``,
+    exact to round-off relative to ``shift`` (``linalg.partial_cholesky``: one
+    ``cross_gram`` column per pivot, no n x n array). None when the numerical
+    rank is above the partial Cholesky's cap, and for a designed kernel, whose
+    fits work in its own eigen-coordinates."""
+    if kernel.is_designed:
+        return None
+    xs = as_points(xs, kernel)
+
+    def column(i):
+        return cross_gram(kernel, xs, xs[i : i + 1])[:, 0]
+
+    return partial_cholesky(column, np.ones(xs.size), shift)  # K(x, x) = 1
 
 
 def kappa(kernel: KernelSpec) -> float:

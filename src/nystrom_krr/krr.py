@@ -12,6 +12,19 @@ with ``(S + lam I) u = b``, ``S = W_n^T W_n / n`` and ``b = W_n^T y / n``
 (``_moment_system``). ``(S + lam I)^-1`` maps ``b`` into ``range(W_n^T)``, so
 this is the exact full-KRR minimizer for any n points, repeated or not. Above
 T it replaces the n x n system: O(n sqrt(T) + T^3) and no n x n array.
+
+A closed-form kernel (Gaussian, Laplacian) solves on a round-off-exact
+low-rank factor when its Gram has one: ``kernels.low_rank_gram``, a greedy
+pivoted partial Cholesky ``K ~ L L^T`` (``linalg.partial_cholesky``, one
+kernel column per pivot) stopped once the residual trace is at most
+``n eps (lam n)``, so that ``||K - L L^T||_2`` is at most ``n eps`` relative to
+the shift, the order of the dense Cholesky's backward error. Woodbury with
+``C^T C = lam n I + L^T L`` (r x r) gives
+``alpha = (y - L C^-1 C^-T L^T y) / (lam n)``: O(n r^2), no n x n array. The
+factor gives up at rank n/64, where the dense Cholesky of the n x n Gram is
+the faster route; that is the Laplacian and very narrow Gaussians (numerical
+rank about 3.4 / bandwidth at n = 4096). ``predict`` sums ``cross_gram @
+alpha`` in row blocks of at most ``_CHUNK_ELEMENTS`` doubles.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .kernels import (
+    _CHUNK_ELEMENTS,
     KernelSpec,
     as_points,
     basis_moments,
@@ -27,9 +41,10 @@ from .kernels import (
     covariance,
     cross_gram,
     gram,
+    low_rank_gram,
     sections,
 )
-from .linalg import OpCount, check_positive, solve_regularized
+from .linalg import OpCount, check_positive, cholesky_psd, solve_regularized
 
 
 class KernelModel:
@@ -100,8 +115,9 @@ def _moment_system(xs, ys, mu):
 
 
 def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
-    """Fit by solving the n x n shifted Gram system, or for a designed kernel
-    and n > T the T x T closed form (module docstring)."""
+    """Fit by solving the n x n shifted Gram system: for a designed kernel and
+    n > T as the T x T closed form, for a closed-form kernel by Woodbury on its
+    low-rank factor when the rank is below the cap (module docstring)."""
     xs, ys = _training_arrays(kernel, data, lam)
     n = xs.size
     if kernel.is_designed and n > kernel.truncation:
@@ -109,7 +125,14 @@ def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
         s_mat, rhs = _moment_system(xs, ys, mu)
         coeff = np.sqrt(mu) * solve_regularized(s_mat, lam, rhs)
         return KernelModel(xs, None, lam, OpCount.krr(n), kernel=kernel, coefficients=coeff)
-    alpha = solve_regularized(gram(kernel, xs), lam * n, ys)
+    factor_t = low_rank_gram(kernel, xs, lam * n)
+    if factor_t is None:
+        alpha = solve_regularized(gram(kernel, xs), lam * n, ys)
+    else:
+        # Woodbury: (L L^T + s I)^-1 y = (y - L (s I + L^T L)^-1 L^T y) / s
+        chol = cholesky_psd(factor_t @ factor_t.T, lam * n)
+        inner = sla.cho_solve((chol, False), factor_t @ ys, check_finite=False)
+        alpha = (ys - factor_t.T @ inner) / (lam * n)
     return KernelModel(xs, alpha, lam, OpCount.krr(n), kernel=kernel)
 
 
@@ -132,11 +155,17 @@ def predict(model: KernelModel, kernel: KernelSpec, xs) -> np.ndarray:
     """Evaluate the model at ``xs``: for a designed kernel, its
     ``fitted_coefficients`` summed by one type-2 trig sum (O(n sqrt(T))
     exponentials, plus O(m sqrt(T)) for an expansion's coefficients; no n x m
-    block), else ``sum_j alpha_j K(x, x_j)`` by ``cross_gram``."""
+    block), else ``sum_j alpha_j K(x, x_j)`` by ``cross_gram`` in row blocks of
+    at most ``_CHUNK_ELEMENTS`` doubles."""
     model.check_kernel(kernel)
+    xs = as_points(xs, kernel)
     if kernel.is_designed:
-        return basis_sum(as_points(xs, kernel), fitted_coefficients(model, kernel))
-    return cross_gram(kernel, xs, model.support_xs) @ model.alpha
+        return basis_sum(xs, fitted_coefficients(model, kernel))
+    out = np.empty(xs.size)
+    step = max(1, _CHUNK_ELEMENTS // model.support_xs.size)
+    for lo in range(0, xs.size, step):
+        out[lo : lo + step] = cross_gram(kernel, xs[lo : lo + step], model.support_xs) @ model.alpha
+    return out
 
 
 def empirical_risk(model: KernelModel, kernel: KernelSpec, data, lam: float) -> float:

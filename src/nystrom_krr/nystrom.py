@@ -62,7 +62,7 @@ import scipy.linalg as sla
 from .kernels import KernelSpec, as_points, covariance, cross_gram, gram, sections
 # predict is re-exported: one predict serves every model
 from .krr import KernelModel, _moment_system, _training_arrays, predict  # noqa: F401
-from .linalg import OpCount, check_positive, pivoted_cholesky, solve_regularized
+from .linalg import OpCount, check_number, check_positive, pivoted_cholesky, solve_regularized
 from .spectral import n_infinity
 
 logger = logging.getLogger(__name__)
@@ -271,7 +271,7 @@ def load_model(path) -> KernelModel:
     kernel = KernelSpec.from_config(payload["kernel"])
     idx = _inducing_indices(payload["inducing_indices"])
     support = as_points(payload["inducing_xs"], kernel)
-    lam = float(payload["lambda"])
+    lam = check_number(payload["lambda"], f"{path}: lambda")
     check_positive(lam, f"{path}: lambda")
     if ("alpha" in payload) == ("coefficients" in payload) or version == 2 and "alpha" not in payload:
         raise ValueError(f"{path}: an artifact carries alpha, or (v3) coefficients, not both")

@@ -5,6 +5,18 @@ operator: effective dimensions, the a-priori regularization parameter
 ``lambda0`` solving ``N(lambda) = lambda * n``, the bound surrogate ``theta``,
 Tikhonov filter factors with their qualification margins, and smoothness
 (index) functions.
+
+The empirical plug-in ``N_x`` at the training points (the ridge leverage
+scores times n) of a Gaussian or Laplacian kernel runs on the Gram's
+round-off-exact low-rank factor ``K ~ L L^T`` when there is one
+(``kernels.low_rank_gram``: a greedy pivoted partial Cholesky, stopped once
+the residual trace is at most ``n eps (lam n)``, so ``||K - L L^T||_2`` is at
+most ``n eps`` relative to the shift). Then ``N_x = n ||C^{-T} l_i||^2`` with
+``C^T C = lam n I + L^T L`` (r x r): O(n r^2), no n x n array, and a squared
+norm, so the ``1 - lam d_i`` cancellation of the dense form is gone. Above
+the factor's cap (rank n/64: the Laplacian, very narrow Gaussians) it is the
+dense Cholesky and triangular inverse of ``K/n + lam I``. The one-point
+``nx_empirical`` stays dense; the tests compare against it.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from .kernels import (
     eval_kernel,
     gram,
     kappa,
+    low_rank_gram,
 )
 from .linalg import NumericalError, check_positive, cholesky_psd, sym_eigenvalues
 
@@ -182,17 +195,26 @@ def _check_nx(vals, kernel, lam):
 
 def nx_empirical_training(kernel: KernelSpec, training_xs, lam: float) -> np.ndarray:
     """Empirical N_x(lambda) at every training point: n times the ridge leverage
-    scores (Alaoui & Mahoney 2015), ``n (1 - lam [(K/n + lam I)^{-1}]_ii)``; with
-    ``K/n + lam I = R^T R`` that diagonal is the squared row norms of ``R^{-1}``.
+    scores (Alaoui & Mahoney 2015), ``n (1 - lam [(K/n + lam I)^{-1}]_ii)``.
+    On ``low_rank_gram`` (shift ``n lam``) they are ``n ||C^{-T} l_i||^2``
+    (module docstring); on the dense route, with ``K/n + lam I = R^T R``, that
+    diagonal is the squared row norms of ``R^{-1}``.
     """
     check_positive(lam)
     xs = as_points(training_xs, kernel)
-    factor = cholesky_psd(gram(kernel, xs) / xs.size, lam)
+    n = xs.size
+    factor_t = low_rank_gram(kernel, xs, lam * n)
+    if factor_t is not None:
+        z = sla.solve_triangular(
+            cholesky_psd(factor_t @ factor_t.T, lam * n), factor_t, trans="T", check_finite=False
+        )
+        return _check_nx(n * np.einsum("ij,ij->j", z, z), kernel, lam)
+    factor = cholesky_psd(gram(kernel, xs) / n, lam)
     r_inv, info = sla.lapack.dtrtri(factor, lower=0, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"triangular inverse failed (LAPACK info {info})")
     inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
-    return _check_nx(xs.size * (1.0 - lam * inv_diag), kernel, lam)
+    return _check_nx(n * (1.0 - lam * inv_diag), kernel, lam)
 
 
 def n_infinity(source: KernelSpec, lam: float, xs=None) -> float:

@@ -329,14 +329,22 @@ def test_cli_tolerance_failure_exits_two(tmp_path):
 
 
 def test_cli_diagnostics(tmp_path):
-    cfg = _write_config(
-        tmp_path, diagnostics={"T": 32, "n": 256, "trials": 10}, target={
-            "family": "holder", "r": 0.5, "coeff_seed": 1,
-        },
-    )
-    assert cli_main(["diagnostics", "--config", str(cfg)]) == 0
-    lines = (tmp_path / "out" / "diagnostics.csv").read_text().strip().splitlines()
-    assert len(lines) == 5  # header + four checks
+    """Four rows; the smoothness row names the phi it checked, which for a
+    log_type target is holder(0.5)."""
+    for family, r, checked in (("holder", 0.25, "holder,0.25"), ("log_type", 0.4, "holder,0.5")):
+        run_dir = tmp_path / family
+        run_dir.mkdir()
+        cfg = _write_config(
+            run_dir, diagnostics={"T": 32, "n": 256, "trials": 10}, target={
+                "family": family, "r": r, "coeff_seed": 1,
+            },
+        )
+        assert cli_main(["diagnostics", "--config", str(cfg)]) == 0
+        lines = (run_dir / "out" / "diagnostics.csv").read_text().strip().splitlines()
+        assert len(lines) == 5  # header + four checks
+        assert ",T,s,phi,r,trials," in lines[0]
+        smooth = [line for line in lines if line.startswith("smoothness_perturbation,")]
+        assert len(smooth) == 1 and f",0.5,{checked},10," in smooth[0], smooth
 
 
 def test_cli_reps_override(tmp_path):
@@ -374,19 +382,22 @@ def test_cli_log_level_shows_jitter_escalation(tmp_path):
 
 
 def test_cli_rejects_bad_config_values(tmp_path):
-    """A config value or section of the wrong type, a value out of range or an
-    unknown diagnostics key ends in exit 1 and an ``error:`` line naming it: no
-    traceback, and no silent FAIL verdict."""
+    """A config value or section of the wrong type (a number given as a bool or
+    a string included), a value out of range or an unknown diagnostics key ends
+    in exit 1 and an ``error:`` line naming it: no traceback, and no silent FAIL
+    verdict. NaN and Infinity are JSON literals Python's reader accepts."""
     rule = {"c": 2.0, "delta": 0.1}
     grid = {"kind": "grid", "values": ["a"]}
     diag = {"T": 32, "n": 256, "trials": 4}
+    designed = {"variant": "designed_spectral", "truncation": 64}
     cases = [
         ("rate-sweep", {"size_rule": {**rule, "gamma": "half", "c_gamma": 1.0}}, "size_rule.gamma"),
         ("rate-sweep", {"size_rule": {**rule, "gamma": 0.5, "c_gamma": "x"}}, "size_rule.c_gamma"),
         ("lambda-sweep", {"lambda_policy": grid}, "lambda_policy.values"),
         ("diagnostics", {"diagnostics": {"T": 32, "n": 256, "trials": 0}}, "diagnostics.trials"),
-        ("rate-sweep", {"noise": {"variant": "gaussian", "scale": "nan"}}, "noise scale"),
-        ("rate-sweep", {"noise": {"variant": "gaussian", "scale": "inf"}}, "noise scale"),
+        ("rate-sweep", {"noise": {"variant": "gaussian", "scale": float("nan")}}, "noise scale"),
+        ("rate-sweep", {"noise": {"variant": "gaussian", "scale": float("inf")}}, "noise scale"),
+        ("rate-sweep", {"noise": {"variant": "gaussian", "scale": "nan"}}, "noise.scale"),
         ("rate-sweep", {"exponent_tolerance": "nan"}, "exponent_tolerance"),
         ("lambda-sweep", {"lambda_factor": -1}, "lambda_factor"),
         ("rate-sweep", {"krr_baseline": "false"}, "krr_baseline"),
@@ -399,6 +410,9 @@ def test_cli_rejects_bad_config_values(tmp_path):
         ("rate-sweep", {"kernel": {"variant": "designed_spectral", "s": [0.5]}}, "kernel.s"),
         ("rate-sweep", {"kernel": {"variant": "gaussian", "bandwidth": None}}, "kernel.bandwidth"),
         ("diagnostics", {"diagnostics": {**diag, "Tx": 3}}, "diagnostics.Tx"),
+        ("rate-sweep", {"kernel": {**designed, "s": True}}, "kernel.s"),
+        ("lambda-sweep", {"lambda_factor": True}, "lambda_factor"),
+        ("lambda-sweep", {"lambda_factor": "3"}, "lambda_factor"),
     ]
     for i, (command, overrides, key) in enumerate(cases):
         case_dir = tmp_path / str(i)

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nystrom_krr.kernels import KernelSpec, gram
+import scipy.linalg as sla
+
+from nystrom_krr import krr
+from nystrom_krr.kernels import KernelSpec, cross_gram, gram, low_rank_gram
 from nystrom_krr.krr import KernelModel, empirical_risk, fit_krr, fitted_coefficients, predict
-from nystrom_krr.linalg import OpCount, solve_regularized
+from nystrom_krr.linalg import OpCount, cholesky_psd, solve_regularized
+from nystrom_krr.nystrom import SizeRuleParams, subsample_size
+from nystrom_krr.spectral import nx_empirical_training
 from nystrom_krr.synthetic import Dataset
 
 
@@ -237,3 +242,83 @@ def test_designed_fit_above_truncation_allocates_no_nxn_array():
         tracemalloc.stop()
     assert peak < 128 * 2**20, peak / 2**20
     assert model.coefficients.shape == (2048,)
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_closed_form_low_rank_route_matches_dense_reference():
+    """Gaussian fits and leverage scores on the partial-Cholesky factor equal
+    the n x n references to 1e-9 relative in ``alpha``, grid predictions and
+    N_x, over bandwidths whose numerical rank lies below and above the cap."""
+    rng = np.random.default_rng(14)
+    grid = np.linspace(0.0, 1.0, 301)
+    low_rank = 0
+    for bandwidth in (0.05, 0.1, 0.3, 0.8, 2.0):
+        kernel = KernelSpec.gaussian(bandwidth)
+        for n in (50, 500, 2048):
+            xs, ys = rng.uniform(0.0, 1.0, n), rng.standard_normal(n)
+            lam = float(10 ** rng.uniform(-5.0, -1.0))
+            low_rank += low_rank_gram(kernel, xs, lam * n) is not None
+            k_mat = gram(kernel, xs)
+            ref = KernelModel(xs, solve_regularized(k_mat, lam * n, ys), lam, kernel=kernel)
+            nx_ref = n * (1.0 - lam * np.diag(np.linalg.inv(k_mat / n + lam * np.eye(n))))
+            model = fit_krr(kernel, _dataset(xs, ys), lam)
+            for got, want in (
+                (model.alpha, ref.alpha),
+                (predict(model, kernel, grid), predict(ref, kernel, grid)),
+                (nx_empirical_training(kernel, xs, lam), nx_ref),
+            ):
+                assert _rel(got, want) <= 1e-9, (bandwidth, n, lam, _rel(got, want))
+    assert low_rank >= 4, low_rank
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.laplacian(0.1), KernelSpec.gaussian(0.005)])
+def test_closed_form_rank_above_cap_takes_dense_route(kernel):
+    """A numerical rank above the cap (n = 4096) gives the n x n solve and the
+    n x n leverage scores, bit for bit."""
+    rng = np.random.default_rng(15)
+    n, lam = 4096, 2.5e-3
+    xs, ys = rng.uniform(0.0, 1.0, n), rng.standard_normal(n)
+    assert low_rank_gram(kernel, xs, lam * n) is None
+    k_mat = gram(kernel, xs)
+    alpha = fit_krr(kernel, _dataset(xs, ys), lam).alpha
+    assert np.array_equal(alpha, solve_regularized(k_mat, lam * n, ys))
+    r_inv = sla.lapack.dtrtri(cholesky_psd(k_mat / n, lam), lower=0)[0]
+    nx_ref = n * (1.0 - lam * np.einsum("ij,ij->i", r_inv, r_inv))
+    assert np.array_equal(nx_empirical_training(kernel, xs, lam), nx_ref)
+
+
+def test_gaussian_size_rule_and_fit_allocate_no_nxn_array():
+    """Gaussian(0.1) at n = 2^16: the plug-in size rule and full KRR run on the
+    rank-r factor; the n x n Gram alone would be 32 GiB."""
+    import tracemalloc
+
+    kernel = KernelSpec.gaussian(0.1)
+    rng = np.random.default_rng(16)
+    n, lam = 1 << 16, 1e-3
+    data = _dataset(rng.uniform(0.0, 1.0, n), rng.standard_normal(n))
+    tracemalloc.start()
+    try:
+        m = subsample_size(n, lam, SizeRuleParams(c=2.0, delta=0.1), kernel=kernel, xs=data.xs)
+        model = fit_krr(kernel, data, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20, peak / 2**20
+    assert 1 <= m < n and model.alpha.shape == (n,) and np.all(np.isfinite(model.alpha))
+
+
+def test_closed_form_predict_in_row_blocks(monkeypatch):
+    """``predict`` sums ``cross_gram @ alpha`` over row blocks of at most
+    ``_CHUNK_ELEMENTS`` doubles; with a small chunk it splits into several
+    blocks (and into single rows when the support alone exceeds the chunk) and
+    matches the direct sum."""
+    rng = np.random.default_rng(17)
+    xs = rng.uniform(0.0, 1.0, 1000)
+    for kernel, chunk in ((KernelSpec.gaussian(0.1), 4000), (KernelSpec.laplacian(0.2), 30)):
+        model = KernelModel(rng.uniform(0.0, 1.0, 40), rng.standard_normal(40), 1e-3, kernel=kernel)
+        direct = cross_gram(kernel, xs, model.support_xs) @ model.alpha
+        monkeypatch.setattr(krr, "_CHUNK_ELEMENTS", chunk)
+        assert_allclose(predict(model, kernel, xs), direct, rtol=1e-13, atol=1e-13)

@@ -6,6 +6,7 @@ from nystrom_krr.linalg import (
     NumericalError,
     OpCount,
     cholesky_psd,
+    partial_cholesky,
     pivoted_cholesky,
     solve_regularized,
     sym_eigenvalues,
@@ -111,3 +112,18 @@ def test_effective_dimension_decreasing_in_lambda():
     lams = np.logspace(-6, 0, 25)
     values = [np.sum(sig / (sig + lam)) for lam in lams]
     assert np.all(np.diff(values) < 0)
+
+
+def test_partial_cholesky_stops_at_round_off_or_gives_up_at_cap():
+    """An exactly rank-5 PSD matrix, given by columns, factors in 5 pivots with
+    ``||K - L L^T||_2 <= n eps shift``; the identity (rank n > n/64) gives None."""
+    rng = np.random.default_rng(4)
+    n, shift = 512, 10.0
+    a = rng.standard_normal((n, 5))
+    k = a @ a.T
+    factor_t = partial_cholesky(lambda i: k[:, i], np.diag(k), shift)
+    assert factor_t.shape == (5, n)
+    resid = np.linalg.norm(k - factor_t.T @ factor_t, 2)
+    assert resid <= n * np.finfo(float).eps * shift, resid
+    eye = np.eye(n)
+    assert partial_cholesky(lambda i: eye[:, i], np.ones(n), shift) is None

@@ -650,6 +650,9 @@ def test_integer_inputs_are_checked_not_truncated(tmp_path):
         ("inducing_indices", [True, False], "integer"),
         ("lambda", -3.0, "lambda"),
         ("lambda", 0.0, "lambda"),
+        ("lambda", "0.1", "lambda must be a number"),
+        ("lambda", True, "lambda must be a number"),
+        ("kernel", {"variant": "gaussian", "bandwidth": True}, "kernel.bandwidth"),
     ):
         path.write_text(json.dumps({**base, key: bad}))
         with pytest.raises(ValueError, match=match):
