@@ -17,7 +17,12 @@ closed form.
 Sums over the basis at many points (target values, predictions, data
 moments, the ``covariance``) go through one blocked trig-sum primitive,
 ``trig_sum`` and its adjoint ``trig_moments``, and never form the n x T
-basis matrix. Gram blocks are products of the kernel ``sections``.
+basis matrix. It splits frequency ``l = q B + r`` with ``B ~ sqrt(L + 1)``
+and builds each point's blocks ``exp(2 pi i q B x)`` and ``exp(2 pi i r x)``
+from two exponentials, ``exp(2 pi i x)`` and ``exp(2 pi i B x)``, and their
+powers: O(n) exponentials and O(n sqrt(L)) complex products, in row chunks
+that fit a core's cache. Gram blocks are products of the kernel
+``sections``, whose basis values take one exponential per block entry.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from numpy.lib.stride_tricks import sliding_window_view as _windows
 
 from .linalg import check_integer, check_number, check_positive, partial_cholesky
 
@@ -37,9 +42,13 @@ DESIGNED = "designed_spectral"
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
 
-# Doubles per row chunk of the trig sums' exponential blocks: ~32 MB a chunk,
-# whatever the number of points.
-_CHUNK_ELEMENTS = 1 << 22
+# Doubles per row chunk of the trig sums' exponential blocks and per row block
+# of a closed-form ``krr.predict``: 2 MB, a core's L2 cache on the 2-core x86
+# VM of README's timings. There (one BLAS thread, best of 9) the trig sums take
+# about the same time at 2 MB and at 32 MB chunks (``trig_moments`` at
+# n = 16384, L = 2048: 11-13 against 12-16 ms), while the Gaussian
+# ``gaussian_rule_4k`` benchmark op peaks at 76 MB RSS instead of 123 MB.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -140,10 +149,10 @@ class KernelSpec:
 def fourier_basis(xs, truncation: int) -> np.ndarray:
     """Evaluate the designed basis: (n, truncation) matrix with columns e_k.
 
-    Built from the trig sums' blocked exponentials, row chunk by row chunk:
-    frequency ``l = q B + r`` is ``exp(2 pi i q B x) exp(2 pi i r x)``, whose
-    real and imaginary parts give the cos and sin columns, one block of B
-    frequencies at a time (O(n sqrt(T)) exponentials, no n x T temporary).
+    Built from blocked exponentials, row chunk by row chunk: frequency
+    ``l = q B + r`` is ``exp(2 pi i q B x) exp(2 pi i r x)``, whose real and
+    imaginary parts give the cos and sin columns, one block of B frequencies
+    at a time (O(n sqrt(T)) exponentials, no n x T temporary).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     out = np.empty((xs.shape[0], truncation))
@@ -153,6 +162,11 @@ def fourier_basis(xs, truncation: int) -> np.ndarray:
         return out
     b, q = _split(n_cos)
     for lo, hi in _row_chunks(xs.size, q + b):
+        # Each block entry is its own exponential here, not a power as in the
+        # trig sums: the benchmark's verify_pass reference holds the
+        # diagnostics' smoothness ratios, which move with the basis round-off,
+        # to 1e-3. Built from powers, the basis moved case 10's quantile ratio
+        # by 8.3e-3; with these values case 31 sits at 9.98e-4.
         e_q, e_b = _exp_blocks(xs[lo:hi], b, q)
         for k in range(q):
             # frequencies l0..l1-1 of block k; l = 0 is the constant column
@@ -172,12 +186,47 @@ def _split(degree: int) -> tuple[int, int]:
 
 
 def _exp_blocks(xs, b: int, q: int):
-    """``exp(2 pi i q B x)`` (n x Q) and ``exp(2 pi i r x)`` (n x B) for one row chunk.
+    """``exp(2 pi i q B x)`` (n x Q) and ``exp(2 pi i r x)`` (n x B) for one row chunk,
+    one exponential per entry.
 
     The angles are ``(2 pi x) l`` for ``l = q B`` and ``l = r``.
     """
     ang = _TWO_PI * xs[:, None]
     return np.exp(1j * (ang * (b * np.arange(q)))), np.exp(1j * (ang * np.arange(b)))
+
+
+def _exp_power_chunks(xs, b: int, q: int):
+    """Row chunks ``(lo, hi, e_q, e_b)`` with the blocks of ``_exp_blocks``
+    transposed, ``exp(2 pi i q B x)`` (Q x rows) and ``exp(2 pi i r x)``
+    (B x rows), from two exponentials per point: ``exp(2 pi i B x)`` and
+    ``exp(2 pi i x)`` raised to the powers q and r.
+
+    An entry of frequency l carries the angle round-off of the direct route,
+    about ``2 pi eps l``, plus one complex product's round-off per doubling
+    step. Both arrays are reused from chunk to chunk: with a fresh pair per
+    chunk, page faults took about as long as the products.
+    """
+    chunks = list(_row_chunks(xs.size, q + b))
+    rows = chunks[0][1]
+    e_q, e_b = np.empty((q, rows), dtype=np.complex128), np.empty((b, rows), dtype=np.complex128)
+    for lo, hi in chunks:
+        ang = _TWO_PI * xs[lo:hi]
+        e_q_rows, e_b_rows = e_q[:, : hi - lo], e_b[:, : hi - lo]
+        _powers(np.exp(1j * (ang * b)), e_q_rows)
+        _powers(np.exp(1j * ang), e_b_rows)
+        yield lo, hi, e_q_rows, e_b_rows
+
+
+def _powers(z, out) -> None:
+    """Fill row j of ``out`` (k x n) with ``z**j`` by doubling: rows h..2h-1 are
+    rows 0..h-1 times ``z**h``."""
+    k = out.shape[0]
+    out[0] = 1.0
+    h = 1
+    while h < k:
+        np.multiply(out[: min(h, k - h)], z, out=out[h : 2 * h])
+        z = z * z
+        h *= 2
 
 
 def _row_chunks(n: int, width: int):
@@ -186,26 +235,44 @@ def _row_chunks(n: int, width: int):
     return ((lo, min(n, lo + step)) for lo in range(0, n, step))
 
 
+def _finite_vector(values, name: str, dtype) -> np.ndarray:
+    """The check for a coefficient or weight vector: nonempty, 1-D, finite."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite (no NaN or inf)")
+    return arr
+
+
+def _check_count(value, name: str, least: int) -> int:
+    """An integer input (a degree or truncation) of at least ``least``."""
+    value = check_integer(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def trig_sum(xs, coeffs) -> np.ndarray:
     """Type-2 trigonometric sum ``Re sum_l F_l exp(2 pi i l x)``, l = 0..L, at each x.
 
     With ``l = q B + r`` and ``B ~ sqrt(L + 1)`` the sum is one complex gemm
-    per row chunk, ``exp(2 pi i q B x) @ F[q, r]``, then a row-wise product
-    with ``exp(2 pi i r x)``: O(n sqrt(L)) exponentials instead of O(n L)
-    sin/cos calls, and memory fixed by the chunk size. This is numpy's
-    stand-in for a type-2 non-uniform DFT (Dutt & Rokhlin 1993; Barnett et
-    al., FINUFFT 2019).
+    per row chunk, ``F[q, r]^T @ exp(2 pi i q B x)``, then a product with
+    ``exp(2 pi i r x)`` summed over r: two exponentials per point
+    (``_exp_power_chunks``) instead of O(L) sin/cos calls, and memory fixed by the
+    chunk size. This is numpy's stand-in for a type-2 non-uniform DFT (Dutt &
+    Rokhlin 1993; Barnett et al., FINUFFT 2019). ``coeffs`` must be a
+    nonempty, finite 1-D array.
     """
     xs = as_points(xs)
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    coeffs = _finite_vector(coeffs, "coeffs", np.complex128)
     b, q = _split(coeffs.size - 1)
     block = np.zeros(q * b, dtype=np.complex128)
     block[: coeffs.size] = coeffs
-    block = block.reshape(q, b)
+    block = block.reshape(q, b).T
     out = np.empty(xs.size)
-    for lo, hi in _row_chunks(xs.size, q + b):
-        e_q, e_b = _exp_blocks(xs[lo:hi], b, q)
-        out[lo:hi] = ((e_q @ block) * e_b).sum(axis=1).real
+    for lo, hi, e_q, e_b in _exp_power_chunks(xs, b, q):
+        out[lo:hi] = ((block @ e_q) * e_b).sum(axis=0).real
     return out
 
 
@@ -214,17 +281,21 @@ def trig_moments(xs, weights, degree: int) -> np.ndarray:
 
     The adjoint of ``trig_sum``, blocked the same way: ``c[q B + r]`` is
     entry (q, r) of ``(w * exp(2 pi i q B x))^T @ exp(2 pi i r x)``,
-    accumulated over row chunks.
+    accumulated over row chunks. ``weights`` must be finite, one per point;
+    ``degree`` a nonnegative integer.
     """
     xs = as_points(xs)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != xs.shape:
         raise ValueError(f"need one weight per point, got {weights.shape} for {xs.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite (no NaN or inf)")
+    degree = _check_count(degree, "degree", 0)
     b, q = _split(degree)
     acc = np.zeros((q, b), dtype=np.complex128)
-    for lo, hi in _row_chunks(xs.size, q + b):
-        e_q, e_b = _exp_blocks(xs[lo:hi], b, q)
-        acc += (e_q * weights[lo:hi, None]).T @ e_b
+    for lo, hi, e_q, e_b in _exp_power_chunks(xs, b, q):
+        e_q *= weights[lo:hi]
+        acc += e_q @ e_b.T
     return acc.ravel()[: degree + 1]
 
 
@@ -235,7 +306,7 @@ def basis_sum(xs, coeffs) -> np.ndarray:
     ``e_1 = 1``, and a cos/sin pair ``sqrt(2) (a cos + b sin)`` of frequency j
     is ``Re(sqrt(2) (a - i b) exp(2 pi i j x))``.
     """
-    f = np.asarray(coeffs, dtype=np.float64)
+    f = _finite_vector(coeffs, "coeffs", np.float64)
     n_sin = (f.size - 1) // 2
     cplx = np.zeros(f.size // 2 + 1, dtype=np.complex128)
     cplx[0] = f[0]
@@ -247,6 +318,7 @@ def basis_sum(xs, coeffs) -> np.ndarray:
 def basis_moments(xs, weights, truncation: int) -> np.ndarray:
     """``Phi^T @ weights`` for the basis matrix ``Phi`` via ``trig_moments``: the
     cos and sin columns of frequency j get ``sqrt(2)`` times Re and Im of ``c_j``."""
+    truncation = _check_count(truncation, "truncation", 1)
     c = trig_moments(xs, weights, truncation // 2)
     out = np.empty(truncation)
     out[0] = c[0].real
@@ -277,14 +349,16 @@ def covariance(xs, mu) -> np.ndarray:
     if n_cos:
         out[0, 1::2] = out[1::2, 0] = _SQRT2 * re[1 : n_cos + 1]
         out[0, 2::2] = out[2::2, 0] = _SQRT2 * im[1 : n_sin + 1]
-        re_diff = sla.toeplitz(re[:n_cos])
-        re_sum = sla.hankel(re[2 : n_cos + 2], re[n_cos + 1 :])
-        im_diff = sla.toeplitz(im[:n_cos], -im[:n_cos])
-        cos_sin = (sla.hankel(im[2 : n_cos + 2], im[n_cos + 1 :]) - im_diff)[:, :n_sin]
-        out[1::2, 1::2] = re_diff + re_sum
-        out[2::2, 2::2] = (re_diff - re_sum)[:n_sin, :n_sin]
-        out[1::2, 2::2] = cos_sin
-        out[2::2, 1::2] = cos_sin.T
+        # Views, no copies: a window of v[l] over l = 1-n_cos..n_cos-1, read
+        # backwards, is the Toeplitz v[j - k], and a window of v[2..] the
+        # Hankel v[j + k + 2] (frequencies j + 1 and k + 1).
+        re_diff = _windows(np.concatenate([re[n_cos - 1 : 0 : -1], re[:n_cos]]), n_cos)[:, ::-1]
+        im_diff = _windows(np.concatenate([-im[n_cos - 1 : 0 : -1], im[:n_cos]]), n_cos)[:, ::-1]
+        re_sum, im_sum = _windows(re[2:], n_cos), _windows(im[2:], n_cos)
+        np.add(re_diff, re_sum, out=out[1::2, 1::2])
+        np.subtract(re_diff[:n_sin, :n_sin], re_sum[:n_sin, :n_sin], out=out[2::2, 2::2])
+        np.subtract(im_sum[:, :n_sin], im_diff[:, :n_sin], out=out[1::2, 2::2])
+        out[2::2, 1::2] = out[1::2, 2::2].T
     root = np.sqrt(mu)
     out *= root[:, None]
     out *= root
@@ -350,8 +424,10 @@ def cross_gram(kernel: KernelSpec, xs, inducing) -> np.ndarray:
         # gram's one point set: W W^T is one syrk, exactly symmetric
         return w @ (w if ys is xs else sections(ys, mu)).T
     # In place: one n x m array and no n x m temporaries. Freeing such
-    # temporaries raises glibc's mmap threshold, after which later arrays sat
-    # on an untrimmed heap (+50 MB peak RSS in a Gaussian n=4096 fit + KRR).
+    # temporaries raises glibc's mmap threshold, after which later arrays sit
+    # on an untrimmed heap: with three temporaries per block, eight
+    # ``gaussian_rule_4k`` ops peak at 89 MB RSS instead of 76 MB with
+    # ``predict``'s 2 MB row blocks, and 179 MB instead of 123 MB with 32 MB ones.
     d = np.subtract.outer(xs, ys)
     d /= kernel.bandwidth
     if kernel.variant == GAUSSIAN:

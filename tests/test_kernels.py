@@ -1,16 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nystrom_krr import kernels
 from nystrom_krr.kernels import (
     DecaySpec,
     KernelSpec,
+    basis_moments,
+    basis_sum,
     cross_gram,
     eval_kernel,
     fourier_basis,
     gram,
     basis_sup,
     kappa,
+    trig_moments,
+    trig_sum,
 )
 
 
@@ -224,3 +231,96 @@ def test_config_roundtrip():
         KernelSpec.from_config({"bandwidth": 2.0})
     with pytest.raises(ValueError, match="bandwidth"):
         KernelSpec.from_config({"variant": "gaussian", "bandwidth": "nan"})
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 1024, 2048, 8192])
+def test_exponential_powers_match_long_double_reference(degree):
+    """The trig sums' blocks come from two exponentials per point and their
+    powers. Every frequency ``l = q B + r <= L`` (B = 1 and Q = 1 included)
+    must match ``exp(2 pi i l x)`` to within ``1.5 * 2 pi eps L``, the angle
+    round-off the direct route ``exp(1j * (2 pi x) l)`` carries. The reference
+    takes ``exp(2 pi i q B x) exp(2 pi i r x)`` in long double, each factor
+    from its turns ``l x`` reduced mod 1."""
+    xs = np.random.default_rng(degree).uniform(0.0, 1.0, 4096)
+    b, q = kernels._split(degree)
+    two_pi = 2 * np.arccos(np.longdouble(-1.0))
+
+    def exact(freq, x):
+        turns = np.multiply.outer(freq.astype(np.longdouble), x)
+        return np.exp(1j * (two_pi * (turns - np.floor(turns))))
+
+    worst = 0.0
+    for lo, hi, e_q, e_b in kernels._exp_power_chunks(xs, b, q):
+        x = xs[lo:hi].astype(np.longdouble)
+        ref_q, ref_b = exact(b * np.arange(q), x), exact(np.arange(b), x)
+        for k in range(q):
+            width = min(b, degree + 1 - k * b)
+            diff = e_q[k] * e_b[:width] - ref_q[k] * ref_b[:width]
+            worst = max(worst, float(np.abs(diff.astype(np.complex128)).max()))
+    assert worst <= 1.5 * 2 * math.pi * np.finfo(np.float64).eps * degree
+
+
+@pytest.mark.parametrize("truncation", [1, 2, 3, 64, 65, 2048])
+def test_fourier_basis_is_direct_exponentials_bit_for_bit(truncation):
+    """``fourier_basis`` (and so ``sections``) evaluates one exponential per
+    block entry, not the trig sums' powers. The benchmark's verify_pass
+    reference pins its diagnostics' smoothness ratios to these exact values
+    (tolerance 1e-3, one case at 9.98e-4), so the basis must equal the direct
+    per-entry products ``exp(1j (2 pi x) q B) exp(1j (2 pi x) r)`` bit for bit."""
+    xs = np.random.default_rng(truncation).uniform(0.0, 1.0, 300)
+    basis = fourier_basis(xs, truncation)
+    ang = 2.0 * math.pi * xs
+    n_cos, n_sin = truncation // 2, (truncation - 1) // 2
+    b = kernels._split(n_cos)[0] if n_cos else 1
+    assert np.array_equal(basis[:, 0], np.ones(xs.size))
+    for freq in range(1, n_cos + 1):
+        k, r = divmod(freq, b)
+        entry = np.exp(1j * (ang * (b * k))) * np.exp(1j * (ang * r))
+        assert np.array_equal(basis[:, 2 * freq - 1], entry.real * math.sqrt(2.0))
+        if freq <= n_sin:
+            assert np.array_equal(basis[:, 2 * freq], entry.imag * math.sqrt(2.0))
+
+
+def test_trig_sums_across_row_chunks(monkeypatch):
+    """Chunks of 7 rows, the last one partial, reuse the blocks of the first:
+    both sums still match the basis products."""
+    truncation, n = 65, 50
+    rng = np.random.default_rng(4)
+    xs, f, w = rng.uniform(0.0, 1.0, n), rng.standard_normal(truncation), rng.standard_normal(n)
+    b, q = kernels._split(truncation // 2)
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 2 * (q + b) * 7)
+    assert len(list(kernels._row_chunks(n, q + b))) == 8
+    basis = fourier_basis(xs, truncation)
+    assert np.abs(basis_sum(xs, f) - basis @ f).max() <= 1e-12
+    assert np.abs(basis_moments(xs, w, truncation) - basis.T @ w).max() <= 1e-12
+
+
+_XS = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: trig_sum(_XS, [1.0, math.nan]), "coeffs must be finite"),
+        (lambda: basis_sum(_XS, [1.0, 0.5, math.inf]), "coeffs must be finite"),
+        (lambda: trig_moments(_XS, [1.0, math.nan, 0.0, 0.0, 0.0], 3), "weights must be finite"),
+        (lambda: basis_moments(_XS, [0.0, 0.0, math.nan, 0.0, 0.0], 8), "weights must be finite"),
+        (lambda: trig_sum(_XS, []), "coeffs must be a nonempty 1-D"),
+        (lambda: basis_sum(_XS, []), "coeffs must be a nonempty 1-D"),
+        (lambda: trig_moments(_XS, np.ones(5), -1), "degree must be >= 0"),
+        (lambda: trig_moments(_XS, np.ones(5), 2.5), "degree must be an integer"),
+        (lambda: basis_moments(_XS, np.ones(5), 0), "truncation must be >= 1"),
+        (lambda: trig_sum(_XS, np.ones((2, 3))), "coeffs must be a nonempty 1-D"),
+        (lambda: basis_sum(_XS, np.ones((3, 2))), "coeffs must be a nonempty 1-D"),
+    ],
+    ids=[
+        "nan-coefficient", "inf-basis-coefficient", "nan-weight", "nan-basis-weight",
+        "empty-coefficients", "empty-basis-coefficients", "negative-degree",
+        "fractional-degree", "zero-truncation", "2d-coefficients", "2d-basis-coefficients",
+    ],
+)
+def test_trig_sums_check_their_inputs(call, match):
+    """A bad coefficient, weight or degree is a ValueError naming the input,
+    not an all-NaN result or an error from deep inside the blocking."""
+    with pytest.raises(ValueError, match=match):
+        call()

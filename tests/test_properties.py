@@ -91,8 +91,9 @@ def test_full_subsample_nystrom_matches_krr(kernel, n, log_lam, seed):
 )
 def test_trig_sums_match_basis_products(truncation, n, seed):
     """Type 2 is Phi f, type 1 is Phi^T w and the covariance is W^T W / n over
-    the sections W = Phi M^(1/2), up to the angle round-off both sides share
-    (about eps * 2 pi T per entry)."""
+    the sections W = Phi M^(1/2), up to angle round-off: the trig sums raise
+    two exponentials per point to powers, the basis takes one exponential per
+    entry, and each side is within about eps * 2 pi T of the exact value."""
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, 1.0, n)
     f, w = rng.standard_normal(truncation), rng.standard_normal(n)
