@@ -29,7 +29,7 @@ from .spectral import (
     c_gamma_for_designed,
     lambda0,
 )
-from .synthetic import NoiseSpec, l2_rho_error, make_target, sample_dataset
+from .synthetic import NoiseSpec, check_target, l2_rho_error, make_target, sample_dataset
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,13 @@ def _sweep_cells(config: ExperimentConfig, grid):
     prefix ``[n, rep, seed key, m, repr(lambda)]`` and ``timing_row`` the
     ``TIMING_CSV_FIELDS`` row, whose wall_ms times subsample+fit.
     """
-    target = _make_target(config)
+    target = make_target(
+        config.kernel.decay,
+        config.kernel.truncation,
+        config.phi,
+        config.coeff_seed,
+        profile=config.target_profile,
+    )
     seeds = np.random.SeedSequence(config.seed).spawn(len(grid) * config.repetitions)
     for index, (n, m, lam) in enumerate(grid):
         for rep in range(config.repetitions):
@@ -238,16 +244,6 @@ def _resolve_lambda(config: ExperimentConfig, n: int) -> float:
         profile = analytic_profile(config.kernel.decay, config.kernel.truncation)
         return lambda0(profile, n)
     raise ValueError("grid lambda policy is only meaningful for the lambda sweep")
-
-
-def _make_target(config: ExperimentConfig):
-    return make_target(
-        config.kernel.decay,
-        config.kernel.truncation,
-        config.phi,
-        config.coeff_seed,
-        profile=config.target_profile,
-    )
 
 
 def _require_designed(config: ExperimentConfig, what: str):
@@ -454,7 +450,8 @@ def run_diagnostics(config: ExperimentConfig):
     lam = _number(d.get("lambda", lambda0(profile, n)), "diagnostics.lambda")
     kernel = KernelSpec.designed(decay.s, truncation)
     m = subsample_size(n, lam, SizeRuleParams(c=1.0, delta=delta), kernel=kernel)
-    _make_target(config)  # no check reads the target; an invalid one is still an error
+    # no check reads the target; an invalid one is still an error
+    check_target(config.phi, config.target_profile, config.coeff_seed)
     phi = config.phi if config.phi.family == "holder" else IndexFunction.holder(0.5)
     reports = check_all_bounds(decay, truncation, n, m, lam, phi, delta, trials, config.seed)
     summary = [

@@ -18,19 +18,36 @@ system designed full KRR solves with Q = I), and for n <= T the same system
 times n is ``(G^T G + lam n I) beta = G^T y`` with ``G = W_n Q``. The model is
 its eigen-coefficients ``sqrt(mu) * Q beta``; it carries no ``alpha``.
 
-The span. When m >= T and a pivoted Cholesky of the T x T ``covariance`` of
-the inducing points keeps all T directions, the sections span R^T: ``Q`` drops
+The span. The rank rule keeps the directions of W whose singular values lie
+above ``tol sigma_max``, ``tol = max(m, T) eps``. For n > T > m the fit first
+tries the whitened span, with ``v = U^-1 u``: factor ``S + lam I = U^T U`` in
+place in the moment system's T x T buffer and form ``Z = U W^T`` (``trmm``,
+in place of the sections). Minimizing ``v^T (S + lam I) v - 2 b^T v`` over
+``v`` in ``range(W^T)`` is minimizing ``||u - U^-T b||^2`` over ``u`` in
+``range(Z)``, a projection; so with a Householder QR ``Z = Q_z R_z``,
+``f = sqrt(mu) * U^-1 Q_z Q_z^T U^-T b``. ``Q_z`` is never formed (two
+``ormqr`` calls on one vector), nor ``Q^T S Q`` nor an m x m factor. The
+route runs only when a certificate rules out a cut: ``W^T = U^-1 Q_z R_z``
+gives ``cond_2(W)^2 <= ||W||_F^2 ||S + lam I||_2 ||R_z^-1||_2^2``, so
+``||W||_F^2 (tr S + lam) ||R_z^-1||_1 ||R_z^-1||_inf < 1 / tol^2``, the norms
+from LAPACK's ``trcon`` and ``lantr`` estimates, keeps every direction.
+Otherwise (2 of the 40 rule-sized rate cells n = 16384, T = 2048, m = 978 in
+the benchmark pool, and any W that is rank-deficient) S is rebuilt into the
+same buffer and the QR route below runs, as do n <= T and m >= T.
+
+When m >= T and a pivoted Cholesky of the T x T ``covariance`` of the
+inducing points keeps all T directions, the sections span R^T: ``Q`` drops
 out and the fit is the closed form ``(S + lam I) v = b``, ``f = sqrt(mu) * v``,
 with no m x m or m x T array. Otherwise one Householder factorization of
 ``W^T`` gives a square triangular R with ``range(W^T) = Q range(R)``: QR
 ``W^T = Q R`` below T, and RQ ``W^T = R Q'`` (``Q = I``) from T on, where the
 covariance, which squares cond(W), can miss a span that W has. R has full rank
 unless LAPACK's estimates of its ``1 / cond_1`` and ``1 / cond_inf`` allow a
-singular-value ratio at or below ``max(m, T) eps`` (``cond_2^2 <= cond_1
-cond_inf``); then the rank rule keeps the left singular directions ``U_r`` of
-R, whose singular values are W's, above ``max(m, T) eps sigma_max``, and the
-basis is ``Q U_r`` (Chan 1982). A pivoted QR's diagonal overestimates the
-smallest singular values and would keep round-off directions this rule drops.
+singular-value ratio at or below ``tol`` (``cond_2^2 <= cond_1 cond_inf``);
+then the rank rule keeps the left singular directions ``U_r`` of R, whose
+singular values are W's, above ``tol sigma_max``, and the basis is ``Q U_r``
+(Chan 1982). A pivoted QR's diagonal overestimates the smallest singular values
+and would keep round-off directions this rule drops.
 
 Closed-form kernels (Gaussian, Laplacian): with ``K_nm`` the training-by-inducing
 Gram block and ``K_mm`` the inducing Gram, the coefficients solve
@@ -62,7 +79,15 @@ import scipy.linalg as sla
 from .kernels import KernelSpec, as_points, covariance, cross_gram, gram, sections
 # predict is re-exported: one predict serves every model
 from .krr import KernelModel, _moment_system, _training_arrays, predict  # noqa: F401
-from .linalg import OpCount, check_number, check_positive, pivoted_cholesky, solve_regularized
+from .linalg import (
+    OpCount,
+    _require_symmetric,
+    check_number,
+    check_positive,
+    cholesky_psd,
+    pivoted_cholesky,
+    solve_regularized,
+)
 from .spectral import n_infinity
 
 logger = logging.getLogger(__name__)
@@ -147,15 +172,33 @@ def fit_nystrom(kernel: KernelSpec, data, lam: float, inducing_indices) -> Kerne
     )
 
 
+# Rows of Q^T S formed at a time when the QR route reduces S (n > T > m after
+# the whitened route's certificate refused). The route's T x T Cholesky leaves
+# about 6.7 MB of BLAS work space resident at T = 2048, so on the rate cells
+# n = 16384, m = 978 the full m x T product lifted a fallback op's peak RSS
+# from 137.6 to 141.9 MB; 256-row blocks (4 MB) give 132.7 MB, at 0.18-0.24 s
+# against 0.17 s for the product (one BLAS thread, 2-core x86 VM).
+_ROW_BLOCK = 256
+
+
 def _designed_fit(kernel, xs, ys, x_ind, lam):
     """Eigen-coefficients of the restricted minimizer and the dimension of the
-    span, by the closed form or on ``Q`` from the rank rule (module docstring)."""
+    span: on the whitened span, by the closed form or on ``Q`` from the rank
+    rule (module docstring)."""
     mu = kernel.eigenvalues()
     n, m, t = xs.size, x_ind.size, mu.size
+    tol = max(m, t) * np.finfo(np.float64).eps
     if n > t:
         # S before Q: built after Q, the moment blocks of S stack on it (peak RSS
         # 150-155 MB against 136-140 MB on rate cells n=16384, m=978, T=2048)
         (a_mat, rhs), shift = _moment_system(xs, ys, mu), lam
+        if m < t:
+            v_vec = _whitened_solve(a_mat, lam, rhs, sections(x_ind, mu).T, tol)
+            if v_vec is not None:
+                return np.sqrt(mu) * v_vec, m
+            # S rebuilt in its factored buffer: a fresh T x T block would raise
+            # peak RSS on the runs that reach this fallback
+            covariance(xs, mu, out=a_mat)
     q_mat = u_mat = None
     if m < t or pivoted_cholesky(covariance(x_ind, mu))[1].size < t:
         # W^T (T x m, Fortran order) is factored in place: below T as Q R, so
@@ -166,7 +209,6 @@ def _designed_fit(kernel, xs, ys, x_ind, lam):
         else:
             r_mat = sla.rq(w_t, mode="r", **args)[:, -t:]
         del w_t
-        tol = max(m, t) * np.finfo(np.float64).eps
         # cond_2(R)^2 <= cond_1(R) cond_inf(R): LAPACK's estimates of the square
         # R's 1 / cond_1 and 1 / cond_inf rule out a rank cut without an SVD
         if math.prod(sla.lapack.dtrcon(r_mat, norm=c)[0] for c in "1I") <= tol**2:
@@ -179,12 +221,44 @@ def _designed_fit(kernel, xs, ys, x_ind, lam):
         g_mat = sections(xs, mu) if q_mat is None else sections(xs, mu) @ q_mat
         a_mat, rhs, shift = g_mat.T @ g_mat, g_mat.T @ ys, lam * n
     elif q_mat is not None:
-        a_mat, rhs = q_mat.T @ a_mat @ q_mat, q_mat.T @ rhs
+        # Q^T S Q a row block at a time: an m x T Q^T S beside S and Q would
+        # lift peak RSS above the route's T x T Cholesky (see _ROW_BLOCK)
+        reduced = np.empty((q_mat.shape[1],) * 2)
+        for lo in range(0, reduced.shape[0], _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            np.matmul(q_mat[:, rows].T @ a_mat, q_mat, out=reduced[rows])
+        a_mat, rhs = reduced, q_mat.T @ rhs
     if u_mat is not None:
         a_mat, rhs = u_mat.T @ a_mat @ u_mat, u_mat.T @ rhs
     beta = solve_regularized(a_mat, shift, rhs)
     v_vec = beta if u_mat is None else u_mat @ beta
     return np.sqrt(mu) * (v_vec if q_mat is None else q_mat @ v_vec), beta.size
+
+
+def _whitened_solve(a_mat, lam, rhs, w_t, tol):
+    """``v = U^-1 Q_z Q_z^T U^-T b`` for ``S + lam I = U^T U``, factored in the
+    memory of ``a_mat``, and ``Z = U W^T = Q_z R_z``, formed and factored in
+    the memory of ``w_t`` (T x m, Fortran order); ``Q_z`` is applied as
+    reflectors. None when the certificate cannot rule out a rank cut of W
+    (module docstring); ``a_mat`` is then lost."""
+    flat = w_t.T.ravel()  # W, C-ordered: a view
+    bound = (flat @ flat) * (np.trace(a_mat) + lam) * tol**2
+    _require_symmetric(a_mat)
+    u_mat = cholesky_psd(a_mat, lam, overwrite_a=True)
+    z_mat = sla.blas.dtrmm(1.0, u_mat, w_t, overwrite_b=True)
+    (qr_mat, tau), r_mat = sla.qr(z_mat, mode="raw", overwrite_a=True, check_finite=False)
+    # rcond times the norm is 1 / ||R_z^-1|| in each norm; estimated on R_z^T
+    # (Fortran order), whose 1-norm is R_z's inf-norm and the other way round
+    r_t = r_mat.T
+    norms = (sla.lapack.dtrcon(r_t, norm=c, uplo="L")[0] * sla.lapack.dlantr(c, r_t, uplo="L")
+             for c in "1I")
+    if not bound < math.prod(norms):
+        return None
+    vec = sla.solve_triangular(u_mat, rhs, trans="T", check_finite=False)[:, None]
+    vec = sla.lapack.dormqr("L", "T", qr_mat, tau, vec, 1, overwrite_c=True)[0]
+    vec[tau.size :] = 0.0
+    vec = sla.lapack.dormqr("L", "N", qr_mat, tau, vec, 1, overwrite_c=True)[0]
+    return sla.solve_triangular(u_mat, vec[:, 0], check_finite=False)
 
 
 def _reduced_generic(kernel, xs, ys, x_ind, r_factor, lam):

@@ -113,6 +113,19 @@ class Dataset:
         return self.target is not None
 
 
+def check_target(phi: IndexFunction, profile: str, seed: int) -> None:
+    """The checks of ``make_target``'s settings, without drawing a target: an
+    admissible ``phi``, a known ``profile`` and a seed >= 0."""
+    if not phi.is_admissible():
+        raise ValueError(
+            "index function is not admissible here: sqrt(t)/phi(t) must be nondecreasing"
+        )
+    if profile not in (SPHERE, POWER_BOUNDARY):
+        raise ValueError(f"unknown target profile: {profile!r}")
+    if seed < 0:
+        raise ValueError(f"target seed must be >= 0, got {seed}")
+
+
 def make_target(
     decay: DecaySpec,
     truncation: int,
@@ -121,20 +134,15 @@ def make_target(
     profile: str = SPHERE,
 ) -> TargetSpec:
     """Draw target coefficients f_k = phi(mu_k) v_k for a unit-norm v."""
-    if not phi.is_admissible():
-        raise ValueError(
-            "index function is not admissible here: sqrt(t)/phi(t) must be nondecreasing"
-        )
+    check_target(phi, profile, seed)
     rng = np.random.default_rng(seed)
     k = np.arange(1, truncation + 1, dtype=np.float64)
     if profile == SPHERE:
         v = rng.standard_normal(truncation)
         v /= np.linalg.norm(v)
-    elif profile == POWER_BOUNDARY:
+    else:
         harmonic = np.sum(1.0 / k)
         v = rng.choice([-1.0, 1.0], truncation) / np.sqrt(k * harmonic)
-    else:
-        raise ValueError(f"unknown target profile: {profile!r}")
     f = phi(decay.eigenvalues(truncation)) * v
     return TargetSpec(
         phi=phi, coeff_seed=seed, profile=profile, v_coefficients=v, f_coefficients=f

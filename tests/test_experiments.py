@@ -259,6 +259,20 @@ def test_run_diagnostics_rows(tmp_path):
             assert a.violation_rate == b.violation_rate
 
 
+def test_run_diagnostics_rejects_invalid_target():
+    """No bound check reads the target, but a target config that ``make_target``
+    would reject (inadmissible phi, unknown profile, negative seed) is an error
+    before any trial runs."""
+    diag = {"T": 32, "n": 256, "trials": 20}
+    for overrides, message in (
+        ({"phi": IndexFunction.log_type(1.0)}, "not admissible"),
+        ({"target_profile": "spiky"}, "unknown target profile"),
+        ({"coeff_seed": -1}, "target seed"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            exp.run_diagnostics(small_config(diagnostics=diag, **overrides))
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -381,11 +395,13 @@ def test_cli_log_level_shows_jitter_escalation(tmp_path):
     assert re.search(r"INFO nystrom_krr.nystrom: kept \d+ of \d+", loud.stderr)
 
 
-def test_cli_rejects_bad_config_values(tmp_path):
+def test_cli_rejects_bad_config_values(tmp_path, capsys):
     """A config value or section of the wrong type (a number given as a bool or
     a string included), a value out of range or an unknown diagnostics key ends
-    in exit 1 and an ``error:`` line naming it: no traceback, and no silent FAIL
-    verdict. NaN and Infinity are JSON literals Python's reader accepts."""
+    in exit 1 and an ``error:`` line naming it: no exception escapes ``main``,
+    and no silent FAIL verdict. NaN and Infinity are JSON literals Python's
+    reader accepts. Runs in process: ``main`` is the whole CLI below the
+    interpreter."""
     rule = {"c": 2.0, "delta": 0.1}
     grid = {"kind": "grid", "values": ["a"]}
     diag = {"T": 32, "n": 256, "trials": 4}
@@ -417,11 +433,12 @@ def test_cli_rejects_bad_config_values(tmp_path):
     for i, (command, overrides, key) in enumerate(cases):
         case_dir = tmp_path / str(i)
         case_dir.mkdir()
-        proc = _run_cli([command, "--config", str(_write_config(case_dir, **overrides))])
-        assert proc.returncode == 1, (overrides, proc.stderr)
-        assert "Traceback" not in proc.stderr
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and key in errors[0], (overrides, proc.stderr)
+        code = cli_main([command, "--config", str(_write_config(case_dir, **overrides))])
+        stderr = capsys.readouterr().err
+        assert code == 1, (overrides, stderr)
+        assert "Traceback" not in stderr
+        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and key in errors[0], (overrides, stderr)
 
 
 # Largest relative move allowed between 1 and 2 BLAS threads. Summation order

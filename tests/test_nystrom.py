@@ -414,6 +414,91 @@ def test_m_above_truncation_matches_svd_restricted_minimizer(s):
     assert err <= 1e-10
 
 
+def _whitened_routes(monkeypatch):
+    """A list that gets, per designed fit with n > T > m, True when the
+    whitened route solved it and False when its certificate refused."""
+    taken, solve = [], nystrom._whitened_solve
+
+    def spy(*args):
+        v_vec = solve(*args)
+        taken.append(v_vec is not None)
+        return v_vec
+
+    monkeypatch.setattr(nystrom, "_whitened_solve", spy)
+    return taken
+
+
+def test_whitened_route_matches_svd_oracle(monkeypatch):
+    """n > T > m on uniform points and on a rule-sized rate cell (n = 16384,
+    T = 2048): the certificate admits every fit, which is within
+    ``10 max(1e-10, kappa(W) eps)`` (1e-12 on the rate cell) of ``_svd_oracle``."""
+    taken = _whitened_routes(monkeypatch)
+    rng = np.random.default_rng(93)
+    for s, t in itertools.product((0.4, 0.5, 0.8), (64, 91)):
+        kernel = KernelSpec.designed(s, t)
+        for m in (1, t // 3, t // 2):
+            data = _dataset(rng.uniform(0, 1, 3 * t), rng.standard_normal(3 * t))
+            lam = float(10 ** rng.uniform(-4, -1))
+            err, _, kappa_eps = _oracle_error(kernel, data, lam, subsample_plain(3 * t, m, seed=m))
+            assert taken[-1] and err <= 10 * max(1e-10, kappa_eps), (s, t, m, err, kappa_eps)
+    assert len(taken) == 18
+
+    kernel = KernelSpec.designed(0.5, 2048)
+    target = make_target(kernel.decay, 2048, IndexFunction.holder(0.25), 7, "power_boundary")
+    n, lam = 16384, lambda0(analytic_profile(kernel.decay, 2048), 16384)
+    m = subsample_size(n, lam, SizeRuleParams(c=2.0, delta=0.1), kernel=kernel)
+    data = sample_dataset(kernel.decay, 2048, target, NoiseSpec.gaussian(0.1), n, seed=0)
+    err, _, _ = _oracle_error(kernel, data, lam, subsample_plain(n, m, seed=100))
+    assert taken[-1] and err <= 1e-12, err
+
+
+def test_whitened_route_falls_back_on_ill_conditioned_and_repeated_points(monkeypatch, caplog):
+    """T = 64, n > T, inducing points on a short interval: at width 0.01, m = 10
+    (kappa(W) ~ 1e12, full rank) the certificate admits the fit; at width
+    0.003, m = 8 (kappa(W) ~ 3e12, full rank) it refuses and the QR/SVD route
+    keeps all 8; with an exact repeat it refuses and the rank rule logs the cut.
+    Each fit is within the oracle's tolerance: ``10 max(1e-10, kappa(W) eps)``,
+    1e-12 on the degenerate set."""
+    taken = _whitened_routes(monkeypatch)
+    kernel = KernelSpec.designed(0.5, 64)
+    rng = np.random.default_rng(3)
+    rest = rng.uniform(0, 1, 300)
+    cases = (
+        (0.5 + 0.01 * np.linspace(0, 1, 10), True, None, None),
+        (0.5 + 0.003 * np.linspace(0, 1, 8), False, None, None),
+        (np.array([0.25, 0.25, 0.25, 0.7, 0.9]), False, "kept 3 of 5", 1e-12),
+    )
+    for cluster, route, message, tol in cases:
+        xs = np.concatenate([cluster, rest])
+        data = _dataset(xs, rng.standard_normal(xs.size))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="nystrom_krr"):
+            err, model, kappa_eps = _oracle_error(kernel, data, 1e-3, list(range(cluster.size)))
+        assert taken[-1] == route, cluster
+        assert [r.getMessage() for r in caplog.records] == ([message] if message else [])
+        assert err <= (tol or 10 * max(1e-10, kappa_eps)), (cluster, err, kappa_eps)
+    assert len(taken) == 3
+
+
+def test_whitened_route_holds_one_truncation_square_array():
+    """n = 8192 > T = 2048 > m = 978: the fit holds at most one T x T float64
+    array at a time (32 MiB; the explicit Q and Q^T S beside S held 70 MiB)."""
+    import tracemalloc
+
+    kernel = KernelSpec.designed(0.5, 2048)
+    rng = np.random.default_rng(8)
+    data = _dataset(rng.uniform(0.0, 1.0, 8192), rng.standard_normal(8192))
+    idx = subsample_plain(8192, 978, seed=1)
+    tracemalloc.start()
+    try:
+        model = fit_nystrom(kernel, data, 1e-3, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * 2048**2, peak / 2**20
+    assert model.coefficients.shape == (2048,)
+
+
 def test_error_nonincreasing_as_m_doubles():
     kernel = KernelSpec.designed(0.5, 256)
     decay = DecaySpec(0.5)
