@@ -6,16 +6,23 @@ operator involved is an explicit T x T matrix:
 * a kernel section at x has coordinates ``w(x)_k = sqrt(mu_k) e_k(x)``,
 * the empirical covariance is ``S_hat = mean_i w(x_i) w(x_i)^T``,
 * the population covariance is ``M = diag(mu)``,
-* the subsample projector P projects onto span{w of the inducing points}; with
-  Q an orthonormal basis of that span (one QR of the m x T sections) and
-  ``V = M^(1/2) Q``, the compressed covariance ``M^(1/2) P M^(1/2)`` is
-  ``V V^T``.
+* the subsample projector P projects onto span{w of the inducing points}. One
+  Householder QR of the T x m sections gives the full orthogonal
+  ``[Q Q_perp]``: Q (T x min(m, T)) spans the inducing sections and
+  ``Q_perp`` (T x (T - m), empty at m >= T) their complement, so
+  ``I - P = Q_perp Q_perp^T``. With ``V = M^(1/2) Q`` the compressed
+  covariance ``M^(1/2) P M^(1/2)`` is ``V V^T``.
 
-Each per-trial left-hand side is an extreme eigenvalue of one symmetric T x T
-matrix, read with ``linalg.sym_eigenvalues``; no projector, SVD norm or T x T
-eigenvector is formed. With ``D = (lambda I + M)^(1/2)``:
+Each per-trial left-hand side is one end of the spectrum of one symmetric
+matrix, read with ``linalg.sym_extremes`` (a tridiagonal reduction and two
+bisections, not the whole spectrum); no projector, SVD norm or T x T
+eigenvector is formed. With ``D = (lambda I + M)^(1/2)`` and
+``B = M^(1/2) Q_perp``:
 
-* projection: ``||M^(1/2) (I - P)||^2 = lambda_max(M - V V^T)``;
+* projection: ``||M^(1/2) (I - P)||^2 = lambda_max(B^T B)``, a
+  (T - m)-square matrix (0 at m >= T). Its nonzero spectrum is that of
+  ``M - V V^T``, the T x T matrix it replaces: at the README settings
+  (T = 256, m = 189) that is 67 x 67;
 * norm equivalence: ``||D (lambda I + S_hat)^(-1/2)||
   = lambda_min(D^-1 (lambda I + S_hat) D^-1)^(-1/2)``;
 * concentration: ``||D^-1 (M - S_hat)||^2 = lambda_max(A^T A)``,
@@ -24,10 +31,12 @@ eigenvector is formed. With ``D = (lambda I + M)^(1/2)``:
   min(m, T)-square ``V^T V = Y Sigma^2 Y^T``, so ``phi(V V^T) = U phi(Sigma^2)
   U^T`` with ``U = V Y Sigma^-1``; eigenvalues at or below ``size * eps * max``
   (the pivoted Cholesky's tolerance) are exact zeros, and the left-hand side
-  is the largest |eigenvalue| of ``phi(M) - phi(V V^T)``.
+  is the larger of ``lambda_max`` and ``-lambda_min`` of
+  ``phi(M) - phi(V V^T)``.
 
-The Gram-type products (``V V^T``, ``A^T A``) run as symmetric rank-k updates,
-so the matrices handed to ``sym_eigenvalues`` are exactly symmetric.
+The Gram-type products (``B^T B``, ``A^T A`` and the one forming
+``phi(V V^T)``) run as symmetric rank-k updates, so the matrices handed to
+``sym_extremes`` are exactly symmetric.
 
 Checks with an explicit constant (the 3*lambda projection bound, the norm
 equivalence threshold 2) are pass/fail per trial and report a violation rate;
@@ -38,10 +47,10 @@ do not depend on execution order.
 
 One loop runs the trials of the checks in a call, drawing each trial once: the
 n uniform points, then the m inducing indices when a check uses a subsample,
-then the label noise (vector concentration only). ``S_hat`` and ``V`` are built
-at most once per trial and shared by the checks run together
-(``check_all_bounds``); with the points drawn first, a report does not depend
-on which other checks run beside it.
+then the label noise (vector concentration only). ``S_hat`` and the QR (with
+``V`` and ``B`` read from it) are built at most once per trial and shared by
+the checks run together (``check_all_bounds``); with the points drawn first, a
+report does not depend on which other checks run beside it.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .kernels import DecaySpec, KernelSpec, basis_moments, covariance, sections
-from .linalg import check_integer, check_positive, sym_eigenvalues
+from .linalg import check_integer, check_positive, sym_extremes
 from .nystrom import SizeRuleParams, subsample_size
 from .spectral import IndexFunction, SpectralProfile, effective_dimension
 from .synthetic import target_values
@@ -73,9 +82,17 @@ class BoundCheckReport:
     warnings: list = field(default_factory=list)
 
 
+def _queried(routine, *args):
+    """A LAPACK call run with the workspace it asks for, as ``sla.qr`` runs its
+    own; the wrappers' default workspace runs the unblocked code."""
+    lwork = int(routine(*args, lwork=-1)[-2][0])
+    return routine(*args, lwork=lwork)[0]
+
+
 class _Draw:
     """One trial's draw: n uniform points, then m inducing indices unless m is
-    None. ``s_hat`` and ``v`` are built on first use, once per trial."""
+    None. ``s_hat``, ``v`` and ``perp`` are built on first use, once per trial,
+    the last two from one QR."""
 
     def __init__(self, rng, n: int, m: int | None, mu):
         self.rng, self.mu, self.xs = rng, mu, rng.uniform(0.0, 1.0, n)
@@ -86,9 +103,29 @@ class _Draw:
         return covariance(self.xs, self.mu)
 
     @cached_property
+    def _qr(self) -> tuple:
+        """The Householder reflectors and their factors of the T x m inducing
+        sections (``geqrf``)."""
+        (qr, tau), _ = sla.qr(sections(self.xs[self.idx], self.mu).T, mode="raw", check_finite=False)
+        return qr, tau
+
+    @cached_property
     def v(self) -> np.ndarray:
-        q, _ = sla.qr(sections(self.xs[self.idx], self.mu).T, mode="economic", check_finite=False)
-        return np.sqrt(self.mu)[:, None] * q
+        """``M^(1/2) Q``, Q the T x min(m, T) economic factor: bit for bit the
+        one ``sla.qr(mode="economic")`` forms with the same ``dorgqr`` call."""
+        qr, tau = self._qr
+        return np.sqrt(self.mu)[:, None] * _queried(sla.lapack.dorgqr, qr[:, : tau.size], tau)
+
+    @cached_property
+    def perp(self) -> np.ndarray:
+        """``M^(1/2) Q_perp``, Q_perp the T x (T - m) rest of the full Q (empty
+        at m >= T): the reflectors applied to ``[0; I]`` (``dormqr``)."""
+        qr, tau = self._qr
+        rows, k = qr.shape[0], tau.size
+        if k == rows:
+            return np.empty((rows, 0))
+        unit = np.eye(rows, rows - k, -k, order="F")
+        return np.sqrt(self.mu)[:, None] * _queried(sla.lapack.dormqr, "L", "N", qr, tau, unit)
 
 
 # A bound: its left-hand side as a function of a ``_Draw``, the scale it is read
@@ -98,8 +135,9 @@ _Check = namedtuple("_Check", "name lhs scale generic subsample settings", defau
 
 
 def _projection(mu, lam, **_) -> _Check:
-    pop = np.diag(mu)
-    lhs = lambda d: sym_eigenvalues(pop - d.v @ d.v.T)[0]  # noqa: E731
+    def lhs(d):
+        return sym_extremes(d.perp.T @ d.perp)[1] if d.perp.size else 0.0
+
     return _Check("projection", lhs, 3.0 * lam, subsample=True)
 
 
@@ -110,7 +148,7 @@ def _norm_equivalence(mu, lam, **_) -> _Check:
     # lam D^-2 >= lam / (lam + mu_1) bounds the smallest eigenvalue from below,
     # which keeps a round-off-level lambda from reaching a nonpositive one
     floor, shift = lam / (lam + mu[0]), lam * np.eye(mu.size)
-    lhs = lambda d: max(sym_eigenvalues((d.s_hat + shift) * scale)[-1], floor) ** -0.5  # noqa: E731
+    lhs = lambda d: max(sym_extremes((d.s_hat + shift) * scale)[0], floor) ** -0.5  # noqa: E731
     return _Check("norm_equivalence", lhs, 2.0)
 
 
@@ -122,7 +160,7 @@ def _concentration(which, target, noise, mu, n, lam, delta) -> _Check:
     def lhs(d):
         if which == "operator":
             a = warp[:, None] * (pop - d.s_hat)
-            return math.sqrt(sym_eigenvalues(a.T @ a)[0])
+            return math.sqrt(sym_extremes(a.T @ a)[1])
         ys = target_values(target, d.xs) + noise.sample(d.rng, n)
         emp_vec = np.sqrt(mu) * basis_moments(d.xs, ys, mu.size) / n
         return float(np.linalg.norm(warp * (np.sqrt(mu) * target.f_coefficients - emp_vec)))
@@ -144,8 +182,8 @@ def _smoothness(phi, mu, lam, **_) -> _Check:
         keep = sig2 > sig2.size * np.finfo(np.float64).eps * sig2[-1]
         # U phi(Sigma^2)^(1/2), so that phi(M_P) is one symmetric product
         half = d.v @ (y[:, keep] * np.sqrt(phi(sig2[keep]) / sig2[keep]))
-        evals = sym_eigenvalues(phi_pop - half @ half.T)
-        return max(evals[0], -evals[-1])
+        lo, hi = sym_extremes(phi_pop - half @ half.T)
+        return max(hi, -lo)
 
     settings = {"phi": phi.family, "r": phi.r}
     return _Check("smoothness_perturbation", lhs, phi(lam), True, True, settings)
@@ -260,6 +298,8 @@ def check_concentration(
         raise ValueError(f"which must be 'operator' or 'vector', got {which!r}")
     if which == "vector" and (target is None or noise is None):
         raise ValueError("the vector variant needs a target and a noise spec")
+    if which == "vector" and target.f_coefficients.size != truncation:
+        raise ValueError("truncation does not match the target's")
     make = partial(_concentration, which, target, noise)
     return _run_checks(decay, truncation, n, None, lam, delta, trials, seed, [make])[0]
 

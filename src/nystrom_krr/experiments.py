@@ -109,6 +109,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     tgt = _typed(_require(raw, "target", "top level"), dict, "target", "an object")
     r = _number(_require(tgt, "r", "target"), "target.r")
     phi = IndexFunction(_require(tgt, "family", "target"), r)
+    # a log_type r in (1/2, 1] is a valid IndexFunction but no admissible target
+    if not phi.is_admissible():
+        raise ValueError(f"config error: 'target.r' must be in (0, 1/2], got {r!r}")
     noise_cfg = _typed(_require(raw, "noise", "top level"), dict, "noise", "an object")
     noise = NoiseSpec(
         _require(noise_cfg, "variant", "noise"),

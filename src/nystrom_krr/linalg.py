@@ -77,6 +77,9 @@ def _require_symmetric(a: np.ndarray, tol: float = 1e-10) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     limit = tol * max(float(a.max()), -float(a.min()), 1.0)
+    # a NaN makes every comparison below false, so it would pass unseen
+    if not math.isfinite(limit):
+        raise ValueError("matrix has a NaN or infinite entry")
     n, b = a.shape[0], _SYMMETRY_TILE
     for i in range(0, n, b):
         for j in range(i, n, b):
@@ -180,3 +183,25 @@ def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, descending."""
     _require_symmetric(a)
     return np.linalg.eigvalsh(a)[::-1]
+
+
+def sym_extremes(a: np.ndarray) -> tuple[float, float]:
+    """The smallest and largest eigenvalues of a symmetric matrix, ``(lo, hi)``.
+
+    One blocked Householder reduction to tridiagonal form (LAPACK ``dsytrd``)
+    and two bisections on it (``dstebz``), each as accurate as ``eigvalsh``:
+    within about ``eps ||a||``. The reduction reads the lower triangle of
+    ``a``, as ``eigvalsh`` does, through ``a.T``, so a C-ordered ``a`` is copied
+    straight. With the symmetry check, at 256 x 256 it took 2.1-3.0 ms against
+    3.1-3.8 ms for ``sym_eigenvalues``; at 67 x 67 the two are level at about
+    0.3 ms (one BLAS thread, 2-core x86 VM)."""
+    _require_symmetric(a)
+    n = a.shape[0]
+    # the wrapper's default workspace runs the unblocked reduction
+    lwork = int(sla.lapack.dsytrd_lwork(n, lower=0)[0])
+    _, d, e, _, _ = sla.lapack.dsytrd(a.T, lower=0, lwork=lwork)
+    lo, hi = (
+        sla.eigvalsh_tridiagonal(d, e, select="i", select_range=(k, k), check_finite=False)[0]
+        for k in (0, n - 1)
+    )
+    return float(lo), float(hi)

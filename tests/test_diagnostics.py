@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from nystrom_krr import diagnostics
 from nystrom_krr.diagnostics import (
@@ -48,6 +49,53 @@ def test_projection_bound_full_rank_subsample():
     )
     assert report.violation_rate == 0.0
     assert report.observed_max_ratio < 1e-6
+
+
+def _projection_residual(mu, q):
+    """The direct formula ``||M^(1/2) (I - Q Q^T)||^2``: an SVD norm."""
+    return np.linalg.norm(np.sqrt(mu)[:, None] * (np.eye(mu.size) - q @ q.T), 2) ** 2
+
+
+def test_projection_complement_matches_direct_formula():
+    """The projection's left-hand side, the largest eigenvalue of the
+    (T - m)-square ``B^T B`` (0 at m >= T), equals the SVD norm of
+    ``M^(1/2) (I - P)`` at m = T - 1, T and T + 3, to 1e-10 relative with a
+    floor of 1e-12 ||M|| (the direct formula is round-off at m >= T). With an
+    inducing point repeated, P is the projector onto the economic Q's columns,
+    one of them set by round-off; ``B`` is that Q's complement, so the two
+    still agree."""
+    truncation, lam = 24, 0.05
+    mu = DECAY.eigenvalues(truncation)
+    for m in (truncation - 1, truncation, truncation + 3):
+        (ss,) = np.random.SeedSequence(m).spawn(1)
+        rng = np.random.default_rng(ss)
+        xs = rng.uniform(0.0, 1.0, 2 * m)
+        q, _ = np.linalg.qr(sections(xs[rng.choice(2 * m, size=m, replace=False)], mu).T)
+        report = check_projection_bound(DECAY, truncation, 2 * m, m, lam, 0.1, 1, m)
+        direct = _projection_residual(mu, q)
+        assert abs(3.0 * lam * report.observed_max_ratio - direct) <= 1e-10 * direct + 1e-12 * mu[0]
+        assert (report.observed_max_ratio == 0.0) == (m >= truncation), m
+
+    check = diagnostics._projection(mu=mu, lam=lam)
+    for m in (5, truncation - 1):
+        draw = diagnostics._Draw(np.random.default_rng(m), 40, m, mu)
+        draw.idx[-1] = draw.idx[0]
+        q, _ = sla.qr(sections(draw.xs[draw.idx], mu).T, mode="economic")
+        direct = _projection_residual(mu, q)
+        assert abs(check.lhs(draw) - direct) <= 1e-10 * direct + 1e-12 * mu[0], m
+
+
+def test_draw_v_is_the_economic_qr_bit_for_bit():
+    """``V`` from the raw QR's reflectors is bit for bit ``sqrt(mu) Q`` with Q
+    the economic factor of ``sla.qr`` (m < T, m = T, m > T), so the smoothness
+    check reads the same V as when it took that QR itself."""
+    truncation = 40
+    mu = DECAY.eigenvalues(truncation)
+    for m in (17, truncation, truncation + 9):
+        draw = diagnostics._Draw(np.random.default_rng(m), 3 * m, m, mu)
+        q, _ = sla.qr(sections(draw.xs[draw.idx], mu).T, mode="economic", check_finite=False)
+        assert np.array_equal(draw.v, np.sqrt(mu)[:, None] * q), m
+        assert draw.perp.shape == (truncation, max(truncation - m, 0)), m
 
 
 def test_norm_equivalence_population_limit():
@@ -141,6 +189,13 @@ def test_concentration_validation():
         check_concentration(DECAY, 8, 100, 0.1, trials=5, seed=0, which="both")
     with pytest.raises(ValueError):
         check_concentration(DECAY, 8, 100, 0.1, trials=5, seed=0, which="vector")
+    # a target of another truncation is refused before the first trial
+    from nystrom_krr.synthetic import make_target
+
+    target = make_target(DECAY, 16, IndexFunction.holder(0.25), seed=2)
+    noise = NoiseSpec.gaussian(0.1)
+    with pytest.raises(ValueError, match="truncation does not match"):
+        check_concentration(DECAY, 8, 100, 0.1, 5, 0, "vector", target, noise)
 
 
 def test_smoothness_perturbation_identity_projector():

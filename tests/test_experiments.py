@@ -429,6 +429,7 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys):
         ("rate-sweep", {"kernel": {**designed, "s": True}}, "kernel.s"),
         ("lambda-sweep", {"lambda_factor": True}, "lambda_factor"),
         ("lambda-sweep", {"lambda_factor": "3"}, "lambda_factor"),
+        ("diagnostics", {"target": {"family": "log_type", "r": 0.75}}, "target.r"),
     ]
     for i, (command, overrides, key) in enumerate(cases):
         case_dir = tmp_path / str(i)

@@ -10,6 +10,7 @@ from nystrom_krr.linalg import (
     pivoted_cholesky,
     solve_regularized,
     sym_eigenvalues,
+    sym_extremes,
 )
 
 
@@ -99,6 +100,41 @@ def test_sym_eigenvalues():
     assert_allclose(sym_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]])), [3.0, 1.0], rtol=1e-14)
     with pytest.raises(ValueError):
         sym_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_sym_extremes_match_eigvalsh():
+    """The two ends of the spectrum equal ``eigvalsh``'s to within
+    ``n eps ||a||``, for sizes 1, 2, 67 and 256 (past dsytrd's 32-column
+    blocks), on random PSD matrices and on ones whose extreme eigenvalues are
+    repeated; non-symmetric input is rejected (NaN input in the test below)."""
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 67, 256):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        b = rng.standard_normal((n, n))
+        # both ends repeated from n = 67 on: -2 and 3 about n/7 times each
+        clipped = np.clip(np.linspace(-3.0, 4.0, n), -2.0, 3.0)
+        for a in (b @ b.T, (q * clipped) @ q.T):
+            a = (a + a.T) / 2.0
+            evals = np.linalg.eigvalsh(a)
+            lo, hi = sym_extremes(a)
+            tol = n * np.finfo(float).eps * np.abs(evals).max()
+            assert abs(lo - evals[0]) <= tol and abs(hi - evals[-1]) <= tol, n
+    assert sym_extremes(np.eye(3)) == (1.0, 1.0)
+    assert sym_extremes(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx((1.0, 3.0), rel=1e-15)
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_extremes(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_symmetry_check_rejects_non_finite_entries():
+    """A NaN or infinite entry fails the symmetry check of every routine that
+    runs it, instead of passing it (a NaN makes every comparison false) and
+    returning eigenvalues or a solution from it."""
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.eye(3)
+        a[0, 0] = bad
+        for call in (sym_eigenvalues, sym_extremes, lambda a: solve_regularized(a, 1.0, np.ones(3))):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                call(a)
 
 
 def test_effective_dimension_decreasing_in_lambda():
