@@ -450,12 +450,12 @@ def gram(kernel: KernelSpec, xs) -> np.ndarray:
     return cross_gram(kernel, xs, xs)
 
 
-def low_rank_gram(kernel: KernelSpec, xs, shift: float) -> np.ndarray | None:
+def low_rank_gram(kernel: KernelSpec, xs, shift: float) -> tuple[np.ndarray, np.ndarray] | None:
     """``L^T`` (r x n) of a closed-form kernel's Gram ``gram(kernel, xs) ~ L L^T``,
-    exact to round-off relative to ``shift`` (``linalg.partial_cholesky``: one
-    ``cross_gram`` column per pivot, no n x n array). None when the numerical
-    rank is above the partial Cholesky's cap, and for a designed kernel, whose
-    fits work in its own eigen-coordinates."""
+    exact to round-off relative to ``shift``, and its r pivots P
+    (``linalg.partial_cholesky``: one ``cross_gram`` column per pivot, no n x n
+    array). None when the numerical rank is above the partial Cholesky's cap,
+    and for a designed kernel, whose fits work in its own eigen-coordinates."""
     if kernel.is_designed:
         return None
     xs = as_points(xs, kernel)

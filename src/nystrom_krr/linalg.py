@@ -76,6 +76,8 @@ _SYMMETRY_TILE = 64
 def _require_symmetric(a: np.ndarray, tol: float = 1e-10) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError(f"expected a non-empty matrix, got shape {a.shape}")
     limit = tol * max(float(a.max()), -float(a.min()), 1.0)
     # a NaN makes every comparison below false, so it would pass unseen
     if not math.isfinite(limit):
@@ -133,28 +135,33 @@ def pivoted_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _PARTIAL_RANK_DIVISOR = 64
 
 
-def partial_cholesky(column, diag: np.ndarray, shift: float) -> np.ndarray | None:
+def partial_cholesky(
+    column, diag: np.ndarray, shift: float
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Greedy pivoted partial Cholesky (Fine & Scheinberg 2001) of an n x n
     symmetric PSD ``K`` given by its diagonal ``diag`` and ``column(i) = K[:, i]``.
 
-    Returns the r x n ``L^T`` with ``K ~ L L^T``, built one column per pivot
-    (the largest residual diagonal entry, O(n r) each; K is never formed) and
-    stopped once the residual trace ``trace(K - L L^T)`` is at most
-    ``n eps shift``. The residual is PSD, so ``||K - L L^T||_2 <= n eps shift``:
-    relative to the shift, the order of a dense Cholesky's backward error.
+    Returns the r x n ``L^T`` with ``K ~ L L^T`` and the r pivots P in the
+    order taken. ``L`` is built one column per pivot (the largest residual
+    diagonal entry, O(n r) each; K is never formed), so ``L[P]`` is lower
+    triangular (up to round-off above the diagonal) and ``L = K[:, P] L[P]^-T``. It stops once the residual trace
+    ``trace(K - L L^T)`` is at most ``n eps shift``. The residual is PSD, so
+    ``||K - L L^T||_2 <= n eps shift``: relative to the shift, the order of a
+    dense Cholesky's backward error (Harbrecht, Peters & Schneider 2012).
     Returns None once r reaches the cap ``n // _PARTIAL_RANK_DIVISOR``."""
     check_positive(shift, "shift")
     n = diag.size
     cap, tol = n // _PARTIAL_RANK_DIVISOR, n * np.finfo(np.float64).eps * shift
     resid = np.array(diag, dtype=np.float64)
     rows = np.empty((min(cap, 64), n))
+    pivots = np.empty(cap, dtype=np.intp)
     r = 0
     while resid.sum() > tol:
         if r == cap:
             return None
         if r == rows.shape[0]:  # grow by doubling: memory O(n r), not O(n cap)
             rows = np.concatenate([rows, np.empty((min(cap, 2 * r) - r, n))])
-        p = int(np.argmax(resid))
+        p = pivots[r] = int(np.argmax(resid))
         col = column(p) - rows[:r].T @ rows[:r, p]
         col /= math.sqrt(resid[p])
         rows[r] = col
@@ -163,7 +170,7 @@ def partial_cholesky(column, diag: np.ndarray, shift: float) -> np.ndarray | Non
         # round-off negatives would hide residual mass from the stopping sum
         np.maximum(resid, 0.0, out=resid)
         r += 1
-    return rows[:r]
+    return rows[:r], pivots[:r]
 
 
 def solve_regularized(a: np.ndarray, shift: float, b: np.ndarray) -> np.ndarray:

@@ -203,8 +203,9 @@ def nx_empirical_training(kernel: KernelSpec, training_xs, lam: float) -> np.nda
     check_positive(lam)
     xs = as_points(training_xs, kernel)
     n = xs.size
-    factor_t = low_rank_gram(kernel, xs, lam * n)
-    if factor_t is not None:
+    low_rank = low_rank_gram(kernel, xs, lam * n)
+    if low_rank is not None:
+        factor_t = low_rank[0]
         z = sla.solve_triangular(
             cholesky_psd(factor_t @ factor_t.T, lam * n), factor_t, trans="T", check_finite=False
         )

@@ -10,7 +10,7 @@ from nystrom_krr import krr
 from nystrom_krr.kernels import KernelSpec, cross_gram, gram, low_rank_gram
 from nystrom_krr.krr import KernelModel, empirical_risk, fit_krr, fitted_coefficients, predict
 from nystrom_krr.linalg import OpCount, cholesky_psd, solve_regularized
-from nystrom_krr.nystrom import SizeRuleParams, subsample_size
+from nystrom_krr.nystrom import SizeRuleParams, fit_nystrom, subsample_plain, subsample_size
 from nystrom_krr.spectral import nx_empirical_training
 from nystrom_krr.synthetic import Dataset
 
@@ -322,3 +322,186 @@ def test_closed_form_predict_in_row_blocks(monkeypatch):
         direct = cross_gram(kernel, xs, model.support_xs) @ model.alpha
         monkeypatch.setattr(krr, "_CHUNK_ELEMENTS", chunk)
         assert_allclose(predict(model, kernel, xs), direct, rtol=1e-13, atol=1e-13)
+
+
+def _spy_refusals(monkeypatch):
+    """Record the indices each ``predict`` call leaves to the exact block sum."""
+    calls = []
+    real = krr._low_rank_predict
+
+    def spy(*args):
+        refused = real(*args)
+        calls.append(refused)
+        return refused
+
+    monkeypatch.setattr(krr, "_low_rank_predict", spy)
+    return calls
+
+
+def test_certified_low_rank_predict_matches_block_sum(monkeypatch):
+    """A fit on the factor predicts within ``2 n eps ||alpha||_1`` of the exact
+    block sum of a copy without the factor, at 4096 uniform points and three
+    outside [0, 1]. Every uniform point takes the factor; 5.0, where ``h``
+    vanishes, is refused at every bandwidth, as are -0.3 and 1.5 up to 0.2;
+    refused points equal the block sum bit for bit. Cells whose rank is above
+    the cap (every n = 500 cell, and bandwidth 0.05 at lam = 1e-5) carry no
+    factor and predict as the copy does."""
+    calls = _spy_refusals(monkeypatch)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(18)
+    factored = 0
+    for bandwidth in (0.05, 0.1, 0.2, 0.8):
+        kernel = KernelSpec.gaussian(bandwidth)
+        for lam in (1e-5, 2.5e-3):
+            for n in (500, 4096):
+                xs, ys = rng.uniform(0.0, 1.0, n), rng.standard_normal(n)
+                model = fit_krr(kernel, _dataset(xs, ys), lam)
+                copy = KernelModel(xs, model.alpha, lam, kernel=kernel)
+                grid = np.concatenate([rng.uniform(0.0, 1.0, 4096), [-0.3, 1.5, 5.0]])
+                calls.clear()
+                got, want = predict(model, kernel, grid), predict(copy, kernel, grid)
+                cell = (bandwidth, lam, n)
+                if model._low_rank is None:
+                    assert not calls and np.array_equal(got, want), cell
+                    continue
+                factored += 1
+                (refused,) = calls
+                err = np.abs(got - want).max()
+                assert err <= 2 * n * eps * np.abs(model.alpha).sum(), (cell, err)
+                assert 4098 in refused and refused.min() >= 4096, (cell, refused)
+                if bandwidth <= 0.2:
+                    assert refused.tolist() == [4096, 4097, 4098], cell
+                assert np.array_equal(got[refused], predict(copy, kernel, grid[refused])), cell
+    assert factored == 7, factored
+
+
+def test_certificate_refuses_exactly_where_its_bound_fails(monkeypatch):
+    """The refused points are those where
+    ``sqrt(max(1 - ||h||^2, 0) + (r + 1) eps) ||alpha||_2 sqrt(n eps lam n)``
+    exceeds ``n eps ||alpha||_1`` (``h`` from the same LAPACK solve, so that
+    round-off cannot flip a point). At lambda = 100 the round-off term
+    ``(r + 1) eps`` decides some points."""
+    calls = _spy_refusals(monkeypatch)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(24)
+    kernel, n = KernelSpec.gaussian(0.2), 4096
+    xs, ys = rng.uniform(0.0, 1.0, n), rng.standard_normal(n)
+    for lam in (2.5e-3, 1.0, 1e2):
+        model = fit_krr(kernel, _dataset(xs, ys), lam)
+        low_rank, alpha = model._low_rank, model.alpha
+        grid = np.concatenate([low_rank.points, rng.uniform(0.0, 1.0, 1000), [1.5]])
+        h = sla.solve_triangular(low_rank.chol, cross_gram(kernel, grid, low_rank.points).T, lower=True)
+        resid = np.maximum(1.0 - np.einsum("ij,ij->j", h, h), 0.0)
+        scale, tol = np.linalg.norm(alpha) * np.sqrt(n * eps * lam * n), n * eps * np.abs(alpha).sum()
+        refused = np.sqrt(resid + (low_rank.points.size + 1) * eps) * scale > tol
+        calls.clear()
+        predict(model, kernel, grid)
+        assert np.array_equal(calls[0], np.flatnonzero(refused)), lam
+    assert np.any(refused != (np.sqrt(resid) * scale > tol))
+
+
+def test_low_rank_predictor_keeps_pivot_rows_of_the_factor():
+    """The model keeps the pivot points, ``L_P = tril(L[P])``, ``c = L^T alpha``
+    and the certificate's scalars; ``L_P^-1 k(P, x_j)`` rebuilds ``L``'s rows
+    at the training points, to the round-off that the smallest pivot of
+    ``L_P`` amplifies. Hand-built, Laplacian and Nystrom models carry no
+    factor, nor does a fit whose factor has rank 0."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(20)
+    kernel, n, lam = KernelSpec.gaussian(0.1), 4096, 2.5e-3
+    xs, ys = rng.uniform(0.0, 1.0, n), rng.standard_normal(n)
+    factor_t, pivots = low_rank_gram(kernel, xs, lam * n)
+    model = fit_krr(kernel, _dataset(xs, ys), lam)
+    low_rank = model._low_rank
+    assert np.array_equal(low_rank.points, xs[pivots])
+    assert np.array_equal(low_rank.chol, np.tril(factor_t[:, pivots].T))
+    assert np.array_equal(low_rank.weights, factor_t @ model.alpha)
+    assert low_rank.scale == np.linalg.norm(model.alpha) * np.sqrt(n * eps * lam * n)
+    assert low_rank.tol == n * eps * np.abs(model.alpha).sum()
+    rebuilt = sla.solve_triangular(low_rank.chol, cross_gram(kernel, xs[pivots], xs), lower=True)
+    atol = pivots.size * eps / np.diag(low_rank.chol).min()
+    assert_allclose(rebuilt, factor_t, rtol=0, atol=atol)
+    others = (
+        KernelModel(xs, model.alpha, lam, kernel=kernel),
+        fit_krr(KernelSpec.laplacian(0.1), _dataset(xs, ys), lam),
+        fit_nystrom(kernel, _dataset(xs, ys), lam, np.arange(200)),
+        fit_krr(kernel, _dataset(xs[:128], ys[:128]), 1e15),  # rank 0: lam n >= 1 / eps
+    )
+    assert all(other._low_rank is None for other in others)
+    assert np.all(np.isfinite(predict(others[-1], kernel, [0.3, 0.5])))
+
+
+def test_nystrom_gaussian_predict_skips_zero_weights(monkeypatch):
+    """A Gaussian Nystrom fit's weights vanish off the kept inducing points;
+    predict sums the others only (``cross_gram`` is as wide as they are) and
+    matches the full sum to round-off."""
+    widths = []
+    real = krr.cross_gram
+
+    def spy(kernel, xs, inducing):
+        widths.append(np.size(inducing))
+        return real(kernel, xs, inducing)
+
+    monkeypatch.setattr(krr, "cross_gram", spy)
+    rng = np.random.default_rng(21)
+    kernel, n, lam = KernelSpec.gaussian(0.1), 4096, 2.5e-3
+    data = _dataset(rng.uniform(0.0, 1.0, n), rng.standard_normal(n))
+    model = fit_nystrom(kernel, data, lam, subsample_plain(n, 600, 3))
+    assert 0 < np.count_nonzero(model.alpha) < model.alpha.size / 4
+    grid = rng.uniform(0.0, 1.0, 4096)
+    full = cross_gram(kernel, grid, model.support_xs) @ model.alpha
+    tol = 2 * model.alpha.size * np.finfo(float).eps * np.abs(model.alpha).sum()
+    assert np.abs(predict(model, kernel, grid) - full).max() <= tol
+    assert widths == [np.count_nonzero(model.alpha)]
+
+
+def test_closed_form_full_krr_predicts_at_2_16_points_in_o_n_memory(monkeypatch):
+    """Gaussian(0.1) full KRR at n = 2^16 predicts at 2^16 points on the factor
+    with a small peak: the block route would compute 2^32 kernel values."""
+    import tracemalloc
+
+    calls = _spy_refusals(monkeypatch)
+    kernel = KernelSpec.gaussian(0.1)
+    rng = np.random.default_rng(22)
+    n = 1 << 16
+    model = fit_krr(kernel, _dataset(rng.uniform(0.0, 1.0, n), rng.standard_normal(n)), 1e-3)
+    grid = rng.uniform(0.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        preds = predict(model, kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak / 2**20
+    assert preds.shape == (n,) and np.all(np.isfinite(preds))
+    assert [c.size for c in calls] == [0]
+
+
+def test_empirical_risk_norm_term_matches_gram_formula(monkeypatch):
+    """The RKHS-norm term ``alpha^T K_ss alpha``, now from ``predict`` at the
+    support points, matches the Gram formula for full KRR on and off the
+    factor, a Gaussian Nystrom fit and a hand-built model; ``empirical_risk``
+    builds no Gram."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(23)
+    for kernel, n, lam in (
+        (KernelSpec.gaussian(0.1), 2048, 2.5e-3),
+        (KernelSpec.gaussian(0.2), 2048, 1e-5),
+        (KernelSpec.laplacian(0.3), 500, 1e-3),
+        (KernelSpec.gaussian(0.05), 300, 1e-2),
+    ):
+        data = _dataset(rng.uniform(0.0, 1.0, n), rng.standard_normal(n))
+        models = (
+            fit_krr(kernel, data, lam),
+            fit_nystrom(kernel, data, lam, subsample_plain(n, n // 4, 5)),
+            KernelModel(data.xs[:50], rng.standard_normal(50), lam, kernel=kernel),
+        )
+        for model in models:
+            preds = predict(model, kernel, data.xs)
+            alpha = model.alpha
+            want = np.mean((preds - data.ys) ** 2) + lam * alpha @ gram(kernel, model.support_xs) @ alpha
+            tol = 4 * lam * alpha.size * eps * np.abs(alpha).sum() ** 2 + 1e-14 * want
+            with monkeypatch.context() as patch:
+                patch.setattr(krr, "gram", None)
+                got = empirical_risk(model, kernel, data, lam)
+            assert abs(got - want) <= tol, (kernel, n)

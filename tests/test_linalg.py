@@ -137,6 +137,15 @@ def test_symmetry_check_rejects_non_finite_entries():
                 call(a)
 
 
+def test_symmetry_check_rejects_an_empty_matrix():
+    """A 0 x 0 matrix fails with a message naming its shape, not numpy's
+    zero-size reduction error."""
+    empty = np.zeros((0, 0))
+    for call in (sym_eigenvalues, sym_extremes, lambda a: solve_regularized(a, 1.0, np.zeros(0))):
+        with pytest.raises(ValueError, match=r"non-empty matrix, got shape \(0, 0\)"):
+            call(empty)
+
+
 def test_effective_dimension_decreasing_in_lambda():
     """Shifted-trace functional of Gram eigenvalues decreases along a grid."""
     from nystrom_krr.kernels import KernelSpec, gram
@@ -152,14 +161,21 @@ def test_effective_dimension_decreasing_in_lambda():
 
 def test_partial_cholesky_stops_at_round_off_or_gives_up_at_cap():
     """An exactly rank-5 PSD matrix, given by columns, factors in 5 pivots with
-    ``||K - L L^T||_2 <= n eps shift``; the identity (rank n > n/64) gives None."""
+    ``||K - L L^T||_2 <= n eps shift``; the identity (rank n > n/64) gives None.
+    The pivots are distinct, the first is the largest diagonal entry, ``L[P]``
+    is lower triangular to round-off and ``L = K[:, P] L[P]^-T``."""
     rng = np.random.default_rng(4)
     n, shift = 512, 10.0
     a = rng.standard_normal((n, 5))
     k = a @ a.T
-    factor_t = partial_cholesky(lambda i: k[:, i], np.diag(k), shift)
+    factor_t, pivots = partial_cholesky(lambda i: k[:, i], np.diag(k), shift)
     assert factor_t.shape == (5, n)
     resid = np.linalg.norm(k - factor_t.T @ factor_t, 2)
     assert resid <= n * np.finfo(float).eps * shift, resid
+    assert np.unique(pivots).size == 5 and pivots[0] == np.argmax(np.diag(k))
+    l_p = factor_t[:, pivots].T
+    assert np.abs(np.triu(l_p, 1)).max() <= 1e-12 * np.abs(l_p).max()
+    extended = np.linalg.solve(np.tril(l_p), k[pivots]).T
+    assert_allclose(extended, factor_t.T, rtol=0, atol=1e-10 * np.abs(factor_t).max())
     eye = np.eye(n)
     assert partial_cholesky(lambda i: eye[:, i], np.ones(n), shift) is None
