@@ -327,11 +327,10 @@ def basis_moments(xs, weights, truncation: int) -> np.ndarray:
     return out
 
 
-def covariance(xs, mu, out=None) -> np.ndarray:
+def covariance(xs, mu) -> np.ndarray:
     """The covariance ``M^(1/2) (Phi^T Phi / n) M^(1/2)``, ``M = diag(mu)``, i.e.
     the mean of ``w w^T`` over the ``sections`` w, from the moments
     ``c_l = mean_i exp(2 pi i l x_i)``, l = 0..2 (T // 2), T = ``mu.size``.
-    Written into ``out`` (T x T float64, every entry overwritten) when given.
 
     Product-to-sum makes each block of ``Phi^T Phi / n`` Toeplitz-plus-Hankel
     in the frequencies j, k: ``cos_j cos_k`` gives ``Re c_|j-k| + Re c_{j+k}``,
@@ -345,8 +344,7 @@ def covariance(xs, mu, out=None) -> np.ndarray:
     # unit weights, divided afterwards, keep c_0 = 1 exactly
     c = trig_moments(xs, np.ones(xs.size), 2 * n_cos) / xs.size
     re, im = c.real, c.imag
-    if out is None:
-        out = np.empty((truncation, truncation))
+    out = np.empty((truncation, truncation))
     out[0, 0] = re[0]
     if n_cos:
         out[0, 1::2] = out[1::2, 0] = _SQRT2 * re[1 : n_cos + 1]

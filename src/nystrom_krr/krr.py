@@ -9,7 +9,7 @@ matches the population-scaled spectral quantities used elsewhere.
 A designed kernel has rank T: with the sections ``w(x) = sqrt(mu) * e(x)``
 (``W_n`` those of the n training points), the minimizer is ``f = sqrt(mu) * u``
 with ``(S + lam I) u = b``, ``S = W_n^T W_n / n`` and ``b = W_n^T y / n``
-(``_moment_system``). ``(S + lam I)^-1`` maps ``b`` into ``range(W_n^T)``, so
+(``_moment_factor``). ``(S + lam I)^-1`` maps ``b`` into ``range(W_n^T)``, so
 this is the exact full-KRR minimizer for any n points, repeated or not. Above
 T it replaces the n x n system: O(n sqrt(T) + T^3) and no n x n array.
 
@@ -67,7 +67,7 @@ from .kernels import (
     low_rank_gram,
     sections,
 )
-from .linalg import OpCount, check_positive, cholesky_psd, solve_regularized
+from .linalg import OpCount, _require_symmetric, check_positive, cholesky_psd, solve_regularized
 
 
 @dataclass(frozen=True)
@@ -146,10 +146,14 @@ def _training_arrays(kernel: KernelSpec, data, lam: float):
     return xs, ys
 
 
-def _moment_system(xs, ys, mu):
-    """``S = covariance(xs, mu)`` and ``b = sqrt(mu) * Phi^T y / n`` from the trig
-    moments: the eigen-coordinate system ``(S + lam I) u = b`` of n > T points."""
-    return covariance(xs, mu), np.sqrt(mu) * basis_moments(xs, ys, mu.size) / xs.size
+def _moment_factor(xs, ys, mu, lam):
+    """The system ``(S + lam I) u = b`` of n > T points from the trig moments: the
+    upper ``U = cholesky(S + lam I)``, in the memory of ``S = covariance(xs, mu)``,
+    and ``b = sqrt(mu) * Phi^T y / n``."""
+    s_mat = covariance(xs, mu)
+    _require_symmetric(s_mat)
+    u_mat = cholesky_psd(s_mat, lam, overwrite_a=True)
+    return u_mat, np.sqrt(mu) * basis_moments(xs, ys, mu.size) / xs.size
 
 
 def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
@@ -160,8 +164,8 @@ def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
     n = xs.size
     if kernel.is_designed and n > kernel.truncation:
         mu = kernel.eigenvalues()
-        s_mat, rhs = _moment_system(xs, ys, mu)
-        coeff = np.sqrt(mu) * solve_regularized(s_mat, lam, rhs)
+        u_mat, rhs = _moment_factor(xs, ys, mu, lam)
+        coeff = np.sqrt(mu) * sla.cho_solve((u_mat, False), rhs, check_finite=False)
         return KernelModel(xs, None, lam, OpCount.krr(n), kernel=kernel, coefficients=coeff)
     low_rank = low_rank_gram(kernel, xs, lam * n)
     if low_rank is None:

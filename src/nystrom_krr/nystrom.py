@@ -4,50 +4,50 @@ Inducing points are drawn uniformly without replacement from the training
 set; the estimator is the regularized risk minimizer restricted to the span
 of their kernel sections (Rudi, Camoriano & Rosasco 2015).
 
-Designed kernel: the span and the closed form. With the sections
+Designed kernel: the span and one factor. With the sections
 ``w(x) = sqrt(mu) * e(x)`` (``K(x, y) = w(x) . w(y)``) and ``W`` those of the
 m inducing points (m x T), the span is ``range(W^T)`` in the eigen-coordinates.
-For an orthonormal basis ``Q`` of it, a function ``f = sqrt(mu) * Q beta`` has
-``||f||_H = ||beta||``, so the restricted minimizer solves
+``f = sqrt(mu) * v`` has ``||f||_H = ||v||``, so the restricted minimizer
+minimizes ``v^T (S + lam I) v - 2 b^T v`` over ``v`` in ``range(W^T)``, with
+``S = W_n^T W_n / n``, ``b = W_n^T y / n`` and ``W_n`` the sections of the n
+training points. The model is its eigen-coefficients ``sqrt(mu) * v``; it
+carries no ``alpha``. For n <= T, ``v = Q beta`` for an orthonormal basis
+``Q`` of the span (the rank rule below) and ``(G^T G + lam n I) beta = G^T y``,
+``G = W_n Q``.
 
-    (Q^T S Q + lam I) beta = Q^T b,   S = W_n^T W_n / n,   b = W_n^T y / n,
+One factor, three uses (n > T). ``S`` and ``b`` come from the trig moments,
+and ``S + lam I = U^T U`` is factored once, in place (``krr._moment_factor``,
+designed full KRR's factor too). With ``u = U v`` the objective is
+``||u - U^-T b||^2`` up to a constant, so for a basis ``B`` of the span and a
+Householder QR ``Z = U B = Q_z R_z``, ``v = U^-1 Q_z Q_z^T U^-T b``, ``Q_z``
+applied as reflectors (two ``ormqr`` calls on one vector). ``B`` is:
 
-``W_n`` the sections of the n training points; ``S`` (``covariance``) and
-``b`` come from the trig moments when n > T (``krr._moment_system``, the
-system designed full KRR solves with Q = I), and for n <= T the same system
-times n is ``(G^T G + lam n I) beta = G^T y`` with ``G = W_n Q``. The model is
-its eigen-coefficients ``sqrt(mu) * Q beta``; it carries no ``alpha``.
+- ``W^T`` itself (the whitened span, T > m), ``Z`` formed by ``trmm`` in
+  place of the sections, when a certificate rules out a cut: as
+  ``W^T = U^-1 Q_z R_z``, ``cond_2(W)^2 <= ||W||_F^2 ||U||_2^2 ||R_z^-1||_2^2``,
+  so ``||W||_F^2 ||U||_F^2 ||R_z^-1||_1 ||R_z^-1||_inf < 1 / tol^2``, the
+  norms of ``R_z^-1`` from LAPACK's ``trcon`` and ``lantr``, keeps every
+  direction;
+- ``I`` when the sections span R^T: the closed form ``(S + lam I) v = b``;
+- else the orthonormal basis of the rank rule, which needs no certificate
+  (``cond(Z) <= cond(U)``): after a refused certificate (2 of the 40
+  rule-sized rate cells n = 16384, T = 2048, m = 978 in the benchmark pool)
+  or a rank cut.
 
-The span. The rank rule keeps the directions of W whose singular values lie
-above ``tol sigma_max``, ``tol = max(m, T) eps``. For n > T > m the fit first
-tries the whitened span, with ``v = U^-1 u``: factor ``S + lam I = U^T U`` in
-place in the moment system's T x T buffer and form ``Z = U W^T`` (``trmm``,
-in place of the sections). Minimizing ``v^T (S + lam I) v - 2 b^T v`` over
-``v`` in ``range(W^T)`` is minimizing ``||u - U^-T b||^2`` over ``u`` in
-``range(Z)``, a projection; so with a Householder QR ``Z = Q_z R_z``,
-``f = sqrt(mu) * U^-1 Q_z Q_z^T U^-T b``. ``Q_z`` is never formed (two
-``ormqr`` calls on one vector), nor ``Q^T S Q`` nor an m x m factor. The
-route runs only when a certificate rules out a cut: ``W^T = U^-1 Q_z R_z``
-gives ``cond_2(W)^2 <= ||W||_F^2 ||S + lam I||_2 ||R_z^-1||_2^2``, so
-``||W||_F^2 (tr S + lam) ||R_z^-1||_1 ||R_z^-1||_inf < 1 / tol^2``, the norms
-from LAPACK's ``trcon`` and ``lantr`` estimates, keeps every direction.
-Otherwise (2 of the 40 rule-sized rate cells n = 16384, T = 2048, m = 978 in
-the benchmark pool, and any W that is rank-deficient) S is rebuilt into the
-same buffer and the QR route below runs, as do n <= T and m >= T.
-
-When m >= T and a pivoted Cholesky of the T x T ``covariance`` of the
-inducing points keeps all T directions, the sections span R^T: ``Q`` drops
-out and the fit is the closed form ``(S + lam I) v = b``, ``f = sqrt(mu) * v``,
-with no m x m or m x T array. Otherwise one Householder factorization of
-``W^T`` gives a square triangular R with ``range(W^T) = Q range(R)``: QR
-``W^T = Q R`` below T, and RQ ``W^T = R Q'`` (``Q = I``) from T on, where the
-covariance, which squares cond(W), can miss a span that W has. R has full rank
-unless LAPACK's estimates of its ``1 / cond_1`` and ``1 / cond_inf`` allow a
-singular-value ratio at or below ``tol`` (``cond_2^2 <= cond_1 cond_inf``);
-then the rank rule keeps the left singular directions ``U_r`` of R, whose
-singular values are W's, above ``tol sigma_max``, and the basis is ``Q U_r``
-(Chan 1982). A pivoted QR's diagonal overestimates the smallest singular values
-and would keep round-off directions this rule drops.
+The rank rule keeps the directions of W whose singular values lie above
+``tol sigma_max``, ``tol = max(m, T) eps``. When m >= T and a pivoted Cholesky
+of the T x T ``covariance`` of the inducing points keeps all T directions,
+the sections span R^T, with no m x m or m x T array formed. Otherwise one
+Householder factorization of ``W^T`` gives a square triangular R with
+``range(W^T) = Q range(R)``: QR ``W^T = Q R`` below T, and RQ ``W^T = R Q'``
+(``Q = I``) from T on, where the covariance, which squares cond(W), can miss
+a span that W has. R has full rank unless LAPACK's estimates of its
+``1 / cond_1`` and ``1 / cond_inf`` allow a singular-value ratio at or below
+``tol`` (``cond_2^2 <= cond_1 cond_inf``); then the rank rule keeps the left
+singular directions ``U_r`` of R, whose singular values are W's, above
+``tol sigma_max``, and the basis is ``Q U_r`` (Chan 1982). A pivoted QR's
+diagonal overestimates the smallest singular values and would keep round-off
+directions this rule drops.
 
 Closed-form kernels (Gaussian, Laplacian): with ``K_nm`` the training-by-inducing
 Gram block and ``K_mm`` the inducing Gram, the coefficients solve
@@ -78,13 +78,12 @@ import scipy.linalg as sla
 
 from .kernels import KernelSpec, as_points, covariance, cross_gram, gram, sections
 # predict is re-exported: one predict serves every model
-from .krr import KernelModel, _moment_system, _training_arrays, predict  # noqa: F401
+from .krr import KernelModel, _moment_factor, _training_arrays, predict  # noqa: F401
 from .linalg import (
     OpCount,
-    _require_symmetric,
+    check_integer,
     check_number,
     check_positive,
-    cholesky_psd,
     pivoted_cholesky,
     solve_regularized,
 )
@@ -122,6 +121,7 @@ class SizeRuleParams:
 
 def subsample_plain(n: int, m: int, seed: int) -> np.ndarray:
     """m distinct indices, uniform over size-m subsets, deterministic per seed."""
+    n, m = check_integer(n, "n"), check_integer(m, "m")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
@@ -172,33 +172,23 @@ def fit_nystrom(kernel: KernelSpec, data, lam: float, inducing_indices) -> Kerne
     )
 
 
-# Rows of Q^T S formed at a time when the QR route reduces S (n > T > m after
-# the whitened route's certificate refused). The route's T x T Cholesky leaves
-# about 6.7 MB of BLAS work space resident at T = 2048, so on the rate cells
-# n = 16384, m = 978 the full m x T product lifted a fallback op's peak RSS
-# from 137.6 to 141.9 MB; 256-row blocks (4 MB) give 132.7 MB, at 0.18-0.24 s
-# against 0.17 s for the product (one BLAS thread, 2-core x86 VM).
-_ROW_BLOCK = 256
-
-
 def _designed_fit(kernel, xs, ys, x_ind, lam):
     """Eigen-coefficients of the restricted minimizer and the dimension of the
-    span: on the whitened span, by the closed form or on ``Q`` from the rank
-    rule (module docstring)."""
+    span: above T from one factor of ``S + lam I`` (on the whitened span, by the
+    closed form, or projected onto ``Q`` from the rank rule), else on
+    ``G = W_n Q`` (module docstring)."""
     mu = kernel.eigenvalues()
     n, m, t = xs.size, x_ind.size, mu.size
     tol = max(m, t) * np.finfo(np.float64).eps
     if n > t:
-        # S before Q: built after Q, the moment blocks of S stack on it (peak RSS
-        # 150-155 MB against 136-140 MB on rate cells n=16384, m=978, T=2048)
-        (a_mat, rhs), shift = _moment_system(xs, ys, mu), lam
+        # the factor of S + lam I before Q: built after Q, the moment blocks of S
+        # stack on it (peak RSS 150-155 MB against 136-140 MB on rate cells
+        # n=16384, m=978, T=2048)
+        s_factor, rhs = _moment_factor(xs, ys, mu, lam)
         if m < t:
-            v_vec = _whitened_solve(a_mat, lam, rhs, sections(x_ind, mu).T, tol)
+            v_vec = _whitened_solve(s_factor, rhs, sections(x_ind, mu).T, tol)
             if v_vec is not None:
                 return np.sqrt(mu) * v_vec, m
-            # S rebuilt in its factored buffer: a fresh T x T block would raise
-            # peak RSS on the runs that reach this fallback
-            covariance(xs, mu, out=a_mat)
     q_mat = u_mat = None
     if m < t or pivoted_cholesky(covariance(x_ind, mu))[1].size < t:
         # W^T (T x m, Fortran order) is factored in place: below T as Q R, so
@@ -212,53 +202,54 @@ def _designed_fit(kernel, xs, ys, x_ind, lam):
         # cond_2(R)^2 <= cond_1(R) cond_inf(R): LAPACK's estimates of the square
         # R's 1 / cond_1 and 1 / cond_inf rule out a rank cut without an SVD
         if math.prod(sla.lapack.dtrcon(r_mat, norm=c)[0] for c in "1I") <= tol**2:
-            # R's singular values are W's; the kept directions are applied in the
-            # reduced coordinates, never as a T x r array
+            # R's singular values are W's
             u_mat, sv = sla.svd(r_mat, full_matrices=False, check_finite=False)[:2]
             u_mat = u_mat[:, : np.count_nonzero(sv > tol * sv[0])]
-        del r_mat  # freed before the reduced products
-    if n <= t:
-        g_mat = sections(xs, mu) if q_mat is None else sections(xs, mu) @ q_mat
-        a_mat, rhs, shift = g_mat.T @ g_mat, g_mat.T @ ys, lam * n
-    elif q_mat is not None:
-        # Q^T S Q a row block at a time: an m x T Q^T S beside S and Q would
-        # lift peak RSS above the route's T x T Cholesky (see _ROW_BLOCK)
-        reduced = np.empty((q_mat.shape[1],) * 2)
-        for lo in range(0, reduced.shape[0], _ROW_BLOCK):
-            rows = slice(lo, lo + _ROW_BLOCK)
-            np.matmul(q_mat[:, rows].T @ a_mat, q_mat, out=reduced[rows])
-        a_mat, rhs = reduced, q_mat.T @ rhs
+        del r_mat  # freed before the products
+    if n > t:
+        if q_mat is None and u_mat is None:
+            return np.sqrt(mu) * sla.cho_solve((s_factor, False), rhs, check_finite=False), t
+        basis = u_mat if q_mat is None else q_mat if u_mat is None else q_mat @ u_mat
+        return np.sqrt(mu) * _project(s_factor, rhs, basis), basis.shape[1]
+    g_mat = sections(xs, mu) if q_mat is None else sections(xs, mu) @ q_mat
+    a_mat, rhs = g_mat.T @ g_mat, g_mat.T @ ys
     if u_mat is not None:
+        # the kept directions in the reduced coordinates, never as a T x r array
         a_mat, rhs = u_mat.T @ a_mat @ u_mat, u_mat.T @ rhs
-    beta = solve_regularized(a_mat, shift, rhs)
+    beta = solve_regularized(a_mat, lam * n, rhs)
     v_vec = beta if u_mat is None else u_mat @ beta
     return np.sqrt(mu) * (v_vec if q_mat is None else q_mat @ v_vec), beta.size
 
 
-def _whitened_solve(a_mat, lam, rhs, w_t, tol):
-    """``v = U^-1 Q_z Q_z^T U^-T b`` for ``S + lam I = U^T U``, factored in the
-    memory of ``a_mat``, and ``Z = U W^T = Q_z R_z``, formed and factored in
-    the memory of ``w_t`` (T x m, Fortran order); ``Q_z`` is applied as
-    reflectors. None when the certificate cannot rule out a rank cut of W
-    (module docstring); ``a_mat`` is then lost."""
-    flat = w_t.T.ravel()  # W, C-ordered: a view
-    bound = (flat @ flat) * (np.trace(a_mat) + lam) * tol**2
-    _require_symmetric(a_mat)
-    u_mat = cholesky_psd(a_mat, lam, overwrite_a=True)
-    z_mat = sla.blas.dtrmm(1.0, u_mat, w_t, overwrite_b=True)
+def _whitened_solve(s_factor, rhs, w_t, tol):
+    """``_project`` onto ``range(W^T)`` itself, ``w_t = W^T`` (T x m, Fortran
+    order, overwritten), or None when the certificate cannot rule out a rank
+    cut of W (module docstring). ``||U||_F^2`` is ``tr S + lam``."""
+    flat, u_flat = w_t.T.ravel(), s_factor.T.ravel()  # views: W and U^T, C-ordered
+    return _project(s_factor, rhs, w_t, (flat @ flat) * (u_flat @ u_flat) * tol**2)
+
+
+def _project(s_factor, rhs, basis, bound=None):
+    """``v = U^-1 Q_z Q_z^T U^-T b``, the minimizer of ``v^T U^T U v - 2 b^T v``
+    over ``range(basis)``, for the upper ``U = s_factor`` and
+    ``Z = U basis = Q_z R_z``, formed and factored in the memory of ``basis``
+    (T x r, Fortran order) when it can be; ``Q_z`` is applied as reflectors.
+    With ``bound``, None unless ``bound < 1 / (||R_z^-1||_1 ||R_z^-1||_inf)``."""
+    z_mat = sla.blas.dtrmm(1.0, s_factor, basis, overwrite_b=True)
     (qr_mat, tau), r_mat = sla.qr(z_mat, mode="raw", overwrite_a=True, check_finite=False)
-    # rcond times the norm is 1 / ||R_z^-1|| in each norm; estimated on R_z^T
-    # (Fortran order), whose 1-norm is R_z's inf-norm and the other way round
-    r_t = r_mat.T
-    norms = (sla.lapack.dtrcon(r_t, norm=c, uplo="L")[0] * sla.lapack.dlantr(c, r_t, uplo="L")
-             for c in "1I")
-    if not bound < math.prod(norms):
-        return None
-    vec = sla.solve_triangular(u_mat, rhs, trans="T", check_finite=False)[:, None]
+    if bound is not None:
+        # rcond times the norm is 1 / ||R_z^-1|| in each norm; estimated on R_z^T
+        # (Fortran order), whose 1-norm is R_z's inf-norm and the other way round
+        r_t = r_mat.T
+        norms = (sla.lapack.dtrcon(r_t, norm=c, uplo="L")[0] * sla.lapack.dlantr(c, r_t, uplo="L")
+                 for c in "1I")
+        if not bound < math.prod(norms):
+            return None
+    vec = sla.solve_triangular(s_factor, rhs, trans="T", check_finite=False)[:, None]
     vec = sla.lapack.dormqr("L", "T", qr_mat, tau, vec, 1, overwrite_c=True)[0]
     vec[tau.size :] = 0.0
     vec = sla.lapack.dormqr("L", "N", qr_mat, tau, vec, 1, overwrite_c=True)[0]
-    return sla.solve_triangular(u_mat, vec[:, 0], check_finite=False)
+    return sla.solve_triangular(s_factor, vec[:, 0], check_finite=False)
 
 
 def _reduced_generic(kernel, xs, ys, x_ind, r_factor, lam):
@@ -283,6 +274,7 @@ def subsample_size(
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"size rule needs lambda in (0, 1), got {lam}")
+    n = check_integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if params.gamma is not None:
@@ -299,6 +291,7 @@ def lambda_admissible(
     lam: float, n: int, delta: float, operator_norm_bound: float, c: float = 1.0
 ) -> bool:
     """Whether lam sits in [c log(n/delta)/n, operator_norm_bound]."""
+    n = check_integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < delta < 1.0:

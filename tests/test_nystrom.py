@@ -480,6 +480,50 @@ def test_whitened_route_falls_back_on_ill_conditioned_and_repeated_points(monkey
     assert len(taken) == 3
 
 
+def test_designed_fit_above_truncation_factors_once(monkeypatch, caplog):
+    """n > T: every designed fit factors ``S + lam I`` once (``cholesky_psd``)
+    and solves no second system (``solve_regularized``), on each branch: the
+    certified whitened span, a refused certificate without and with a rank cut
+    (``kappa(W) ~ 3e12``, an exact repeat), and m >= T with and without a cut.
+    Designed full KRR too. Each Nystrom fit stays within the oracle's tolerance."""
+    from nystrom_krr import linalg
+
+    calls, taken = [], _whitened_routes(monkeypatch)
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod, name in itertools.product((linalg, krr, nystrom), ("cholesky_psd", "solve_regularized")):
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    kernel = KernelSpec.designed(0.5, 64)
+    rng = np.random.default_rng(3)
+    rest = rng.uniform(0, 1, 300)
+    cases = (
+        (rest[:20], [True], None, None),
+        (0.5 + 0.003 * np.linspace(0, 1, 8), [False], None, None),
+        (np.array([0.25, 0.25, 0.25, 0.7, 0.9]), [False], "kept 3 of 5", 1e-12),
+        (rest[:100], [], "kept 64 of 100", None),
+        (np.repeat(rest[:20], 5), [], "kept 20 of 100", 1e-12),
+    )
+    for cluster, route, message, tol in cases:
+        xs = np.concatenate([cluster, rest])
+        data = _dataset(xs, rng.standard_normal(xs.size))
+        calls.clear(), taken.clear(), caplog.clear()
+        with caplog.at_level(logging.INFO, logger="nystrom_krr"):
+            err, _, kappa_eps = _oracle_error(kernel, data, 1e-3, list(range(cluster.size)))
+        assert calls == ["cholesky_psd"] and taken == route, (cluster.size, calls, taken)
+        assert [r.getMessage() for r in caplog.records] == ([message] if message else [])
+        assert err <= (tol or 10 * max(1e-10, kappa_eps)), (cluster.size, err, kappa_eps)
+    calls.clear()
+    krr.fit_krr(kernel, data, 1e-3)
+    assert calls == ["cholesky_psd"]
+
+
 def test_whitened_route_holds_one_truncation_square_array():
     """n = 8192 > T = 2048 > m = 978: the fit holds at most one T x T float64
     array at a time (32 MiB; the explicit Q and Q^T S beside S held 70 MiB)."""
@@ -574,6 +618,29 @@ def test_subsample_size_designed_and_empirical():
         subsample_size(100, 0.05, SizeRuleParams(), kernel=gauss)
     with pytest.raises(ValueError):
         subsample_size(100, 1.5, SizeRuleParams(), kernel=kernel)
+
+
+def test_sizes_are_checked_integers():
+    """``n`` and ``m`` of the size rule, the subsampler, ``lambda0`` and the
+    admissibility window take ints or integral floats only, never a bool or a
+    fraction; the size rule returns an int."""
+    params = SizeRuleParams(c=1.0, delta=0.1, gamma=1.0, c_gamma=1.0)
+    m = subsample_size(10.0, 0.01, params)
+    assert type(m) is int and m == 10
+    assert subsample_plain(10.0, 3.0, 1).tolist() == subsample_plain(10, 3, 1).tolist()
+    profile = analytic_profile(DecaySpec(0.5), 64)
+    assert lambda0(profile, 100.0) == lambda0(profile, 100)
+    for call in (
+        lambda: subsample_size(10.5, 0.01, params),
+        lambda: subsample_size(True, 0.01, params),
+        lambda: subsample_plain(True, 1, 1),
+        lambda: subsample_plain(10, 2.5, 1),
+        lambda: lambda0(profile, 100.5),
+        lambda: lambda_admissible(0.1, 100.5, 0.1, 1.0),
+        lambda: lambda_admissible(0.1, True, 0.1, 1.0),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
 
 
 def test_lambda_admissible():
