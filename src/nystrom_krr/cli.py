@@ -16,7 +16,7 @@ import sys
 
 from . import experiments as exp
 from .diagnostics import CSV_FIELDS, report_rows
-from .linalg import NumericalError
+from .linalg import NumericalError, check_count, check_seed
 from .nystrom import subsample_size
 from .spectral import analytic_profile, lambda0
 
@@ -38,13 +38,11 @@ def _add_common(parser):
 def _load(args) -> exp.ExperimentConfig:
     config = exp.load_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config.seed = check_seed(args.seed, "--seed")
     if args.out_dir is not None:
         config.outputs = args.out_dir
     if args.reps is not None:
-        if args.reps < 1:
-            raise ValueError("--reps must be >= 1")
-        config.repetitions = args.reps
+        config.repetitions = check_count(args.reps, "--reps")
     return config
 
 

@@ -64,7 +64,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .kernels import DecaySpec, KernelSpec, basis_moments, covariance, sections
-from .linalg import check_integer, check_positive, sym_extremes
+from .linalg import check_count, check_fraction, check_positive, check_seed, sym_extremes
 from .nystrom import SizeRuleParams, subsample_size
 from .spectral import IndexFunction, SpectralProfile, effective_dimension
 from .synthetic import target_values
@@ -208,17 +208,14 @@ def _report(check: _Check, lhs, delta, common, warnings) -> BoundCheckReport:
 def _run_checks(decay, truncation, n, m, lam, delta, trials, seed, makers) -> list:
     """The one trial loop: one report per check ``make(mu=, n=, lam=, delta=)``,
     each read from every trial's one ``_Draw``. First the one input check:
-    ``lam`` finite and positive, ``delta`` in (0, 1), and T, n, m (None where no
-    check uses a subsample) and trials integers >= 1, with m <= n."""
+    ``lam`` finite and positive, ``delta`` in (0, 1), T, n, m (None where no
+    check uses a subsample) and trials integers >= 1, with m <= n, and the seed
+    (``check_seed``)."""
     check_positive(lam)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
+    check_fraction(delta, "delta")
     sizes = {"truncation": truncation, "n": n, "m": m, "trials": trials}
-    for name, value in sizes.items():
-        if value is not None:
-            sizes[name] = check_integer(value, name)
-            if sizes[name] < 1:
-                raise ValueError(f"{name} must be >= 1, got {value!r}")
+    sizes = {k: v if v is None else check_count(v, k) for k, v in sizes.items()}
+    seed = check_seed(seed)
     if m is not None and sizes["m"] > sizes["n"]:
         raise ValueError(f"subsample size m={m} exceeds the sample size n={n}")
     truncation, n, m, trials = sizes.values()
@@ -234,7 +231,8 @@ def _run_checks(decay, truncation, n, m, lam, delta, trials, seed, makers) -> li
                 "the bound's premise is not guaranteed"
             )
     lhs = np.empty((len(checks), trials))
-    for t, ss in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    for t, ss in enumerate(root.spawn(trials)):
         draw = _Draw(np.random.default_rng(ss), n, m, mu)
         for c, check in enumerate(checks):
             lhs[c, t] = check.lhs(draw)

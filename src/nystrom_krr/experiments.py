@@ -21,7 +21,7 @@ import numpy as np
 from . import krr, nystrom
 from .diagnostics import check_all_bounds
 from .kernels import KernelSpec
-from .linalg import check_integer, check_number, check_positive
+from .linalg import check_count, check_number, check_positive, check_seed
 from .nystrom import SizeRuleParams, lambda_admissible, subsample_plain, subsample_size
 from .spectral import (
     IndexFunction,
@@ -73,8 +73,7 @@ class ExperimentConfig:
             raise ValueError("n_grid must be nonempty")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        check_count(self.repetitions, "repetitions")
         check_positive(self.lambda_factor, "lambda_factor")
         check_positive(self.exponent_tolerance, "exponent_tolerance")
 
@@ -138,11 +137,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         kernel=kernel,
         phi=phi,
         target_profile=tgt.get("profile", "sphere"),
-        coeff_seed=check_integer(tgt.get("coeff_seed", 0), "config error: 'target.coeff_seed'"),
+        coeff_seed=check_seed(tgt.get("coeff_seed", 0), "config error: 'target.coeff_seed'"),
         noise=noise,
-        n_grid=[check_integer(n, "config error: 'n_grid'") for n in n_grid],
-        repetitions=check_integer(raw.get("repetitions", 1), "config error: 'repetitions'"),
-        seed=check_integer(raw.get("seed", 0), "config error: 'seed'"),
+        n_grid=[check_count(n, "config error: 'n_grid'") for n in n_grid],
+        repetitions=check_count(raw.get("repetitions", 1), "config error: 'repetitions'"),
+        seed=check_seed(raw.get("seed", 0), "config error: 'seed'"),
         size_rule=size_rule,
         lambda_policy=policy,
         outputs=_typed(raw.get("outputs", "out"), str, "outputs", "a string"),
@@ -443,10 +442,9 @@ def run_diagnostics(config: ExperimentConfig):
     d = config.diagnostics
     for key in sorted(d.keys() - {"T", "n", "trials", "delta", "lambda"}):
         raise ValueError(f"config error: 'diagnostics.{key}' is not a diagnostics setting")
-    truncation = check_integer(d.get("T", 256), "config error: 'diagnostics.T'")
-    n = check_integer(d.get("n", 2048), "config error: 'diagnostics.n'")
-    trials = check_integer(d.get("trials", 200), "config error: 'diagnostics.trials'")
-    check_positive(trials, "diagnostics.trials")
+    truncation = check_count(d.get("T", 256), "config error: 'diagnostics.T'")
+    n = check_count(d.get("n", 2048), "config error: 'diagnostics.n'")
+    trials = check_count(d.get("trials", 200), "config error: 'diagnostics.trials'")
     delta = _number(d.get("delta", 0.1), "diagnostics.delta")
     decay = config.kernel.decay
     profile = analytic_profile(decay, truncation)

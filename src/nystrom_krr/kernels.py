@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view as _windows
 
-from .linalg import check_integer, check_number, check_positive, partial_cholesky
+from .linalg import check_count, check_number, check_positive, partial_cholesky
 
 GAUSSIAN = "gaussian"
 LAPLACIAN = "laplacian"
@@ -70,8 +70,7 @@ class DecaySpec:
         return self.s == 1.0
 
     def eigenvalues(self, truncation: int) -> np.ndarray:
-        if truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {truncation}")
+        truncation = check_count(truncation, "truncation")
         k = np.arange(1, truncation + 1, dtype=np.float64)
         return k ** (-1.0 / self.s)
 
@@ -95,12 +94,8 @@ class KernelSpec:
                 raise ValueError("designed_spectral kernel needs a DecaySpec")
             # frozen: store the checked int (64.0 -> 64) in place of the input
             object.__setattr__(
-                self, "truncation", check_integer(self.truncation, "kernel.truncation")
+                self, "truncation", check_count(self.truncation, "kernel.truncation")
             )
-            if self.truncation < 1:
-                raise ValueError(
-                    f"designed_spectral truncation must be >= 1, got {self.truncation}"
-                )
         else:
             raise ValueError(f"unknown kernel variant: {self.variant!r}")
 
@@ -245,14 +240,6 @@ def _finite_vector(values, name: str, dtype) -> np.ndarray:
     return arr
 
 
-def _check_count(value, name: str, least: int) -> int:
-    """An integer input (a degree or truncation) of at least ``least``."""
-    value = check_integer(value, name)
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
-
-
 def trig_sum(xs, coeffs) -> np.ndarray:
     """Type-2 trigonometric sum ``Re sum_l F_l exp(2 pi i l x)``, l = 0..L, at each x.
 
@@ -290,7 +277,7 @@ def trig_moments(xs, weights, degree: int) -> np.ndarray:
         raise ValueError(f"need one weight per point, got {weights.shape} for {xs.shape}")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite (no NaN or inf)")
-    degree = _check_count(degree, "degree", 0)
+    degree = check_count(degree, "degree", least=0)
     b, q = _split(degree)
     acc = np.zeros((q, b), dtype=np.complex128)
     for lo, hi, e_q, e_b in _exp_power_chunks(xs, b, q):
@@ -318,7 +305,7 @@ def basis_sum(xs, coeffs) -> np.ndarray:
 def basis_moments(xs, weights, truncation: int) -> np.ndarray:
     """``Phi^T @ weights`` for the basis matrix ``Phi`` via ``trig_moments``: the
     cos and sin columns of frequency j get ``sqrt(2)`` times Re and Im of ``c_j``."""
-    truncation = _check_count(truncation, "truncation", 1)
+    truncation = check_count(truncation, "truncation")
     c = trig_moments(xs, weights, truncation // 2)
     out = np.empty(truncation)
     out[0] = c[0].real

@@ -45,9 +45,9 @@ def check_positive(value: float, name: str = "lambda") -> None:
 
 
 def check_integer(value, name: str) -> int:
-    """The one check for a single integer input (a size, seed or truncation): an
-    int or an integral float, never a bool or an array. Returns it as an int;
-    raises ``ValueError`` naming ``name`` otherwise."""
+    """The one test for a single integer input, under ``check_count`` and
+    ``check_seed``: an int or an integral float, never a bool or an array.
+    Returns it as an int; raises ``ValueError`` naming ``name`` otherwise."""
     integral = isinstance(value, (int, np.integer)) or (
         isinstance(value, (float, np.floating)) and float(value).is_integer()
     )
@@ -63,6 +63,33 @@ def check_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def check_count(value, name: str, least: int = 1) -> int:
+    """The one check for a size or count (n, m, a truncation, trials,
+    repetitions; a degree with ``least=0``): ``check_integer``, then
+    ``>= least``."""
+    value = check_integer(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def check_seed(value, name: str = "seed") -> int | np.random.SeedSequence:
+    """The one check for a seed: an ``np.random.SeedSequence`` (a spawned cell
+    seed) as it is, anything else an integer >= 0."""
+    if isinstance(value, np.random.SeedSequence):
+        return value
+    return check_count(value, name, least=0)
+
+
+def check_fraction(value, name: str) -> float:
+    """The one check for a number in the open (0, 1): a confidence level, or
+    the size rule's lambda."""
+    value = check_number(value, name)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {value!r}")
+    return value
 
 
 # Tile edge of the symmetry check, which compares a[i, j] with a[j, i] one

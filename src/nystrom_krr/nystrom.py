@@ -81,9 +81,11 @@ from .kernels import KernelSpec, as_points, covariance, cross_gram, gram, sectio
 from .krr import KernelModel, _moment_factor, _training_arrays, predict  # noqa: F401
 from .linalg import (
     OpCount,
-    check_integer,
+    check_count,
+    check_fraction,
     check_number,
     check_positive,
+    check_seed,
     pivoted_cholesky,
     solve_regularized,
 )
@@ -109,8 +111,7 @@ class SizeRuleParams:
 
     def __post_init__(self):
         check_positive(self.c, "rule constant c")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        check_fraction(self.delta, "delta")
         if (self.gamma is None) != (self.c_gamma is None):
             raise ValueError("gamma and c_gamma must be given together")
         if self.gamma is not None:
@@ -121,10 +122,10 @@ class SizeRuleParams:
 
 def subsample_plain(n: int, m: int, seed: int) -> np.ndarray:
     """m distinct indices, uniform over size-m subsets, deterministic per seed."""
-    n, m = check_integer(n, "n"), check_integer(m, "m")
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    rng = np.random.default_rng(seed)
+    n, m = check_count(n, "n"), check_count(m, "m")
+    if m > n:
+        raise ValueError(f"need m <= n, got m={m}, n={n}")
+    rng = np.random.default_rng(check_seed(seed))
     return rng.choice(n, size=m, replace=False)
 
 
@@ -206,19 +207,14 @@ def _designed_fit(kernel, xs, ys, x_ind, lam):
             u_mat, sv = sla.svd(r_mat, full_matrices=False, check_finite=False)[:2]
             u_mat = u_mat[:, : np.count_nonzero(sv > tol * sv[0])]
         del r_mat  # freed before the products
+    basis = u_mat if q_mat is None else q_mat if u_mat is None else q_mat @ u_mat
     if n > t:
-        if q_mat is None and u_mat is None:
+        if basis is None:
             return np.sqrt(mu) * sla.cho_solve((s_factor, False), rhs, check_finite=False), t
-        basis = u_mat if q_mat is None else q_mat if u_mat is None else q_mat @ u_mat
         return np.sqrt(mu) * _project(s_factor, rhs, basis), basis.shape[1]
-    g_mat = sections(xs, mu) if q_mat is None else sections(xs, mu) @ q_mat
-    a_mat, rhs = g_mat.T @ g_mat, g_mat.T @ ys
-    if u_mat is not None:
-        # the kept directions in the reduced coordinates, never as a T x r array
-        a_mat, rhs = u_mat.T @ a_mat @ u_mat, u_mat.T @ rhs
-    beta = solve_regularized(a_mat, lam * n, rhs)
-    v_vec = beta if u_mat is None else u_mat @ beta
-    return np.sqrt(mu) * (v_vec if q_mat is None else q_mat @ v_vec), beta.size
+    g_mat = sections(xs, mu) if basis is None else sections(xs, mu) @ basis
+    beta = solve_regularized(g_mat.T @ g_mat, lam * n, g_mat.T @ ys)
+    return np.sqrt(mu) * (beta if basis is None else basis @ beta), beta.size
 
 
 def _whitened_solve(s_factor, rhs, w_t, tol):
@@ -272,11 +268,8 @@ def subsample_size(
     ``n_infinity(kernel, lam, xs=xs)``: exact for designed kernels, the
     empirical plug-in over the training points ``xs`` otherwise.
     """
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"size rule needs lambda in (0, 1), got {lam}")
-    n = check_integer(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_fraction(lam, "size rule lambda")
+    n = check_count(n, "n")
     if params.gamma is not None:
         n_inf = params.c_gamma**2 * lam ** (params.gamma - 1.0)
     elif kernel is not None:
@@ -291,11 +284,8 @@ def lambda_admissible(
     lam: float, n: int, delta: float, operator_norm_bound: float, c: float = 1.0
 ) -> bool:
     """Whether lam sits in [c log(n/delta)/n, operator_norm_bound]."""
-    n = check_integer(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    n = check_count(n, "n")
+    check_fraction(delta, "delta")
     lower = c * math.log(n / delta) / n
     return lower <= lam <= operator_norm_bound
 

@@ -40,7 +40,7 @@ from .kernels import (
     kappa,
     low_rank_gram,
 )
-from .linalg import NumericalError, check_integer, check_positive, cholesky_psd, sym_eigenvalues
+from .linalg import NumericalError, check_count, check_positive, cholesky_psd, sym_eigenvalues
 
 LOG_DOMAIN_CAP = math.exp(-1.0)
 
@@ -244,9 +244,7 @@ def lambda0(profile: SpectralProfile, n: int) -> float:
     is exact; the upper end starts at the top eigenvalue and doubles in the
     rare small-n case where the root sits above it.
     """
-    n = check_integer(n, "n")
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    n = check_count(n, "n")
     if profile.top <= 0.0:
         raise ValueError("degenerate operator: no positive eigenvalue, no root")
     lo, hi = 1e-16, profile.top

@@ -28,6 +28,7 @@ import numpy as np
 from .kernels import DecaySpec, KernelSpec, basis_sum
 # fitted_coefficients is re-exported: predict and the exact error share it
 from .krr import KernelModel, fitted_coefficients, predict  # noqa: F401
+from .linalg import check_count, check_seed
 from .spectral import IndexFunction
 
 SPHERE = "sphere"
@@ -113,17 +114,17 @@ class Dataset:
         return self.target is not None
 
 
-def check_target(phi: IndexFunction, profile: str, seed: int) -> None:
+def check_target(phi: IndexFunction, profile: str, seed: int) -> int:
     """The checks of ``make_target``'s settings, without drawing a target: an
-    admissible ``phi``, a known ``profile`` and a seed >= 0."""
+    admissible ``phi``, a known ``profile`` and a seed (``check_seed``), which
+    is returned."""
     if not phi.is_admissible():
         raise ValueError(
             "index function is not admissible here: sqrt(t)/phi(t) must be nondecreasing"
         )
     if profile not in (SPHERE, POWER_BOUNDARY):
         raise ValueError(f"unknown target profile: {profile!r}")
-    if seed < 0:
-        raise ValueError(f"target seed must be >= 0, got {seed}")
+    return check_seed(seed, "target seed")
 
 
 def make_target(
@@ -134,7 +135,8 @@ def make_target(
     profile: str = SPHERE,
 ) -> TargetSpec:
     """Draw target coefficients f_k = phi(mu_k) v_k for a unit-norm v."""
-    check_target(phi, profile, seed)
+    seed = check_target(phi, profile, seed)
+    truncation = check_count(truncation, "truncation")
     rng = np.random.default_rng(seed)
     k = np.arange(1, truncation + 1, dtype=np.float64)
     if profile == SPHERE:
@@ -163,9 +165,8 @@ def sample_dataset(
     seed: int,
 ) -> Dataset:
     """n i.i.d. uniform inputs with noisy target labels; deterministic per seed."""
-    if n < 1:
-        raise ValueError(f"dataset size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    n = check_count(n, "n")
+    rng = np.random.default_rng(check_seed(seed))
     xs = rng.uniform(0.0, 1.0, n)
     ys = target_values(target, xs) + noise.sample(rng, n)
     return Dataset(xs=xs, ys=ys, decay=decay, truncation=truncation, target=target)
@@ -195,9 +196,8 @@ def monte_carlo_error(
     model: KernelModel, kernel: KernelSpec, target_fn, n_mc: int, seed: int
 ) -> McError:
     """Root-mean-square of f_hat - f over uniform draws, with standard error."""
-    if n_mc < 1:
-        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
-    rng = np.random.default_rng(seed)
+    n_mc = check_count(n_mc, "n_mc")
+    rng = np.random.default_rng(check_seed(seed))
     us = rng.uniform(0.0, 1.0, n_mc)
     truth = np.asarray(target_fn(us), dtype=np.float64)
     if truth.shape != us.shape or not np.all(np.isfinite(truth)):

@@ -442,6 +442,26 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys):
         assert len(errors) == 1 and key in errors[0], (overrides, stderr)
 
 
+def test_config_counts_and_seeds_are_checked(tmp_path, capsys):
+    """Sizes and seeds of a config or the command line go through the same
+    checks as the Python API: an ``n_grid`` entry or ``repetitions`` below 1 and
+    a negative seed are config errors naming the key, not a failure inside a
+    run or inside numpy."""
+    for overrides, message in (
+        ({"n_grid": [0, 128]}, "'n_grid' must be >= 1"),
+        ({"repetitions": 0}, "'repetitions' must be >= 1"),
+        ({"seed": -1}, "'seed' must be >= 0"),
+        ({"target": {**config_dict()["target"], "coeff_seed": -1}}, "coeff_seed' must be >= 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            exp.config_from_dict(config_dict(**overrides))
+    cfg = str(_write_config(tmp_path))
+    for flags, message in ((["--reps", "0"], "--reps must be >= 1"), (["--seed", "-1"], "--seed")):
+        assert cli_main(["rate-sweep", "--config", cfg, *flags]) == 1
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr and f"error: {message}" in stderr, stderr
+
+
 # Largest relative move allowed between 1 and 2 BLAS threads. Summation order
 # inside BLAS changes the last digits: 1.6e-16 relative on this test's sweep, up
 # to 1.3e-15 on the criterion-3 sweep's n=16384 cells.

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nystrom_krr.diagnostics import check_norm_equivalence
+from nystrom_krr.kernels import DecaySpec, KernelSpec
+from nystrom_krr.krr import fit_krr
 from nystrom_krr.linalg import (
     NumericalError,
     OpCount,
+    check_count,
+    check_fraction,
+    check_seed,
     cholesky_psd,
     partial_cholesky,
     pivoted_cholesky,
@@ -12,6 +18,9 @@ from nystrom_krr.linalg import (
     sym_eigenvalues,
     sym_extremes,
 )
+from nystrom_krr.nystrom import SizeRuleParams, lambda_admissible, subsample_plain
+from nystrom_krr.spectral import IndexFunction, analytic_profile, lambda0
+from nystrom_krr.synthetic import NoiseSpec, make_target, monte_carlo_error, sample_dataset
 
 
 def test_opcount_accumulates():
@@ -144,6 +153,79 @@ def test_symmetry_check_rejects_an_empty_matrix():
     for call in (sym_eigenvalues, sym_extremes, lambda a: solve_regularized(a, 1.0, np.zeros(0))):
         with pytest.raises(ValueError, match=r"non-empty matrix, got shape \(0, 0\)"):
             call(empty)
+
+
+def test_count_seed_and_fraction_checks():
+    """A count is an integer >= ``least``, a seed a SeedSequence or an integer
+    >= 0, a fraction a number in (0, 1); each is returned checked."""
+    assert check_count(4.0, "n") == 4 and type(check_count(4.0, "n")) is int
+    assert check_count(0, "degree", least=0) == 0
+    seq = np.random.SeedSequence(5)
+    assert check_seed(seq) is seq and check_seed(np.int64(0)) == 0
+    assert check_fraction(np.float64(0.1), "delta") == 0.1
+    for call, match in (
+        (lambda: check_count(0, "n"), "n must be >= 1, got 0"),
+        (lambda: check_count(True, "n"), "n must be an integer"),
+        (lambda: check_seed(-1), "seed must be >= 0, got -1"),
+        (lambda: check_seed(True), "seed must be an integer"),
+        (lambda: check_seed(1.5, "target seed"), "target seed must be an integer"),
+        (lambda: check_fraction(1.0, "delta"), r"delta must be in \(0, 1\)"),
+        (lambda: check_fraction(float("nan"), "delta"), r"delta must be in \(0, 1\)"),
+        (lambda: check_fraction(True, "delta"), "delta must be a number"),
+        (lambda: check_fraction("0.1", "delta"), "delta must be a number"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_every_size_and_seed_is_checked():
+    """Every public size, count and seed goes through ``check_count`` or
+    ``check_seed``: an integral float is taken as its int, a bool, a fraction
+    or a negative seed is a ``ValueError`` naming the argument, never a silent
+    round-up, seed 1 or an error from inside numpy."""
+    decay, phi, noise = DecaySpec(0.5), IndexFunction.holder(0.25), NoiseSpec.gaussian(0.1)
+    target = make_target(decay, 8, phi, seed=2)
+    data = sample_dataset(decay, 8, target, noise, 4.0, seed=1)
+    assert data.xs.size == 4
+    assert data.xs.tolist() == sample_dataset(decay, 8, target, noise, 4, seed=1).xs.tolist()
+    kernel = KernelSpec.designed(0.5, 8)
+    model = fit_krr(kernel, data, 0.1)
+    seq = np.random.SeedSequence(3)
+    # a spawned SeedSequence is a seed as it is
+    assert subsample_plain(10, 3, seq).tolist() == subsample_plain(10, 3, seq).tolist()
+    assert np.array_equal(sample_dataset(decay, 8, target, noise, 4, seq).xs,
+                          sample_dataset(decay, 8, target, noise, 4, seq).xs)
+    by_int = check_norm_equivalence(decay, 8, 20, 0.1, 0.1, 3, 5)
+    by_seq = check_norm_equivalence(decay, 8, 20, 0.1, 0.1, 3, np.random.SeedSequence(5))
+    assert by_seq.observed_max_ratio == by_int.observed_max_ratio
+    cases = [
+        (lambda: decay.eigenvalues(10.5), "truncation"),
+        (lambda: decay.eigenvalues(True), "truncation"),
+        (lambda: decay.eigenvalues(0), "truncation must be >= 1"),
+        (lambda: analytic_profile(decay, 10.5), "truncation"),
+        (lambda: KernelSpec.designed(0.5, 0), "kernel.truncation must be >= 1"),
+        (lambda: sample_dataset(decay, 8, target, noise, True, seed=1), "n must be an integer"),
+        (lambda: sample_dataset(decay, 8, target, noise, 0, seed=1), "n must be >= 1"),
+        (lambda: monte_carlo_error(model, kernel, np.sin, 2.5, seed=0), "n_mc"),
+        (lambda: monte_carlo_error(model, kernel, np.sin, 0, seed=0), "n_mc must be >= 1"),
+        (lambda: make_target(decay, 2.5, phi, seed=0), "truncation"),
+        (lambda: subsample_plain(0, 1, 1), "n must be >= 1"),
+        (lambda: lambda0(analytic_profile(decay, 8), 0), "n must be >= 1"),
+        (lambda: lambda_admissible(0.1, 0, 0.1, 1.0), "n must be >= 1"),
+        (lambda: lambda_admissible(0.1, 10, True, 1.0), "delta must be a number"),
+        (lambda: SizeRuleParams(delta=1.0), r"delta must be in \(0, 1\)"),
+    ]
+    for seed in (True, 1.5, -1):
+        cases += [
+            (lambda s=seed: subsample_plain(10, 3, s), "seed"),
+            (lambda s=seed: sample_dataset(decay, 8, target, noise, 4, s), "seed"),
+            (lambda s=seed: monte_carlo_error(model, kernel, np.sin, 8, s), "seed"),
+            (lambda s=seed: make_target(decay, 8, phi, s), "target seed"),
+            (lambda s=seed: check_norm_equivalence(decay, 8, 20, 0.1, 0.1, 2, s), "seed"),
+        ]
+    for call, match in cases:
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_effective_dimension_decreasing_in_lambda():
