@@ -6,9 +6,9 @@ parameter lambda0, subsample-size rules, and exact L2 errors all computable
 without estimation. See README for the experiment harness.
 """
 
-from .kernels import DecaySpec, KernelSpec, cross_gram, eval_kernel, gram, kappa
+from .kernels import DecaySpec, KernelSpec, cross_gram, gram, kappa
 from .krr import KernelModel, empirical_risk, fit_krr
-from .linalg import NumericalError, OpCount, solve_regularized, sym_eigenvalues
+from .linalg import NumericalError, OpCount, solve_regularized
 from .nystrom import (
     SizeRuleParams,
     fit_nystrom,
@@ -18,23 +18,14 @@ from .nystrom import (
 )
 from .spectral import (
     IndexFunction,
-    SpectralProfile,
     analytic_profile,
-    c_gamma_for_designed,
-    effective_dimension,
     empirical_profile,
     filters,
     lambda0,
-    n_infinity,
-    nx_empirical,
-    qualification_margin,
     theta,
 )
 from .synthetic import (
-    Dataset,
     NoiseSpec,
-    TargetSpec,
-    hk_norm_proxy,
     l2_rho_error,
     make_target,
     monte_carlo_error,

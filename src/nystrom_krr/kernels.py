@@ -62,7 +62,7 @@ class DecaySpec:
     s: float
 
     def __post_init__(self):
-        if not 0.0 < self.s <= 1.0:
+        if not 0.0 < check_number(self.s, "decay exponent s") <= 1.0:
             raise ValueError(f"decay exponent s must be in (0, 1], got {self.s}")
 
     @property

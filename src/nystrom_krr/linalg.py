@@ -37,11 +37,13 @@ class OpCount:
         return cls(n * m * m + 2 * (m**3 // 3) + m * m)
 
 
-def check_positive(value: float, name: str = "lambda") -> None:
+def check_positive(value, name: str = "lambda") -> float:
     """The one check for a positive scalar (lambda, shift, bandwidth, rule
-    constant): finite and > 0."""
+    constant): ``check_number``, then finite and > 0. Returns it as a float."""
+    value = check_number(value, name)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def check_integer(value, name: str) -> int:

@@ -115,7 +115,7 @@ class SizeRuleParams:
         if (self.gamma is None) != (self.c_gamma is None):
             raise ValueError("gamma and c_gamma must be given together")
         if self.gamma is not None:
-            if not 0.0 < self.gamma <= 1.0:
+            if not 0.0 < check_number(self.gamma, "gamma") <= 1.0:
                 raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
             check_positive(self.c_gamma, "c_gamma")
 
@@ -280,13 +280,12 @@ def subsample_size(
     return max(1, min(n, raw))
 
 
-def lambda_admissible(
-    lam: float, n: int, delta: float, operator_norm_bound: float, c: float = 1.0
-) -> bool:
-    """Whether lam sits in [c log(n/delta)/n, operator_norm_bound]."""
+def lambda_admissible(lam: float, n: int, delta: float, operator_norm_bound: float) -> bool:
+    """Whether lam sits in [c log(n/delta)/n, operator_norm_bound], with the
+    theory's unspecified constant c taken as 1."""
     n = check_count(n, "n")
     check_fraction(delta, "delta")
-    lower = c * math.log(n / delta) / n
+    lower = math.log(n / delta) / n
     return lower <= lam <= operator_norm_bound
 
 
@@ -328,8 +327,7 @@ def load_model(path) -> KernelModel:
     kernel = KernelSpec.from_config(payload["kernel"])
     idx = _inducing_indices(payload["inducing_indices"])
     support = as_points(payload["inducing_xs"], kernel)
-    lam = check_number(payload["lambda"], f"{path}: lambda")
-    check_positive(lam, f"{path}: lambda")
+    lam = check_positive(payload["lambda"], f"{path}: lambda")
     if ("alpha" in payload) == ("coefficients" in payload) or version == 2 and "alpha" not in payload:
         raise ValueError(f"{path}: an artifact carries alpha, or (v3) coefficients, not both")
     alpha = as_points(payload["alpha"]) if "alpha" in payload else None

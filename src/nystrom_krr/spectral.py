@@ -21,7 +21,6 @@ dense Cholesky and triangular inverse of ``K/n + lam I``. The one-point
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -91,14 +90,6 @@ def empirical_profile(kernel: KernelSpec, xs) -> SpectralProfile:
     else:
         eig = sym_eigenvalues(gram(kernel, xs) / n)
     return SpectralProfile(np.clip(eig, 0.0, None), "empirical")
-
-
-def profile_to_csv(profile: SpectralProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"])
-        for i, val in enumerate(profile.eigenvalues, start=1):
-            writer.writerow([i, repr(float(val))])
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +293,6 @@ def qualification_margin(phi: IndexFunction, lam: float, q: float, t_grid) -> fl
     numer = resid * t**q * phi(t)
     denom = lam**q * phi(lam)
     return float(numer.max() / denom)
-
-
-def holder_perturbation_check(r: float, a: float, b: float) -> bool:
-    """Scalar Hoelder perturbation inequality |a^r - b^r| <= |a - b|^r."""
-    if not 0.0 < r <= 0.5:
-        raise ValueError(f"holder exponent must be in (0, 1/2], got {r}")
-    if a < 0 or b < 0:
-        raise ValueError("holder_perturbation_check needs nonnegative arguments")
-    return abs(a**r - b**r) <= abs(a - b) ** r + 1e-15
 
 
 # ---------------------------------------------------------------------------

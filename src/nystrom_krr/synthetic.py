@@ -17,8 +17,6 @@ satisfies a Bernstein moment bound with explicit (M, sigma).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -76,16 +74,6 @@ class NoiseSpec:
     @classmethod
     def uniform_bounded(cls, half_width: float) -> "NoiseSpec":
         return cls("uniform_bounded", half_width)
-
-    @property
-    def bernstein_m(self) -> float:
-        return self.scale
-
-    @property
-    def bernstein_sigma(self) -> float:
-        if self.variant == "gaussian":
-            return self.scale
-        return self.scale / math.sqrt(3.0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.scale == 0.0:
@@ -208,41 +196,3 @@ def monte_carlo_error(
     var_of_mean = float(np.var(sq, ddof=1)) / n_mc if n_mc > 1 else 0.0
     stderr = 0.5 * math.sqrt(var_of_mean) / rmse if rmse > 0 else math.sqrt(var_of_mean)
     return McError(rmse, stderr)
-
-
-# ---------------------------------------------------------------------------
-# dataset export/import
-# ---------------------------------------------------------------------------
-
-
-def dataset_to_csv(dataset: Dataset, path, sidecar_path=None) -> None:
-    """Write (x, y) rows; generation metadata goes to a JSON sidecar."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in zip(dataset.xs, dataset.ys):
-            writer.writerow([repr(float(x)), repr(float(y))])
-    if sidecar_path is not None:
-        meta = {"n": int(dataset.xs.size)}
-        if dataset.decay is not None:
-            meta["decay_s"] = dataset.decay.s
-            meta["truncation"] = dataset.truncation
-        if dataset.target is not None:
-            meta["phi"] = {"family": dataset.target.phi.family, "r": dataset.target.phi.r}
-            meta["coeff_seed"] = dataset.target.coeff_seed
-            meta["profile"] = dataset.target.profile
-        with open(sidecar_path, "w") as fh:
-            json.dump(meta, fh, indent=2)
-
-
-def dataset_from_csv(path) -> Dataset:
-    xs, ys = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["x", "y"]:
-            raise ValueError(f"{path} does not look like a dataset CSV")
-        for row in reader:
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
-    return Dataset(xs=np.asarray(xs), ys=np.asarray(ys))

@@ -10,6 +10,7 @@ from nystrom_krr.linalg import (
     OpCount,
     check_count,
     check_fraction,
+    check_positive,
     check_seed,
     cholesky_psd,
     partial_cholesky,
@@ -224,6 +225,35 @@ def test_every_size_and_seed_is_checked():
             (lambda s=seed: check_norm_equivalence(decay, 8, 20, 0.1, 0.1, 2, s), "seed"),
         ]
     for call, match in cases:
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_every_positive_scalar_is_checked():
+    """``check_positive`` is ``check_number`` first, so a bool or a string is a
+    ``ValueError`` naming the argument, never a scalar 1 or a ``TypeError``;
+    the half-open ranges of ``DecaySpec`` and ``SizeRuleParams`` too."""
+    assert check_positive(2, "shift") == 2.0 and type(check_positive(2, "shift")) is float
+    assert check_positive(np.float64(0.1)) == 0.1
+    decay = DecaySpec(0.5)
+    target = make_target(decay, 8, IndexFunction.holder(0.25), seed=2)
+    data = sample_dataset(decay, 8, target, NoiseSpec.gaussian(0.1), 4, seed=1)
+    for call, match in (
+        (lambda: check_positive(True), "lambda must be a number, got True"),
+        (lambda: check_positive("x", "shift"), "shift must be a number, got 'x'"),
+        (lambda: check_positive(float("nan")), "lambda must be finite and positive"),
+        (lambda: check_positive(0.0), "lambda must be finite and positive"),
+        (lambda: KernelSpec.gaussian(True), "gaussian bandwidth must be a number"),
+        (lambda: KernelSpec.laplacian("x"), "laplacian bandwidth must be a number"),
+        (lambda: fit_krr(KernelSpec.gaussian(0.5), data, True), "lambda must be a number"),
+        (lambda: DecaySpec(True), "decay exponent s must be a number"),
+        (lambda: DecaySpec("0.5"), "decay exponent s must be a number"),
+        (lambda: DecaySpec(1.5), r"decay exponent s must be in \(0, 1\]"),
+        (lambda: SizeRuleParams(c=True), "rule constant c must be a number"),
+        (lambda: SizeRuleParams(gamma=True, c_gamma=1.0), "gamma must be a number"),
+        (lambda: SizeRuleParams(gamma="1", c_gamma=1.0), "gamma must be a number"),
+        (lambda: SizeRuleParams(gamma=0.5, c_gamma=True), "c_gamma must be a number"),
+    ):
         with pytest.raises(ValueError, match=match):
             call()
 

@@ -13,12 +13,10 @@ from nystrom_krr.spectral import (
     effective_dimension,
     empirical_profile,
     filters,
-    holder_perturbation_check,
     lambda0,
     n_infinity,
     nx_empirical,
     nx_empirical_training,
-    profile_to_csv,
     qualification_margin,
     theta,
 )
@@ -68,15 +66,6 @@ def test_empirical_profile_fast_path_matches_generic():
     direct = np.clip(sym_eigenvalues(gram(kernel, xs) / xs.size), 0.0, None)
     assert_allclose(fast.eigenvalues, direct[: fast.eigenvalues.size], atol=1e-10)
     assert np.all(direct[fast.eigenvalues.size :] < 1e-10)
-
-
-def test_profile_csv(tmp_path):
-    prof = SpectralProfile(np.array([1.0, 0.5]), "analytic")
-    path = tmp_path / "profile.csv"
-    profile_to_csv(prof, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,eigenvalue"
-    assert len(lines) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +214,6 @@ def test_qualification_margin_validation():
         qualification_margin(IndexFunction.holder(0.5), 0.1, 0.6, np.array([0.1]))
     with pytest.raises(ValueError):
         qualification_margin(IndexFunction.holder(0.5), 0.1, 0.0, np.array([0.0, 0.1]))
-
-
-def test_holder_perturbation_property():
-    assert holder_perturbation_check(0.5, 2.0, 2.0)
-    assert holder_perturbation_check(0.5, 1.0, 0.0)
-    rng = np.random.default_rng(9)
-    for r in (0.1, 0.2, 0.3, 0.4, 0.5):
-        a = rng.uniform(0.0, 10.0, 2000)
-        b = rng.uniform(0.0, 10.0, 2000)
-        assert all(holder_perturbation_check(r, x, y) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

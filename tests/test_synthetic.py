@@ -11,8 +11,6 @@ from nystrom_krr.synthetic import (
     Dataset,
     NoiseSpec,
     TargetSpec,
-    dataset_from_csv,
-    dataset_to_csv,
     fitted_coefficients,
     hk_norm_proxy,
     l2_rho_error,
@@ -101,12 +99,15 @@ def test_sample_dataset_zero_target_moments():
 
 
 def test_noise_moment_bounds():
-    """Empirical absolute moments p = 2, 3, 4 against p! M^(p-2) sigma^2 / 2."""
+    """Empirical absolute moments p = 2, 3, 4 against p! M^(p-2) sigma^2 / 2,
+    with (M, sigma) as the ``NoiseSpec`` docstring states them."""
     rng = np.random.default_rng(8)
     n = 10**6
-    for noise in (NoiseSpec.gaussian(0.7), NoiseSpec.uniform_bounded(1.3)):
+    for noise, m_const, sigma in (
+        (NoiseSpec.gaussian(0.7), 0.7, 0.7),
+        (NoiseSpec.uniform_bounded(1.3), 1.3, 1.3 / math.sqrt(3.0)),
+    ):
         eps = noise.sample(rng, n)
-        m_const, sigma = noise.bernstein_m, noise.bernstein_sigma
         for p in (2, 3, 4):
             emp = np.mean(np.abs(eps) ** p)
             bound = 0.5 * math.factorial(p) * m_const ** (p - 2) * sigma**2
@@ -237,20 +238,6 @@ def test_monte_carlo_error_rejects_bad_target_values():
     ):
         with pytest.raises(ValueError, match="target_fn"):
             monte_carlo_error(model, kernel, bad, 500, seed=3)
-
-
-def test_dataset_csv_roundtrip(tmp_path):
-    target = make_target(DECAY, 16, IndexFunction.holder(0.25), seed=2)
-    data = sample_dataset(DECAY, 16, target, NoiseSpec.gaussian(0.1), 25, seed=1)
-    csv_path, meta_path = tmp_path / "data.csv", tmp_path / "data.json"
-    dataset_to_csv(data, csv_path, meta_path)
-    loaded = dataset_from_csv(csv_path)
-    assert np.array_equal(loaded.xs, data.xs)
-    assert np.array_equal(loaded.ys, data.ys)
-    import json
-
-    meta = json.loads(meta_path.read_text())
-    assert meta["decay_s"] == 0.5 and meta["coeff_seed"] == 2
 
 
 def test_dataset_coerces_to_float_arrays():
