@@ -42,12 +42,12 @@ DESIGNED = "designed_spectral"
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
 
-# Doubles per row chunk of the trig sums' exponential blocks and per row block
-# of a closed-form ``krr.predict``: 2 MB, a core's L2 cache on the 2-core x86
-# VM of README's timings. There (one BLAS thread, best of 9) the trig sums take
-# about the same time at 2 MB and at 32 MB chunks (``trig_moments`` at
-# n = 16384, L = 2048: 11-13 against 12-16 ms), while the Gaussian
-# ``gaussian_rule_4k`` benchmark op peaks at 76 MB RSS instead of 123 MB.
+# Doubles per row chunk of the trig sums' exponential blocks, and per row block
+# of a closed-form ``krr.predict`` and of a Nystrom fit's ``G^T G``: 2 MB, a
+# core's L2 cache on the 2-core x86 VM of README's timings. There (one BLAS
+# thread, best of 9) the trig sums take about the same time at 2 MB and at 32 MB
+# chunks (``trig_moments`` at n = 16384, L = 2048: 11-13 against 12-16 ms), while
+# the Gaussian ``gaussian_rule_4k`` benchmark op peaks at 76 MB RSS, not 123 MB.
 _CHUNK_ELEMENTS = 1 << 18
 
 

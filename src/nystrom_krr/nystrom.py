@@ -59,7 +59,10 @@ on the ``r <= m`` inducing points whose sections span the rest to round-off;
 ``alpha`` is 0 at the others (the basic, not the minimum-norm, solution).
 ``beta = R alpha`` turns the system on the kept points into the shifted SPD
 ``(G^T G + lam n I) beta = G^T y``, ``G = K_nr R^{-1}``, which avoids squaring
-cond(``K_rr``).
+cond(``K_rr``). This G and the designed ``W_n Q`` stream the training points, as
+in FALKON (Rudi, Carratino & Rosasco 2017): each row block of ``K_nr`` or
+``W_n``, at most ``_CHUNK_ELEMENTS`` doubles, becomes rows g of G and adds
+``g^T g`` and ``g^T y``; no n-row array is formed, and the solve stays direct.
 
 A fit that keeps r < m directions logs ``kept r of m`` at INFO. Every model's
 OpCount is the generic algorithm's flop model ``OpCount.nystrom(n, m)``:
@@ -76,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .kernels import KernelSpec, as_points, covariance, cross_gram, gram, sections
+from .kernels import _CHUNK_ELEMENTS, KernelSpec, as_points, covariance, cross_gram, gram, sections
 # predict is re-exported: one predict serves every model
 from .krr import KernelModel, _moment_factor, _training_arrays, predict  # noqa: F401
 from .linalg import (
@@ -200,9 +203,9 @@ def _designed_fit(kernel, xs, ys, x_ind, lam):
         else:
             r_mat = sla.rq(w_t, mode="r", **args)[:, -t:]
         del w_t
-        # cond_2(R)^2 <= cond_1(R) cond_inf(R): LAPACK's estimates of the square
-        # R's 1 / cond_1 and 1 / cond_inf rule out a rank cut without an SVD
-        if math.prod(sla.lapack.dtrcon(r_mat, norm=c)[0] for c in "1I") <= tol**2:
+        # cond_2(R)^2 <= cond_1(R) cond_inf(R): LAPACK's estimates of 1 / cond_1 and
+        # 1 / cond_inf, on R^T (lower, Fortran order: no copy), rule out a rank cut
+        if math.prod(sla.lapack.dtrcon(r_mat.T, norm=c, uplo="L")[0] for c in "1I") <= tol**2:
             # R's singular values are W's
             u_mat, sv = sla.svd(r_mat, full_matrices=False, check_finite=False)[:2]
             u_mat = u_mat[:, : np.count_nonzero(sv > tol * sv[0])]
@@ -212,8 +215,13 @@ def _designed_fit(kernel, xs, ys, x_ind, lam):
         if basis is None:
             return np.sqrt(mu) * sla.cho_solve((s_factor, False), rhs, check_finite=False), t
         return np.sqrt(mu) * _project(s_factor, rhs, basis), basis.shape[1]
-    g_mat = sections(xs, mu) if basis is None else sections(xs, mu) @ basis
-    beta = solve_regularized(g_mat.T @ g_mat, lam * n, g_mat.T @ ys)
+
+    def rows(part):
+        w_part = sections(xs[part], mu)
+        return w_part if basis is None else w_part @ basis
+
+    gtg, gty = _normal_equations(rows, ys, t)
+    beta = solve_regularized(gtg, lam * n, gty)
     return np.sqrt(mu) * (beta if basis is None else basis @ beta), beta.size
 
 
@@ -250,9 +258,24 @@ def _project(s_factor, rhs, basis, bound=None):
 
 def _reduced_generic(kernel, xs, ys, x_ind, r_factor, lam):
     """``beta`` from ``(G^T G + lam n I) beta = G^T y``, ``G = K_nm R^{-1}``."""
-    k_nm = cross_gram(kernel, xs, x_ind)
-    g_mat = sla.solve_triangular(r_factor, k_nm.T, lower=False, trans="T").T
-    return solve_regularized(g_mat.T @ g_mat, lam * xs.size, g_mat.T @ ys)
+    def rows(part):
+        k_part = cross_gram(kernel, xs[part], x_ind)
+        return sla.solve_triangular(r_factor, k_part.T, lower=False, trans="T").T
+
+    gtg, gty = _normal_equations(rows, ys, x_ind.size)
+    return solve_regularized(gtg, lam * xs.size, gty)
+
+
+def _normal_equations(rows, ys, width):
+    """``G^T G`` and ``G^T y`` over G's rows ``rows(part)``, ``part`` a slice of at
+    most ``_CHUNK_ELEMENTS // width`` points; each ``g^T g`` is a syrk, exactly symmetric."""
+    step = max(1, _CHUNK_ELEMENTS // width)
+    gtg = gty = 0.0
+    for lo in range(0, ys.size, step):
+        g_part = rows(slice(lo, lo + step))
+        gtg += g_part.T @ g_part
+        gty += g_part.T @ ys[lo : lo + step]
+    return gtg, gty
 
 
 def subsample_size(

@@ -39,7 +39,9 @@ from .kernels import (
     kappa,
     low_rank_gram,
 )
-from .linalg import NumericalError, check_count, check_positive, cholesky_psd, sym_eigenvalues
+from .linalg import (
+    NumericalError, check_count, check_number, check_positive, cholesky_psd, sym_eigenvalues
+)
 
 LOG_DOMAIN_CAP = math.exp(-1.0)
 
@@ -111,10 +113,10 @@ class IndexFunction:
 
     def __post_init__(self):
         if self.family == "holder":
-            if not 0.0 < self.r <= 0.5:
+            if not 0.0 < check_number(self.r, "holder exponent") <= 0.5:
                 raise ValueError(f"holder exponent must be in (0, 1/2], got {self.r}")
         elif self.family == "log_type":
-            if not 0.0 < self.r <= 1.0:
+            if not 0.0 < check_number(self.r, "log_type exponent") <= 1.0:
                 raise ValueError(f"log_type exponent must be in (0, 1], got {self.r}")
         else:
             raise ValueError(f"unknown index function family: {self.family!r}")

@@ -26,7 +26,7 @@ import numpy as np
 from .kernels import DecaySpec, KernelSpec, basis_sum
 # fitted_coefficients is re-exported: predict and the exact error share it
 from .krr import KernelModel, fitted_coefficients, predict  # noqa: F401
-from .linalg import check_count, check_seed
+from .linalg import check_count, check_number, check_seed
 from .spectral import IndexFunction
 
 SPHERE = "sphere"
@@ -64,7 +64,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.variant not in ("gaussian", "uniform_bounded"):
             raise ValueError(f"unknown noise variant: {self.variant!r}")
-        if not (math.isfinite(self.scale) and self.scale >= 0):
+        if not (math.isfinite(check_number(self.scale, "noise scale")) and self.scale >= 0):
             raise ValueError(f"noise scale must be finite and >= 0, got {self.scale}")
 
     @classmethod

@@ -232,7 +232,8 @@ def test_every_size_and_seed_is_checked():
 def test_every_positive_scalar_is_checked():
     """``check_positive`` is ``check_number`` first, so a bool or a string is a
     ``ValueError`` naming the argument, never a scalar 1 or a ``TypeError``;
-    the half-open ranges of ``DecaySpec`` and ``SizeRuleParams`` too."""
+    the half-open ranges of ``DecaySpec``, ``SizeRuleParams``, ``NoiseSpec``'s
+    scale and ``IndexFunction``'s exponent too."""
     assert check_positive(2, "shift") == 2.0 and type(check_positive(2, "shift")) is float
     assert check_positive(np.float64(0.1)) == 0.1
     decay = DecaySpec(0.5)
@@ -253,6 +254,12 @@ def test_every_positive_scalar_is_checked():
         (lambda: SizeRuleParams(gamma=True, c_gamma=1.0), "gamma must be a number"),
         (lambda: SizeRuleParams(gamma="1", c_gamma=1.0), "gamma must be a number"),
         (lambda: SizeRuleParams(gamma=0.5, c_gamma=True), "c_gamma must be a number"),
+        (lambda: NoiseSpec.gaussian(True), "noise scale must be a number, got True"),
+        (lambda: NoiseSpec.uniform_bounded("x"), "noise scale must be a number, got 'x'"),
+        (lambda: NoiseSpec.gaussian(-0.1), "noise scale must be finite and >= 0"),
+        (lambda: IndexFunction.log_type(True), "log_type exponent must be a number, got True"),
+        (lambda: IndexFunction.holder("x"), "holder exponent must be a number, got 'x'"),
+        (lambda: IndexFunction.holder(0.75), r"holder exponent must be in \(0, 1/2\]"),
     ):
         with pytest.raises(ValueError, match=match):
             call()

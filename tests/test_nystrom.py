@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -30,6 +31,7 @@ from nystrom_krr.nystrom import (
     subsample_plain,
     subsample_size,
 )
+from nystrom_krr.linalg import pivoted_cholesky, solve_regularized
 from nystrom_krr.spectral import analytic_profile, lambda0
 from nystrom_krr.synthetic import (
     Dataset,
@@ -541,6 +543,94 @@ def test_whitened_route_holds_one_truncation_square_array():
         tracemalloc.stop()
     assert peak < 2 * 8 * 2048**2, peak / 2**20
     assert model.coefficients.shape == (2048,)
+
+
+def _streamed_blocks(monkeypatch):
+    """A list that gets, per ``_normal_equations`` call, the row counts of the
+    blocks it summed and the relative distance of its ``G^T G`` and ``G^T y``
+    from those of the one-shot G, ``rows`` over all n points at once."""
+    calls, accumulate = [], nystrom._normal_equations
+
+    def spy(rows, ys, width):
+        sizes = []
+
+        def counted(part):
+            g_part = rows(part)
+            sizes.append(g_part.shape[0])
+            return g_part
+
+        gtg, gty = accumulate(counted, ys, width)
+        g_mat = rows(slice(0, ys.size))
+        ref_gtg, ref_gty = g_mat.T @ g_mat, g_mat.T @ ys
+        calls.append((sizes, max(np.linalg.norm(gtg - ref_gtg) / np.linalg.norm(ref_gtg),
+                                 np.linalg.norm(gty - ref_gty) / np.linalg.norm(ref_gty))))
+        return gtg, gty
+
+    monkeypatch.setattr(nystrom, "_normal_equations", spy)
+    return calls
+
+
+def test_designed_fit_streams_row_blocks(monkeypatch):
+    """n = 1024 <= T = 2048: ``G = W_n Q`` is summed over 8 row blocks of 128
+    points (``_CHUNK_ELEMENTS`` doubles of sections each), within 1e-13 relative
+    of the one-shot G, and the fit meets ``_svd_oracle``'s gate."""
+    calls = _streamed_blocks(monkeypatch)
+    kernel = KernelSpec.designed(0.5, 2048)
+    target = make_target(kernel.decay, 2048, IndexFunction.holder(0.25), 7, "power_boundary")
+    data = sample_dataset(kernel.decay, 2048, target, NoiseSpec.gaussian(0.1), 1024, seed=4)
+    lam = lambda0(analytic_profile(kernel.decay, 2048), 1024)
+    err, model, kappa_eps = _oracle_error(kernel, data, lam, subsample_plain(1024, 276, seed=5))
+    [(sizes, dist)] = calls
+    assert sizes == [128] * 8 and dist <= 1e-13, (sizes, dist)
+    assert err <= 10 * max(1e-10, kappa_eps), (err, kappa_eps)
+
+
+def test_generic_fit_streams_row_blocks(monkeypatch):
+    """Laplacian(0.1), n = 3000, m = 400 (all kept): ``G = K_nr R^-1`` is summed
+    over 5 row blocks, within 1e-13 relative of the one-shot G, and ``alpha``
+    matches the one-shot arithmetic (``K_nr``, one triangular solve, one
+    ``solve_regularized``) to 1e-12 relative."""
+    calls = _streamed_blocks(monkeypatch)
+    kernel = KernelSpec.laplacian(0.1)
+    rng = np.random.default_rng(12)
+    n, m, lam = 3000, 400, 1e-4
+    data = _dataset(rng.uniform(0, 1, n), rng.standard_normal(n))
+    idx = subsample_plain(n, m, seed=6)
+    model = fit_nystrom(kernel, data, lam, idx)
+    [(sizes, dist)] = calls
+    assert len(sizes) == 5 and sum(sizes) == n and dist <= 1e-13, (sizes, dist)
+    r_factor, keep = pivoted_cholesky(gram(kernel, data.xs[idx]))
+    assert keep.size == m
+    g_mat = sla.solve_triangular(
+        r_factor, cross_gram(kernel, data.xs, data.xs[idx][keep]).T, trans="T"
+    ).T
+    beta = solve_regularized(g_mat.T @ g_mat, lam * n, g_mat.T @ data.ys)
+    ref = np.zeros(m)
+    ref[keep] = sla.solve_triangular(r_factor, beta)
+    assert np.linalg.norm(model.alpha - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "kernel, n, m, limit",
+    # the bounds: half of one n x T array (32 MiB), half of the 74.8 MiB the
+    # Laplacian fit peaked at with its n x r K_nr and G
+    [(KernelSpec.designed(0.5, 2048), 2048, 256, 16 * 2**20),
+     (KernelSpec.laplacian(0.1), 4096, 900, 37 * 2**20)],
+    ids=["designed", "laplacian"],
+)
+def test_streamed_fit_holds_no_n_row_array(kernel, n, m, limit):
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    data = _dataset(rng.uniform(0.0, 1.0, n), rng.standard_normal(n))
+    idx = subsample_plain(n, m, seed=2)
+    tracemalloc.start()
+    try:
+        fit_nystrom(kernel, data, 1e-3, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, peak / 2**20
 
 
 def test_error_nonincreasing_as_m_doubles():
