@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view as _windows
 
-from .linalg import check_count, check_number, check_positive, partial_cholesky
+from .linalg import check_count, check_number, check_positive, partial_cholesky, pivoted_cholesky
 
 GAUSSIAN = "gaussian"
 LAPLACIAN = "laplacian"
@@ -47,7 +47,8 @@ _TWO_PI = 2.0 * math.pi
 # core's L2 cache on the 2-core x86 VM of README's timings. There (one BLAS
 # thread, best of 9) the trig sums take about the same time at 2 MB and at 32 MB
 # chunks (``trig_moments`` at n = 16384, L = 2048: 11-13 against 12-16 ms), while
-# the Gaussian ``gaussian_rule_4k`` benchmark op peaks at 76 MB RSS, not 123 MB.
+# the Gaussian ``gaussian_rule_4k`` benchmark op peaked at 76 MB RSS, not 123 MB,
+# when this size was chosen (65 MB since its ``K_mm`` is factored column-wise).
 _CHUNK_ELEMENTS = 1 << 18
 
 
@@ -410,6 +411,11 @@ def cross_gram(kernel: KernelSpec, xs, inducing) -> np.ndarray:
         w = sections(xs, mu)
         # gram's one point set: W W^T is one syrk, exactly symmetric
         return w @ (w if ys is xs else sections(ys, mu)).T
+    return _closed_form_block(kernel, xs, ys)
+
+
+def _closed_form_block(kernel: KernelSpec, xs, ys) -> np.ndarray:
+    """``cross_gram`` of a Gaussian or Laplacian kernel on points already checked."""
     # In place: one n x m array and no n x m temporaries. Freeing such
     # temporaries raises glibc's mmap threshold, after which later arrays sit
     # on an untrimmed heap: with three temporaries per block, eight
@@ -438,17 +444,32 @@ def gram(kernel: KernelSpec, xs) -> np.ndarray:
 def low_rank_gram(kernel: KernelSpec, xs, shift: float) -> tuple[np.ndarray, np.ndarray] | None:
     """``L^T`` (r x n) of a closed-form kernel's Gram ``gram(kernel, xs) ~ L L^T``,
     exact to round-off relative to ``shift``, and its r pivots P
-    (``linalg.partial_cholesky``: one ``cross_gram`` column per pivot, no n x n
+    (``linalg.partial_cholesky``: one kernel column per pivot, no n x n
     array). None when the numerical rank is above the partial Cholesky's cap,
     and for a designed kernel, whose fits work in its own eigen-coordinates."""
     if kernel.is_designed:
         return None
     xs = as_points(xs, kernel)
+    return partial_cholesky(_columns(kernel, xs), np.ones(xs.size), shift)  # K(x, x) = 1
 
-    def column(i):
-        return cross_gram(kernel, xs, xs[i : i + 1])[:, 0]
 
-    return partial_cholesky(column, np.ones(xs.size), shift)  # K(x, x) = 1
+def pivoted_gram(kernel: KernelSpec, xs) -> tuple[np.ndarray, np.ndarray]:
+    """``linalg.pivoted_cholesky(gram(kernel, xs))`` of a Gaussian or Laplacian
+    kernel, the upper factor R and the kept rows, without the Gram:
+    ``linalg.partial_cholesky`` with ``dpstrf``'s pivot and stop test, one kernel
+    column per pivot, and ``R = L[keep]^T``. Above that factor's rank cap, the
+    dense ``pivoted_cholesky(gram(kernel, xs))`` itself."""
+    xs = as_points(xs, kernel)
+    factor = partial_cholesky(_columns(kernel, xs), np.ones(xs.size))  # K(x, x) = 1
+    if factor is None:
+        return pivoted_cholesky(gram(kernel, xs))
+    factor_t, keep = factor
+    return np.triu(factor_t[:, keep]), keep
+
+
+def _columns(kernel: KernelSpec, xs):
+    """``column(i) = K(xs, xs[i])`` of a closed-form kernel, on checked points."""
+    return lambda i: _closed_form_block(kernel, xs, xs[i : i + 1])[:, 0]
 
 
 def kappa(kernel: KernelSpec) -> float:

@@ -67,7 +67,7 @@ from .kernels import (
     low_rank_gram,
     sections,
 )
-from .linalg import OpCount, _require_symmetric, check_positive, cholesky_psd, solve_regularized
+from .linalg import OpCount, _require_symmetric, check_positive, cholesky_psd
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,9 @@ def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
         return KernelModel(xs, None, lam, OpCount.krr(n), kernel=kernel, coefficients=coeff)
     low_rank = low_rank_gram(kernel, xs, lam * n)
     if low_rank is None:
-        alpha = solve_regularized(gram(kernel, xs), lam * n, ys)
+        # factored in the Gram's own memory: one n x n array (gram is exactly symmetric)
+        chol = cholesky_psd(gram(kernel, xs), lam * n, overwrite_a=True)
+        alpha = sla.cho_solve((chol, False), ys, check_finite=False)
         return KernelModel(xs, alpha, lam, OpCount.krr(n), kernel=kernel)
     # Woodbury: (L L^T + s I)^-1 y = (y - L (s I + L^T L)^-1 L^T y) / s
     factor_t, pivots = low_rank
@@ -245,16 +247,12 @@ def _low_rank_predict(low_rank: _LowRankPredictor, kernel: KernelSpec, xs, out) 
     step = max(1, _CHUNK_ELEMENTS // r)
     for lo in range(0, xs.size, step):
         part = slice(lo, lo + step)
-        # k(P, x) as the transpose of a C-ordered block: Fortran order for LAPACK
-        h = sla.solve_triangular(
-            low_rank.chol,
-            cross_gram(kernel, xs[part], low_rank.points).T,
-            lower=True,
-            overwrite_b=True,
-            check_finite=False,
-        )
-        out[part] = low_rank.weights @ h
-        resid = np.maximum(1.0 - np.einsum("ij,ij->j", h, h), 0.0) + (r + 1) * eps
+        # h(x)^T = k(x, P) L_P^-T from the right, on k(x, P) as the transpose of
+        # a C-ordered block: Fortran order for BLAS, no copy
+        k_xp = cross_gram(kernel, low_rank.points, xs[part]).T
+        h_t = sla.blas.dtrsm(1.0, low_rank.chol, k_xp, side=1, lower=1, trans_a=1, overwrite_b=True)
+        out[part] = h_t @ low_rank.weights
+        resid = np.maximum(1.0 - np.einsum("ij,ij->i", h_t, h_t), 0.0) + (r + 1) * eps
         refused[part] = np.sqrt(resid) * low_rank.scale > low_rank.tol
     return np.flatnonzero(refused)
 

@@ -137,10 +137,10 @@ def cholesky_psd(a: np.ndarray, shift: float, overwrite_a: bool = False) -> np.n
 
 def pivoted_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rank-revealing Cholesky (Higham 1990; LAPACK ``dpstrf`` at its default
-    tolerance ``m * eps * max diag``) of an exactly symmetric PSD ``a``: the r x r
-    upper ``factor`` R and the ``keep`` rows, in pivot order, with
-    ``a[keep][:, keep] = R^T R``; the other rows lie in their span to that
-    tolerance. Factors in place through ``a.T``, so a C-ordered float64 ``a``
+    tolerance ``m * u * max diag``, u = eps / 2 the unit round-off) of an
+    exactly symmetric PSD ``a``: the r x r upper ``factor`` R and the ``keep``
+    rows, in pivot order, with ``a[keep][:, keep] = R^T R``; the other rows lie
+    in their span to that tolerance. Factors in place through ``a.T``, so a C-ordered float64 ``a``
     is overwritten and no m x m copy is made. Raises ``NumericalError`` at r = 0."""
     m = a.shape[0]
     work, piv, rank, info = sla.lapack.dpstrf(a.T, overwrite_a=1)
@@ -162,10 +162,21 @@ def pivoted_cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # at n = 4096 on the factor: the Gaussian's numerical rank there is about
 # 3.4 / bandwidth (34 at 0.1, 60 at 0.05).
 _PARTIAL_RANK_DIVISOR = 64
+# Without a shift (``kernels.pivoted_gram``'s m x m ``K_mm``) the cap is
+# m // _PIVOTED_RANK_DIVISOR, below the crossover with the dense
+# ``pivoted_cholesky(gram)``: at m = 900 the factor took 6.7 ms against 13.3 ms
+# dense at rank 135 (Gaussian(0.02)) and 28 against 33 ms at rank 263
+# (Gaussian(0.01)), but 99 against 49 ms at rank 503 (Gaussian(0.005)); at
+# m = 2048, 223 against 295 ms at rank 512 and 1.57 against 0.68 s at rank 1224.
+# A full-rank Gram (Laplacian(0.1)) throws away the factor up to the cap: at
+# m/6, 6.1 ms beside 22 ms dense at m = 900 and 61 ms beside 275 ms at m = 2048,
+# about 2% of those Nystrom fits at n = 4096; m/4 threw away 12 and 123 ms
+# (best of 3 or 5, one BLAS thread, 2-core x86 VM).
+_PIVOTED_RANK_DIVISOR = 6
 
 
 def partial_cholesky(
-    column, diag: np.ndarray, shift: float
+    column, diag: np.ndarray, shift: float | None = None
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Greedy pivoted partial Cholesky (Fine & Scheinberg 2001) of an n x n
     symmetric PSD ``K`` given by its diagonal ``diag`` and ``column(i) = K[:, i]``.
@@ -173,19 +184,27 @@ def partial_cholesky(
     Returns the r x n ``L^T`` with ``K ~ L L^T`` and the r pivots P in the
     order taken. ``L`` is built one column per pivot (the largest residual
     diagonal entry, O(n r) each; K is never formed), so ``L[P]`` is lower
-    triangular (up to round-off above the diagonal) and ``L = K[:, P] L[P]^-T``. It stops once the residual trace
-    ``trace(K - L L^T)`` is at most ``n eps shift``. The residual is PSD, so
+    triangular (up to round-off above the diagonal) and ``L = K[:, P] L[P]^-T``.
+    With a ``shift`` it stops once the residual trace ``trace(K - L L^T)`` is
+    at most ``n eps shift``. The residual is PSD, so
     ``||K - L L^T||_2 <= n eps shift``: relative to the shift, the order of a
     dense Cholesky's backward error (Harbrecht, Peters & Schneider 2012).
-    Returns None once r reaches the cap ``n // _PARTIAL_RANK_DIVISOR``."""
-    check_positive(shift, "shift")
-    n = diag.size
-    cap, tol = n // _PARTIAL_RANK_DIVISOR, n * np.finfo(np.float64).eps * shift
+    Without one it takes ``pivoted_cholesky``'s (``dpstrf``'s) stop test, the
+    largest residual diagonal entry at most ``n u max(diag)`` with
+    ``u = eps / 2`` (LAPACK's ``dlamch("E")``). Returns None once r reaches
+    the cap, ``n // _PARTIAL_RANK_DIVISOR`` with a shift and
+    ``n // _PIVOTED_RANK_DIVISOR`` without."""
+    n, eps = diag.size, np.finfo(np.float64).eps
+    if shift is None:
+        cap, tol, stat = n // _PIVOTED_RANK_DIVISOR, n * eps / 2 * float(diag.max()), np.max
+    else:
+        tol = n * eps * check_positive(shift, "shift")
+        cap, stat = n // _PARTIAL_RANK_DIVISOR, np.sum
     resid = np.array(diag, dtype=np.float64)
     rows = np.empty((min(cap, 64), n))
     pivots = np.empty(cap, dtype=np.intp)
     r = 0
-    while resid.sum() > tol:
+    while stat(resid) > tol:
         if r == cap:
             return None
         if r == rows.shape[0]:  # grow by doubling: memory O(n r), not O(n cap)

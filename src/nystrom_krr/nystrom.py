@@ -57,12 +57,16 @@ Gram block and ``K_mm`` the inducing Gram, the coefficients solve
 ``K_mm`` is factored once by a rank-revealing pivoted Cholesky, ``K_rr = R^T R``
 on the ``r <= m`` inducing points whose sections span the rest to round-off;
 ``alpha`` is 0 at the others (the basic, not the minimum-norm, solution).
-``beta = R alpha`` turns the system on the kept points into the shifted SPD
-``(G^T G + lam n I) beta = G^T y``, ``G = K_nr R^{-1}``, which avoids squaring
-cond(``K_rr``). This G and the designed ``W_n Q`` stream the training points, as
-in FALKON (Rudi, Carratino & Rosasco 2017): each row block of ``K_nr`` or
-``W_n``, at most ``_CHUNK_ELEMENTS`` doubles, becomes rows g of G and adds
-``g^T g`` and ``g^T y``; no n-row array is formed, and the solve stays direct.
+``kernels.pivoted_gram`` takes LAPACK ``dpstrf``'s pivots and stop test but
+computes one kernel column per pivot, O(m r) each, and never forms the m x m
+Gram; above rank m/6, where the dense factor is faster, it hands ``K_mm`` to
+``dpstrf`` itself. ``beta = R alpha`` turns the system on the kept points into
+the shifted SPD ``(G^T G + lam n I) beta = G^T y``, ``G = K_nr R^{-1}``, which
+avoids squaring cond(``K_rr``). This G and the designed ``W_n Q`` stream the
+training points, as in FALKON (Rudi, Carratino & Rosasco 2017): each row block
+of ``K_nr`` or ``W_n``, at most ``_CHUNK_ELEMENTS`` doubles, becomes rows g of
+G (for ``K_nr``, one triangular solve from the right) and adds ``g^T g`` and
+``g^T y``; no n-row array is formed, and the solve stays direct.
 
 A fit that keeps r < m directions logs ``kept r of m`` at INFO. Every model's
 OpCount is the generic algorithm's flop model ``OpCount.nystrom(n, m)``:
@@ -79,7 +83,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .kernels import _CHUNK_ELEMENTS, KernelSpec, as_points, covariance, cross_gram, gram, sections
+from .kernels import (
+    _CHUNK_ELEMENTS,
+    KernelSpec,
+    as_points,
+    covariance,
+    cross_gram,
+    pivoted_gram,
+    sections,
+)
 # predict is re-exported: one predict serves every model
 from .krr import KernelModel, _moment_factor, _training_arrays, predict  # noqa: F401
 from .linalg import (
@@ -164,7 +176,7 @@ def fit_nystrom(kernel: KernelSpec, data, lam: float, inducing_indices) -> Kerne
     if kernel.is_designed:
         coeff, rank = _designed_fit(kernel, xs, ys, x_ind, lam)
     else:
-        r_factor, keep = pivoted_cholesky(gram(kernel, x_ind))
+        r_factor, keep = pivoted_gram(kernel, x_ind)
         beta = _reduced_generic(kernel, xs, ys, x_ind[keep], r_factor, lam)
         alpha = np.zeros(m)
         alpha[keep] = sla.solve_triangular(r_factor, beta, lower=False)
@@ -228,7 +240,8 @@ def _designed_fit(kernel, xs, ys, x_ind, lam):
 def _whitened_solve(s_factor, rhs, w_t, tol):
     """``_project`` onto ``range(W^T)`` itself, ``w_t = W^T`` (T x m, Fortran
     order, overwritten), or None when the certificate cannot rule out a rank
-    cut of W (module docstring). ``||U||_F^2`` is ``tr S + lam``."""
+    cut of W (module docstring). ``||U||_F^2`` is ``tr S + T lam``, as
+    ``U^T U = S + lam I`` is T x T."""
     flat, u_flat = w_t.T.ravel(), s_factor.T.ravel()  # views: W and U^T, C-ordered
     return _project(s_factor, rhs, w_t, (flat @ flat) * (u_flat @ u_flat) * tol**2)
 
@@ -257,10 +270,16 @@ def _project(s_factor, rhs, basis, bound=None):
 
 
 def _reduced_generic(kernel, xs, ys, x_ind, r_factor, lam):
-    """``beta`` from ``(G^T G + lam n I) beta = G^T y``, ``G = K_nm R^{-1}``."""
+    """``beta`` from ``(G^T G + lam n I) beta = G^T y``, ``G = K_nm R^{-1}``: each
+    row block ``K_part R^-1`` is one right-side ``dtrsm`` on ``K_part``, the
+    Fortran-ordered transpose of the C-ordered ``cross_gram(x_ind, xs[part])``
+    (its entries are ``K_part``'s bit for bit: IEEE subtraction is exactly
+    antisymmetric)."""
+    r_factor = np.asfortranarray(r_factor)
+
     def rows(part):
-        k_part = cross_gram(kernel, xs[part], x_ind)
-        return sla.solve_triangular(r_factor, k_part.T, lower=False, trans="T").T
+        k_part = cross_gram(kernel, x_ind, xs[part]).T
+        return sla.blas.dtrsm(1.0, r_factor, k_part, side=1, overwrite_b=True)
 
     gtg, gty = _normal_equations(rows, ys, x_ind.size)
     return solve_regularized(gtg, lam * xs.size, gty)

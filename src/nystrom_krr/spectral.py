@@ -190,8 +190,10 @@ def nx_empirical_training(kernel: KernelSpec, training_xs, lam: float) -> np.nda
     """Empirical N_x(lambda) at every training point: n times the ridge leverage
     scores (Alaoui & Mahoney 2015), ``n (1 - lam [(K/n + lam I)^{-1}]_ii)``.
     On ``low_rank_gram`` (shift ``n lam``) they are ``n ||C^{-T} l_i||^2``
-    (module docstring); on the dense route, with ``K/n + lam I = R^T R``, that
-    diagonal is the squared row norms of ``R^{-1}``.
+    (module docstring), the squared row norms of ``L C^-1``, one right-side
+    triangular solve on ``L``; on the dense route, with ``K/n + lam I = R^T R``
+    factored in the Gram's own memory, that diagonal is the squared row norms
+    of ``R^{-1}``.
     """
     check_positive(lam)
     xs = as_points(training_xs, kernel)
@@ -199,11 +201,13 @@ def nx_empirical_training(kernel: KernelSpec, training_xs, lam: float) -> np.nda
     low_rank = low_rank_gram(kernel, xs, lam * n)
     if low_rank is not None:
         factor_t = low_rank[0]
-        z = sla.solve_triangular(
-            cholesky_psd(factor_t @ factor_t.T, lam * n), factor_t, trans="T", check_finite=False
-        )
-        return _check_nx(n * np.einsum("ij,ij->j", z, z), kernel, lam)
-    factor = cholesky_psd(gram(kernel, xs) / n, lam)
+        chol = cholesky_psd(factor_t @ factor_t.T, lam * n)
+        # L = factor_t.T is Fortran-ordered: solved in place, no copy
+        z_t = sla.blas.dtrsm(1.0, chol, factor_t.T, side=1, overwrite_b=True)
+        return _check_nx(n * np.einsum("ij,ij->i", z_t, z_t), kernel, lam)
+    k_mat = gram(kernel, xs)
+    k_mat /= n
+    factor = cholesky_psd(k_mat, lam, overwrite_a=True)
     r_inv, info = sla.lapack.dtrtri(factor, lower=0, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"triangular inverse failed (LAPACK info {info})")

@@ -16,9 +16,11 @@ from nystrom_krr.kernels import (
     gram,
     basis_sup,
     kappa,
+    pivoted_gram,
     trig_moments,
     trig_sum,
 )
+from nystrom_krr.linalg import pivoted_cholesky
 
 
 def brute_force_eval(kernel, x, y):
@@ -324,3 +326,35 @@ def test_trig_sums_check_their_inputs(call, match):
     not an all-NaN result or an error from deep inside the blocking."""
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("bandwidth, m", [(0.3, 400), (0.1, 920), (0.05, 1500), (0.02, 900)])
+def test_pivoted_gram_factors_k_mm_one_column_per_pivot(monkeypatch, bandwidth, m):
+    """A Gaussian ``K_mm`` of rank below m / 6 is factored one kernel column per
+    pivot, with no m x m Gram: the kept count is within one pivot of
+    ``pivoted_cholesky(gram(...))``, the kept points are distinct, R is upper
+    triangular and ``K_kk - R^T R`` is at round-off."""
+    eps = np.finfo(float).eps
+    kernel = KernelSpec.gaussian(bandwidth)
+    xs = np.random.default_rng(23).uniform(0.0, 1.0, m)
+    ref_keep = pivoted_cholesky(gram(kernel, xs))[1]
+
+    def no_gram(*args):
+        raise AssertionError("pivoted_gram formed the m x m Gram")
+
+    monkeypatch.setattr(kernels, "gram", no_gram)
+    r_mat, keep = pivoted_gram(kernel, xs)
+    assert abs(keep.size - ref_keep.size) <= 1, (keep.size, ref_keep.size)
+    assert np.unique(keep).size == keep.size and np.array_equal(r_mat, np.triu(r_mat))
+    k_kk = cross_gram(kernel, xs[keep], xs[keep])
+    assert np.abs(k_kk - r_mat.T @ r_mat).max() <= keep.size * eps
+
+
+def test_pivoted_gram_above_its_cap_is_the_dense_factor():
+    """Laplacian(0.1) at m = 900 has full rank, far above the cap m / 6: the
+    factor is ``pivoted_cholesky(gram(...))`` bit for bit."""
+    kernel = KernelSpec.laplacian(0.1)
+    xs = np.random.default_rng(24).uniform(0.0, 1.0, 900)
+    r_mat, keep = pivoted_gram(kernel, xs)
+    ref_r, ref_keep = pivoted_cholesky(gram(kernel, xs))
+    assert keep.size == 900 and np.array_equal(keep, ref_keep) and np.array_equal(r_mat, ref_r)

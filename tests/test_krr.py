@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 import scipy.linalg as sla
 
-from nystrom_krr import krr
-from nystrom_krr.kernels import KernelSpec, cross_gram, gram, low_rank_gram
+from nystrom_krr import krr, nystrom
+from nystrom_krr.kernels import KernelSpec, cross_gram, gram, low_rank_gram, pivoted_gram
 from nystrom_krr.krr import KernelModel, empirical_risk, fit_krr, fitted_coefficients, predict
 from nystrom_krr.linalg import OpCount, cholesky_psd, solve_regularized
 from nystrom_krr.nystrom import SizeRuleParams, fit_nystrom, subsample_plain, subsample_size
@@ -288,6 +288,60 @@ def test_closed_form_rank_above_cap_takes_dense_route(kernel):
     r_inv = sla.lapack.dtrtri(cholesky_psd(k_mat / n, lam), lower=0)[0]
     nx_ref = n * (1.0 - lam * np.einsum("ij,ij->i", r_inv, r_inv))
     assert np.array_equal(nx_empirical_training(kernel, xs, lam), nx_ref)
+
+
+def test_right_side_solves_match_left_side_arithmetic():
+    """The three n x r triangular solves taken from the right (leverage scores
+    ``L C^-1``, low-rank prediction ``k(x, P) L_P^-T`` and the Nystrom rows
+    ``G = K_nr R^-1``) give the same leverage scores, predictions and Nystrom
+    fit as the arithmetic from the left, to 1e-13 relative, on a
+    Gaussian(0.1) ``gaussian_rule_4k``-sized problem."""
+    rng = np.random.default_rng(25)
+    kernel, n, lam = KernelSpec.gaussian(0.1), 4096, 2.5e-3
+    xs, ys = rng.uniform(0.0, 1.0, n), rng.standard_normal(n)
+    factor_t = low_rank_gram(kernel, xs, lam * n)[0]
+    z = sla.solve_triangular(cholesky_psd(factor_t @ factor_t.T, lam * n), factor_t, trans="T")
+    assert _rel(nx_empirical_training(kernel, xs, lam), n * np.einsum("ij,ij->j", z, z)) <= 1e-13
+
+    low_rank = fit_krr(kernel, _dataset(xs, ys), lam)._low_rank
+    grid = rng.uniform(0.0, 1.0, 4096)
+    got = np.empty(grid.size)
+    krr._low_rank_predict(low_rank, kernel, grid, got)
+    h = sla.solve_triangular(low_rank.chol, cross_gram(kernel, grid, low_rank.points).T, lower=True)
+    assert _rel(got, low_rank.weights @ h) <= 1e-13
+
+    # G itself carries cond(R) times round-off in its late columns, and so does
+    # beta; the fitted function does not
+    idx = subsample_plain(n, 900, 5)
+    r_factor, keep = pivoted_gram(kernel, xs[idx])
+    support = xs[idx][keep]
+    g_mat = sla.solve_triangular(r_factor, cross_gram(kernel, xs, support).T, trans="T").T
+    beta = solve_regularized(g_mat.T @ g_mat, lam * n, g_mat.T @ ys)
+    want = cross_gram(kernel, grid, support) @ sla.solve_triangular(r_factor, beta)
+    model = fit_nystrom(kernel, _dataset(xs, ys), lam, idx)
+    assert _rel(cross_gram(kernel, grid, model.support_xs) @ model.alpha, want) <= 1e-13
+
+
+@pytest.mark.parametrize("route", ["fit_krr", "nx_empirical_training"])
+def test_dense_closed_form_routes_hold_one_gram(route):
+    """Laplacian(0.1) at n = 2048 takes the dense n x n route; the full-KRR
+    solve and the leverage scores factor the Gram in its own memory, so the
+    peak stays under 1.25 Grams (32 MiB each)."""
+    import tracemalloc
+
+    rng = np.random.default_rng(26)
+    kernel, n, lam = KernelSpec.laplacian(0.1), 2048, 1e-3
+    data = _dataset(rng.uniform(0.0, 1.0, n), rng.standard_normal(n))
+    tracemalloc.start()
+    try:
+        if route == "fit_krr":
+            fit_krr(kernel, data, lam)
+        else:
+            nx_empirical_training(kernel, data.xs, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 8, peak / 2**20
 
 
 def test_gaussian_size_rule_and_fit_allocate_no_nxn_array():

@@ -613,10 +613,12 @@ def test_generic_fit_streams_row_blocks(monkeypatch):
 @pytest.mark.parametrize(
     "kernel, n, m, limit",
     # the bounds: half of one n x T array (32 MiB), half of the 74.8 MiB the
-    # Laplacian fit peaked at with its n x r K_nr and G
+    # Laplacian fit peaked at with its n x r K_nr and G, and a quarter of the
+    # 32 MiB m x m K_mm the Gaussian fit formed before its column-wise factor
     [(KernelSpec.designed(0.5, 2048), 2048, 256, 16 * 2**20),
-     (KernelSpec.laplacian(0.1), 4096, 900, 37 * 2**20)],
-    ids=["designed", "laplacian"],
+     (KernelSpec.laplacian(0.1), 4096, 900, 37 * 2**20),
+     (KernelSpec.gaussian(0.1), 4096, 2048, 8 * 2**20)],
+    ids=["designed", "laplacian", "gaussian"],
 )
 def test_streamed_fit_holds_no_n_row_array(kernel, n, m, limit):
     import tracemalloc
