@@ -30,9 +30,9 @@ eigenvector is formed. With ``D = (lambda I + M)^(1/2)`` and
 * smoothness: the nonzero spectrum of ``V V^T`` is that of the
   min(m, T)-square ``V^T V = Y Sigma^2 Y^T``, so ``phi(V V^T) = U phi(Sigma^2)
   U^T`` with ``U = V Y Sigma^-1``; eigenvalues at or below ``size * eps * max``
-  (the pivoted Cholesky's tolerance) are exact zeros, and the left-hand side
-  is the larger of ``lambda_max`` and ``-lambda_min`` of
-  ``phi(M) - phi(V V^T)``.
+  (twice ``dpstrf``'s tolerance ``size * u * max``, u = eps / 2) are exact
+  zeros, and the left-hand side is the larger of ``lambda_max`` and
+  ``-lambda_min`` of ``phi(M) - phi(V V^T)``.
 
 The Gram-type products (``B^T B``, ``A^T A`` and the one forming
 ``phi(V V^T)``) run as symmetric rank-k updates, so the matrices handed to
@@ -177,8 +177,8 @@ def _smoothness(phi, mu, lam, **_) -> _Check:
 
     def lhs(d):
         sig2, y = np.linalg.eigh(d.v.T @ d.v)
-        # at or below the pivoted Cholesky's tolerance an eigenvalue is an
-        # exact zero, so phi (steep at 0) never sees round-off
+        # at or below size * eps * max (twice dpstrf's size * u * max, u = eps / 2)
+        # an eigenvalue is an exact zero, so phi (steep at 0) never sees round-off
         keep = sig2 > sig2.size * np.finfo(np.float64).eps * sig2[-1]
         # U phi(Sigma^2)^(1/2), so that phi(M_P) is one symmetric product
         half = d.v @ (y[:, keep] * np.sqrt(phi(sig2[keep]) / sig2[keep]))

@@ -21,7 +21,7 @@ import numpy as np
 from . import krr, nystrom
 from .diagnostics import check_all_bounds
 from .kernels import KernelSpec
-from .linalg import check_count, check_number, check_positive, check_seed
+from .linalg import _check_keys, check_count, check_number, check_positive, check_seed
 from .nystrom import SizeRuleParams, lambda_admissible, subsample_plain, subsample_size
 from .spectral import (
     IndexFunction,
@@ -102,21 +102,32 @@ def _optional(value, name: str):
     return None if value is None else _number(value, name)
 
 
+# The keys each config object reads; config_from_dict rejects any other.
+_TOP_KEYS = ("kernel", "target", "noise", "n_grid", "repetitions", "seed", "size_rule",
+             "lambda_policy", "outputs", "krr_baseline", "gamma", "lambda_factor",
+             "exponent_tolerance", "diagnostics")
+_DIAGNOSTICS_KEYS = ("T", "n", "trials", "delta", "lambda")
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    _check_keys(_typed(raw, dict, "config", "an object"), _TOP_KEYS)
     kernel_cfg = _typed(_require(raw, "kernel", "top level"), dict, "kernel", "an object")
     kernel = KernelSpec.from_config(kernel_cfg)
     tgt = _typed(_require(raw, "target", "top level"), dict, "target", "an object")
+    _check_keys(tgt, ("family", "r", "profile", "coeff_seed"), "target")
     r = _number(_require(tgt, "r", "target"), "target.r")
     phi = IndexFunction(_require(tgt, "family", "target"), r)
     # a log_type r in (1/2, 1] is a valid IndexFunction but no admissible target
     if not phi.is_admissible():
         raise ValueError(f"config error: 'target.r' must be in (0, 1/2], got {r!r}")
     noise_cfg = _typed(_require(raw, "noise", "top level"), dict, "noise", "an object")
+    _check_keys(noise_cfg, ("variant", "scale"), "noise")
     noise = NoiseSpec(
         _require(noise_cfg, "variant", "noise"),
         _number(_require(noise_cfg, "scale", "noise"), "noise.scale"),
     )
     rule_cfg = _typed(raw.get("size_rule", {}), dict, "size_rule", "an object")
+    _check_keys(rule_cfg, ("c", "delta", "gamma", "c_gamma"), "size_rule")
     size_rule = SizeRuleParams(
         c=_number(rule_cfg.get("c", 1.0), "size_rule.c"),
         delta=_number(rule_cfg.get("delta", 0.1), "size_rule.delta"),
@@ -126,6 +137,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     pol_cfg = _typed(
         raw.get("lambda_policy", {"kind": "lambda0"}), dict, "lambda_policy", "an object"
     )
+    _check_keys(pol_cfg, ("kind", "value", "values"), "lambda_policy")
     lam_values = _typed(pol_cfg.get("values", []), list, "lambda_policy.values", "a list")
     policy = LambdaPolicy(
         kind=_require(pol_cfg, "kind", "lambda_policy"),
@@ -133,6 +145,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         values=tuple(_number(v, "lambda_policy.values") for v in lam_values),
     )
     n_grid = _typed(_require(raw, "n_grid", "top level"), list, "n_grid", "a list")
+    diagnostics = _typed(raw.get("diagnostics", {}), dict, "diagnostics", "an object")
+    _check_keys(diagnostics, _DIAGNOSTICS_KEYS, "diagnostics")
     return ExperimentConfig(
         kernel=kernel,
         phi=phi,
@@ -149,7 +163,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         gamma=_optional(raw.get("gamma"), "gamma"),
         lambda_factor=_number(raw.get("lambda_factor", 3.0), "lambda_factor"),
         exponent_tolerance=_number(raw.get("exponent_tolerance", 0.15), "exponent_tolerance"),
-        diagnostics=_typed(raw.get("diagnostics", {}), dict, "diagnostics", "an object"),
+        diagnostics=diagnostics,
     )
 
 
@@ -165,7 +179,6 @@ def load_config(path) -> ExperimentConfig:
 @dataclass
 class RateFitResult:
     exponent: float
-    intercept: float
     r_squared: float
     points: list  # (log n, log median error)
 
@@ -190,7 +203,6 @@ def fit_loglog(ns, values) -> RateFitResult:
     coeffs, r2 = _lstsq_r2(np.vstack([np.ones_like(x), x]).T, y)
     return RateFitResult(
         exponent=float(coeffs[1]),
-        intercept=float(coeffs[0]),
         r_squared=r2,
         points=list(zip(x.tolist(), y.tolist())),
     )
@@ -338,6 +350,9 @@ def run_cost_sweep(config: ExperimentConfig):
     computed from the kernel's decay; the fitted flop exponent (log n slope
     with a log log n covariate) is compared against the predicted
     ``(3 + s - 2 gamma) / (1 + s)``.
+
+    Returns (slope, predicted, rows, timing, summary_lines, passed); ``slope``
+    is None, with no verdict, when the grid has fewer than 4 points.
     """
     _require_designed(config, "cost sweep")
     if config.gamma is None:
@@ -366,16 +381,20 @@ def run_cost_sweep(config: ExperimentConfig):
         timing.append(timing_row)
     flops_per_n = [float(np.median(f)) for f in cell_flops]
 
-    slope, r2 = fit_loglog_with_loglog_covariate(config.n_grid, flops_per_n)
     predicted = (3.0 + s - 2.0 * gamma) / (1.0 + s)
+    notes = [] if subquadratic else ["warning: 2 gamma + s <= 1, no subquadratic guarantee"]
+    if len(config.n_grid) < 4:
+        # three coefficients (intercept, log n, log log n): three points fit exactly
+        head = f"cost sweep: fewer than 4 grid points, no exponent fit, predicted {predicted:.4f}"
+        return None, predicted, rows, timing, [head, *notes], True
+    slope, r2 = fit_loglog_with_loglog_covariate(config.n_grid, flops_per_n)
+    passed = abs(slope - predicted) <= 0.2 and slope < 1.8 if subquadratic else True
     summary = [
         f"cost sweep: fitted flop exponent {slope:.4f} (r^2 {r2:.4f}), "
         f"predicted {predicted:.4f}",
+        *notes,
+        f"exponent within 0.2 of prediction and < 1.8: {'PASS' if passed else 'FAIL'}",
     ]
-    if not subquadratic:
-        summary.append("warning: 2 gamma + s <= 1, no subquadratic guarantee")
-    passed = abs(slope - predicted) <= 0.2 and slope < 1.8 if subquadratic else True
-    summary.append(f"exponent within 0.2 of prediction and < 1.8: {'PASS' if passed else 'FAIL'}")
     return slope, predicted, rows, timing, summary, passed
 
 
@@ -440,8 +459,7 @@ def run_diagnostics(config: ExperimentConfig):
     """The four operator-bound checks at the configured settings, one draw per trial."""
     _require_designed(config, "diagnostics")
     d = config.diagnostics
-    for key in sorted(d.keys() - {"T", "n", "trials", "delta", "lambda"}):
-        raise ValueError(f"config error: 'diagnostics.{key}' is not a diagnostics setting")
+    _check_keys(d, _DIAGNOSTICS_KEYS, "diagnostics")
     truncation = check_count(d.get("T", 256), "config error: 'diagnostics.T'")
     n = check_count(d.get("n", 2048), "config error: 'diagnostics.n'")
     trials = check_count(d.get("trials", 200), "config error: 'diagnostics.trials'")
@@ -473,22 +491,3 @@ def write_summary(path, lines) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-__all__ = [
-    "ExperimentConfig",
-    "LambdaPolicy",
-    "RateFitResult",
-    "RATE_CSV_FIELDS",
-    "COST_CSV_FIELDS",
-    "LAMBDA_CSV_FIELDS",
-    "config_from_dict",
-    "load_config",
-    "fit_loglog",
-    "fit_loglog_with_loglog_covariate",
-    "run_rate_sweep",
-    "run_cost_sweep",
-    "run_lambda_sensitivity",
-    "run_diagnostics",
-    "write_summary",
-    "write_rows",
-]

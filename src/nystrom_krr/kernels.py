@@ -33,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view as _windows
 
-from .linalg import check_count, check_number, check_positive, partial_cholesky, pivoted_cholesky
+from .linalg import (
+    _check_keys, check_count, check_number, check_positive, partial_cholesky, pivoted_cholesky
+)
 
 GAUSSIAN = "gaussian"
 LAPLACIAN = "laplacian"
@@ -42,13 +44,14 @@ DESIGNED = "designed_spectral"
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
 
-# Doubles per row chunk of the trig sums' exponential blocks, and per row block
-# of a closed-form ``krr.predict`` and of a Nystrom fit's ``G^T G``: 2 MB, a
-# core's L2 cache on the 2-core x86 VM of README's timings. There (one BLAS
-# thread, best of 9) the trig sums take about the same time at 2 MB and at 32 MB
-# chunks (``trig_moments`` at n = 16384, L = 2048: 11-13 against 12-16 ms), while
-# the Gaussian ``gaussian_rule_4k`` benchmark op peaked at 76 MB RSS, not 123 MB,
-# when this size was chosen (65 MB since its ``K_mm`` is factored column-wise).
+# Doubles per row block of every streamed loop (``_row_blocks``): the trig
+# sums' exponential blocks, a closed-form ``krr.predict`` and a Nystrom fit's
+# ``G^T G``. 2 MB, a core's L2 cache on the 2-core x86 VM of README's timings.
+# There (one BLAS thread, best of 9) the trig sums take about the same time at
+# 2 MB and at 32 MB chunks (``trig_moments`` at n = 16384, L = 2048: 11-13
+# against 12-16 ms), while the Gaussian ``gaussian_rule_4k`` benchmark op peaked
+# at 76 MB RSS, not 123 MB, when this size was chosen (65 MB since its ``K_mm``
+# is factored column-wise).
 _CHUNK_ELEMENTS = 1 << 18
 
 
@@ -65,10 +68,6 @@ class DecaySpec:
     def __post_init__(self):
         if not 0.0 < check_number(self.s, "decay exponent s") <= 1.0:
             raise ValueError(f"decay exponent s must be in (0, 1], got {self.s}")
-
-    @property
-    def borderline(self) -> bool:
-        return self.s == 1.0
 
     def eigenvalues(self, truncation: int) -> np.ndarray:
         truncation = check_count(truncation, "truncation")
@@ -134,6 +133,8 @@ class KernelSpec:
         if variant not in (DESIGNED, GAUSSIAN, LAPLACIAN):
             raise ValueError(f"unknown kernel variant: {variant!r}")
         key = "s" if variant == DESIGNED else "bandwidth"
+        known = ("variant", key, "truncation") if variant == DESIGNED else ("variant", key)
+        _check_keys(cfg, known, "kernel")
         if key not in cfg:
             raise ValueError(f"{variant} kernel config needs '{key}'")
         value = check_number(cfg[key], f"kernel.{key}")
@@ -157,20 +158,20 @@ def fourier_basis(xs, truncation: int) -> np.ndarray:
     if not n_cos:
         return out
     b, q = _split(n_cos)
-    for lo, hi in _row_chunks(xs.size, q + b):
+    for part in _row_blocks(xs.size, 2 * (q + b)):  # complex rows of Q + B entries
         # Each block entry is its own exponential here, not a power as in the
         # trig sums: the benchmark's verify_pass reference holds the
         # diagnostics' smoothness ratios, which move with the basis round-off,
         # to 1e-3. Built from powers, the basis moved case 10's quantile ratio
         # by 8.3e-3; with these values case 31 sits at 9.98e-4.
-        e_q, e_b = _exp_blocks(xs[lo:hi], b, q)
+        e_q, e_b = _exp_blocks(xs[part], b, q)
         for k in range(q):
             # frequencies l0..l1-1 of block k; l = 0 is the constant column
             l0, l1 = max(k * b, 1), min(k * b + b, n_cos + 1)
             block = e_q[:, k, None] * e_b[:, l0 - k * b : l1 - k * b]
-            out[lo:hi, 2 * l0 - 1 : 2 * l1 - 1 : 2] = block.real
+            out[part, 2 * l0 - 1 : 2 * l1 - 1 : 2] = block.real
             s1 = min(l1, n_sin + 1)  # an even T has no sin column at l = T / 2
-            out[lo:hi, 2 * l0 : 2 * s1 : 2] = block.imag[:, : s1 - l0]
+            out[part, 2 * l0 : 2 * s1 : 2] = block.imag[:, : s1 - l0]
     out[:, 1:] *= _SQRT2
     return out
 
@@ -202,15 +203,15 @@ def _exp_power_chunks(xs, b: int, q: int):
     step. Both arrays are reused from chunk to chunk: with a fresh pair per
     chunk, page faults took about as long as the products.
     """
-    chunks = list(_row_chunks(xs.size, q + b))
-    rows = chunks[0][1]
+    blocks = list(_row_blocks(xs.size, 2 * (q + b)))  # complex rows of Q + B entries
+    rows = blocks[0].stop
     e_q, e_b = np.empty((q, rows), dtype=np.complex128), np.empty((b, rows), dtype=np.complex128)
-    for lo, hi in chunks:
-        ang = _TWO_PI * xs[lo:hi]
-        e_q_rows, e_b_rows = e_q[:, : hi - lo], e_b[:, : hi - lo]
+    for part in blocks:
+        ang = _TWO_PI * xs[part]
+        e_q_rows, e_b_rows = e_q[:, : ang.size], e_b[:, : ang.size]
         _powers(np.exp(1j * (ang * b)), e_q_rows)
         _powers(np.exp(1j * ang), e_b_rows)
-        yield lo, hi, e_q_rows, e_b_rows
+        yield part.start, part.stop, e_q_rows, e_b_rows
 
 
 def _powers(z, out) -> None:
@@ -225,10 +226,10 @@ def _powers(z, out) -> None:
         h *= 2
 
 
-def _row_chunks(n: int, width: int):
-    # complex rows of Q + B entries; each chunk stays near _CHUNK_ELEMENTS doubles
-    step = max(1, _CHUNK_ELEMENTS // (2 * width))
-    return ((lo, min(n, lo + step)) for lo in range(0, n, step))
+def _row_blocks(n: int, width: int):
+    """Row blocks of every streamed loop: at most ``_CHUNK_ELEMENTS`` doubles, or one row."""
+    step = max(1, _CHUNK_ELEMENTS // width)
+    return (slice(lo, min(n, lo + step)) for lo in range(0, n, step))
 
 
 def _finite_vector(values, name: str, dtype) -> np.ndarray:

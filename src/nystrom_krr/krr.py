@@ -13,23 +13,24 @@ with ``(S + lam I) u = b``, ``S = W_n^T W_n / n`` and ``b = W_n^T y / n``
 this is the exact full-KRR minimizer for any n points, repeated or not. Above
 T it replaces the n x n system: O(n sqrt(T) + T^3) and no n x n array.
 
-A closed-form kernel (Gaussian, Laplacian) solves on a round-off-exact
-low-rank factor when its Gram has one: ``kernels.low_rank_gram``, a greedy
-pivoted partial Cholesky ``K ~ L L^T`` (``linalg.partial_cholesky``, one
-kernel column per pivot) stopped once the residual trace is at most
-``n eps (lam n)``, so that ``||K - L L^T||_2`` is at most ``n eps`` relative to
-the shift, the order of the dense Cholesky's backward error. Woodbury with
-``C^T C = lam n I + L^T L`` (r x r) gives
-``alpha = (y - L C^-1 C^-T L^T y) / (lam n)``: O(n r^2), no n x n array. The
-factor gives up at rank n/64, where the dense Cholesky of the n x n Gram is
-the faster route; that is the Laplacian and very narrow Gaussians (numerical
-rank about 3.4 / bandwidth at n = 4096).
+A closed-form kernel (Gaussian, Laplacian) solves on ``_shifted_factor``, the
+one factor of ``K + lam n I`` that ``spectral``'s ridge leverage scores share:
+``kernels.low_rank_gram``, a greedy pivoted partial Cholesky ``K ~ L L^T``
+(``linalg.partial_cholesky``, one kernel column per pivot) stopped once the
+residual trace is at most ``n eps (lam n)``, so that ``||K - L L^T||_2`` is at
+most ``n eps`` relative to the shift, the order of the dense Cholesky's
+backward error. Woodbury with ``C^T C = lam n I + L^T L`` (r x r) gives
+``alpha = (y - L C^-1 C^-T L^T y) / (lam n)`` and the leverage scores as the
+squared norms ``n ||C^-T l_i||^2`` (no ``1 - lam d_i`` cancellation): O(n r^2),
+no n x n array. The factor gives up at rank n/64, where the dense Cholesky
+``R^T R = K + lam n I`` is the faster route; that is the Laplacian and very
+narrow Gaussians (numerical rank about 3.4 / bandwidth at n = 4096).
 
 Predictions. An expansion is summed over its nonzero weights only (a Nystrom
 fit's weights vanish off the r inducing points its pivoted Cholesky kept; an
-all-zero ``alpha`` predicts zeros), as ``cross_gram @ alpha`` in row blocks of
-at most ``_CHUNK_ELEMENTS`` doubles. A model fitted on the factor predicts
-from it first. With P the pivots and ``L_P = L[P]`` (lower triangular), the
+all-zero ``alpha`` predicts zeros), as ``cross_gram @ alpha`` in the 2 MB row
+blocks of ``kernels._row_blocks``. A model fitted on the factor predicts from
+it first. With P the pivots and ``L_P = L[P]`` (lower triangular), the
 factor extends to any x as ``h(x) = L_P^-1 k(P, x)``, so
 ``f(x) ~ h(x)^T c`` with ``c = L^T alpha``: one r-column ``cross_gram`` and
 one triangular solve per point. The error is ``sum_j alpha_j E(x, x_j)`` for
@@ -56,8 +57,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .kernels import (
-    _CHUNK_ELEMENTS,
     KernelSpec,
+    _row_blocks,
     as_points,
     basis_moments,
     basis_sum,
@@ -156,6 +157,17 @@ def _moment_factor(xs, ys, mu, lam):
     return u_mat, np.sqrt(mu) * basis_moments(xs, ys, mu.size) / xs.size
 
 
+def _shifted_factor(kernel: KernelSpec, xs, shift: float):
+    """``(L^T, P, C)`` of ``low_rank_gram`` with ``C^T C = shift I + L^T L``, else
+    ``(None, None, R)`` with ``R^T R = K + shift I`` factored in the Gram's own
+    memory (one n x n array; ``gram`` is exactly symmetric); module docstring."""
+    low_rank = low_rank_gram(kernel, xs, shift)
+    if low_rank is None:
+        return None, None, cholesky_psd(gram(kernel, xs), shift, overwrite_a=True)
+    factor_t, pivots = low_rank
+    return factor_t, pivots, cholesky_psd(factor_t @ factor_t.T, shift)
+
+
 def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
     """Fit by solving the n x n shifted Gram system: for a designed kernel and
     n > T as the T x T closed form, for a closed-form kernel by Woodbury on its
@@ -167,15 +179,11 @@ def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
         u_mat, rhs = _moment_factor(xs, ys, mu, lam)
         coeff = np.sqrt(mu) * sla.cho_solve((u_mat, False), rhs, check_finite=False)
         return KernelModel(xs, None, lam, OpCount.krr(n), kernel=kernel, coefficients=coeff)
-    low_rank = low_rank_gram(kernel, xs, lam * n)
-    if low_rank is None:
-        # factored in the Gram's own memory: one n x n array (gram is exactly symmetric)
-        chol = cholesky_psd(gram(kernel, xs), lam * n, overwrite_a=True)
+    factor_t, pivots, chol = _shifted_factor(kernel, xs, lam * n)
+    if factor_t is None:
         alpha = sla.cho_solve((chol, False), ys, check_finite=False)
         return KernelModel(xs, alpha, lam, OpCount.krr(n), kernel=kernel)
     # Woodbury: (L L^T + s I)^-1 y = (y - L (s I + L^T L)^-1 L^T y) / s
-    factor_t, pivots = low_rank
-    chol = cholesky_psd(factor_t @ factor_t.T, lam * n)
     inner = sla.cho_solve((chol, False), factor_t @ ys, check_finite=False)
     alpha = (ys - factor_t.T @ inner) / (lam * n)
     model = KernelModel(xs, alpha, lam, OpCount.krr(n), kernel=kernel)
@@ -215,9 +223,9 @@ def predict(model: KernelModel, kernel: KernelSpec, xs) -> np.ndarray:
     ``sum_j alpha_j K(x, x_j)``. A full-KRR fit on the low-rank factor takes
     ``h(x)^T c`` wherever the certificate vouches for it, O(r) kernel values
     and O(r^2) flops per point; every other point is summed over the nonzero
-    weights by ``cross_gram`` in row blocks of at most ``_CHUNK_ELEMENTS``
-    doubles (2 MB: 64 rows of a 4096-point model). An all-zero ``alpha``
-    predicts zeros. See the module docstring."""
+    weights by ``cross_gram`` in the row blocks of ``kernels._row_blocks``
+    (2 MB: 64 rows of a 4096-point model). An all-zero ``alpha`` predicts
+    zeros. See the module docstring."""
     model.check_kernel(kernel)
     xs = as_points(xs, kernel)
     if kernel.is_designed:
@@ -231,22 +239,19 @@ def predict(model: KernelModel, kernel: KernelSpec, xs) -> np.ndarray:
     else:
         rows = _low_rank_predict(model._low_rank, kernel, xs, out)
     support, weights = model.support_xs[keep], model.alpha[keep]
-    step = max(1, _CHUNK_ELEMENTS // keep.size)
-    for lo in range(0, rows.size, step):
-        block = rows[lo : lo + step]
+    for part in _row_blocks(rows.size, keep.size):
+        block = rows[part]
         out[block] = cross_gram(kernel, xs[block], support) @ weights
     return out
 
 
 def _low_rank_predict(low_rank: _LowRankPredictor, kernel: KernelSpec, xs, out) -> np.ndarray:
-    """Write ``h(x)^T c`` to ``out`` at every point, in row blocks of at most
-    ``_CHUNK_ELEMENTS`` doubles, and return the indices of the points the
+    """Write ``h(x)^T c`` to ``out`` at every point, in the row blocks of
+    ``kernels._row_blocks``, and return the indices of the points the
     certificate does not vouch for (module docstring)."""
     r, eps = low_rank.points.size, np.finfo(np.float64).eps
     refused = np.zeros(xs.size, dtype=bool)
-    step = max(1, _CHUNK_ELEMENTS // r)
-    for lo in range(0, xs.size, step):
-        part = slice(lo, lo + step)
+    for part in _row_blocks(xs.size, r):
         # h(x)^T = k(x, P) L_P^-T from the right, on k(x, P) as the transpose of
         # a C-ordered block: Fortran order for BLAS, no copy
         k_xp = cross_gram(kernel, low_rank.points, xs[part]).T

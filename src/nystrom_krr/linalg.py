@@ -67,6 +67,13 @@ def check_number(value, name: str) -> float:
     return float(value)
 
 
+def _check_keys(cfg: dict, known, section: str = "") -> None:
+    """The one check for a config object's keys: any outside ``known`` is an error."""
+    for key in sorted(cfg.keys() - set(known)):
+        name = f"{section}.{key}" if section else key
+        raise ValueError(f"config error: '{name}' is not a {section or 'top-level'} setting")
+
+
 def check_count(value, name: str, least: int = 1) -> int:
     """The one check for a size or count (n, m, a truncation, trials,
     repetitions; a degree with ``least=0``): ``check_integer``, then

@@ -64,7 +64,7 @@ Gram; above rank m/6, where the dense factor is faster, it hands ``K_mm`` to
 the shifted SPD ``(G^T G + lam n I) beta = G^T y``, ``G = K_nr R^{-1}``, which
 avoids squaring cond(``K_rr``). This G and the designed ``W_n Q`` stream the
 training points, as in FALKON (Rudi, Carratino & Rosasco 2017): each row block
-of ``K_nr`` or ``W_n``, at most ``_CHUNK_ELEMENTS`` doubles, becomes rows g of
+of ``K_nr`` or ``W_n`` (``kernels._row_blocks``, 2 MB) becomes rows g of
 G (for ``K_nr``, one triangular solve from the right) and adds ``g^T g`` and
 ``g^T y``; no n-row array is formed, and the solve stays direct.
 
@@ -84,13 +84,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .kernels import (
-    _CHUNK_ELEMENTS,
-    KernelSpec,
-    as_points,
-    covariance,
-    cross_gram,
-    pivoted_gram,
-    sections,
+    KernelSpec, _row_blocks, as_points, covariance, cross_gram, pivoted_gram, sections
 )
 # predict is re-exported: one predict serves every model
 from .krr import KernelModel, _moment_factor, _training_arrays, predict  # noqa: F401
@@ -286,14 +280,14 @@ def _reduced_generic(kernel, xs, ys, x_ind, r_factor, lam):
 
 
 def _normal_equations(rows, ys, width):
-    """``G^T G`` and ``G^T y`` over G's rows ``rows(part)``, ``part`` a slice of at
-    most ``_CHUNK_ELEMENTS // width`` points; each ``g^T g`` is a syrk, exactly symmetric."""
-    step = max(1, _CHUNK_ELEMENTS // width)
+    """``G^T G`` and ``G^T y`` over G's rows ``rows(part)``, ``part`` a row block of
+    ``kernels._row_blocks`` for rows of ``width`` doubles; each ``g^T g`` is a syrk,
+    exactly symmetric."""
     gtg = gty = 0.0
-    for lo in range(0, ys.size, step):
-        g_part = rows(slice(lo, lo + step))
+    for part in _row_blocks(ys.size, width):
+        g_part = rows(part)
         gtg += g_part.T @ g_part
-        gty += g_part.T @ ys[lo : lo + step]
+        gty += g_part.T @ ys[part]
     return gtg, gty
 
 
@@ -334,7 +328,11 @@ def lambda_admissible(lam: float, n: int, delta: float, operator_norm_bound: flo
 def save_model(model: KernelModel, path) -> None:
     """Self-describing text artifact (format v3): kernel, indices, inducing
     points, lambda, and the eigen-``coefficients`` of a designed fit or the
-    ``alpha`` of any other model."""
+    ``alpha`` of any other model. A Gaussian Nystrom ``alpha`` (the basic
+    solution on the kept points) carries about ``cond(R) eps`` relative error,
+    with cond(R) about 3e6 at bandwidth 0.1, which its predictions do not: two
+    builds of one fit can store ``alpha`` that differ in the third digit and
+    predict the same to round-off. Compare saved models by their predictions."""
     if model.inducing_indices is None or model.kernel is None:
         raise ValueError("save_model stores Nystrom models that carry their kernel")
     payload = {

@@ -6,17 +6,9 @@ operator: effective dimensions, the a-priori regularization parameter
 Tikhonov filter factors with their qualification margins, and smoothness
 (index) functions.
 
-The empirical plug-in ``N_x`` at the training points (the ridge leverage
-scores times n) of a Gaussian or Laplacian kernel runs on the Gram's
-round-off-exact low-rank factor ``K ~ L L^T`` when there is one
-(``kernels.low_rank_gram``: a greedy pivoted partial Cholesky, stopped once
-the residual trace is at most ``n eps (lam n)``, so ``||K - L L^T||_2`` is at
-most ``n eps`` relative to the shift). Then ``N_x = n ||C^{-T} l_i||^2`` with
-``C^T C = lam n I + L^T L`` (r x r): O(n r^2), no n x n array, and a squared
-norm, so the ``1 - lam d_i`` cancellation of the dense form is gone. Above
-the factor's cap (rank n/64: the Laplacian, very narrow Gaussians) it is the
-dense Cholesky and triangular inverse of ``K/n + lam I``. The one-point
-``nx_empirical`` stays dense; the tests compare against it.
+The plug-in ``N_x`` at the training points of a Gaussian or Laplacian kernel
+runs on full KRR's factor of ``K + lam n I`` (``krr`` module docstring); the
+one-point ``nx_empirical`` stays dense, and the tests compare against it.
 """
 
 from __future__ import annotations
@@ -37,8 +29,8 @@ from .kernels import (
     eval_kernel,
     gram,
     kappa,
-    low_rank_gram,
 )
+from .krr import _shifted_factor
 from .linalg import (
     NumericalError, check_count, check_number, check_positive, cholesky_psd, sym_eigenvalues
 )
@@ -167,14 +159,14 @@ def effective_dimension(profile: SpectralProfile, lam: float) -> float:
 def nx_empirical(kernel: KernelSpec, training_xs, x: float, lam: float) -> float:
     """Pointwise effective dimension with the empirical covariance plug-in.
 
-    Woodbury reduction: ``(K(x,x) - k_x^T (lam I + K/n)^{-1} k_x / n) / lam``
-    with ``k_x = (K(x, x_i))_i``, whose quadratic form is ``|R^{-T} k_x|^2``.
+    Woodbury reduction: ``(K(x,x) - |R^{-T} k_x|^2) / lam`` with
+    ``k_x = (K(x, x_i))_i`` and the dense Cholesky ``R^T R = K + lam n I``.
     """
     check_positive(lam)
     xs = as_points(training_xs, kernel)
     k_x = cross_gram(kernel, xs, [x])[:, 0]
-    z = sla.solve_triangular(cholesky_psd(gram(kernel, xs) / xs.size, lam), k_x, trans="T")
-    val = (eval_kernel(kernel, x, x) - z @ z / xs.size) / lam
+    z = sla.solve_triangular(cholesky_psd(gram(kernel, xs), lam * xs.size), k_x, trans="T")
+    val = (eval_kernel(kernel, x, x) - z @ z) / lam
     return float(_check_nx(val, kernel, lam))
 
 
@@ -188,31 +180,25 @@ def _check_nx(vals, kernel, lam):
 
 def nx_empirical_training(kernel: KernelSpec, training_xs, lam: float) -> np.ndarray:
     """Empirical N_x(lambda) at every training point: n times the ridge leverage
-    scores (Alaoui & Mahoney 2015), ``n (1 - lam [(K/n + lam I)^{-1}]_ii)``.
-    On ``low_rank_gram`` (shift ``n lam``) they are ``n ||C^{-T} l_i||^2``
-    (module docstring), the squared row norms of ``L C^-1``, one right-side
-    triangular solve on ``L``; on the dense route, with ``K/n + lam I = R^T R``
-    factored in the Gram's own memory, that diagonal is the squared row norms
-    of ``R^{-1}``.
+    scores (Alaoui & Mahoney 2015), ``n (1 - lam n [(K + lam n I)^{-1}]_ii)``,
+    on ``krr._shifted_factor``. On its low-rank factor they are
+    ``n ||C^{-T} l_i||^2``, the squared row norms of ``L C^-1``, one right-side
+    triangular solve on ``L``; on the dense ``K + lam n I = R^T R`` that diagonal
+    is the squared row norms of ``R^{-1}``.
     """
     check_positive(lam)
     xs = as_points(training_xs, kernel)
     n = xs.size
-    low_rank = low_rank_gram(kernel, xs, lam * n)
-    if low_rank is not None:
-        factor_t = low_rank[0]
-        chol = cholesky_psd(factor_t @ factor_t.T, lam * n)
+    factor_t, _, chol = _shifted_factor(kernel, xs, lam * n)
+    if factor_t is not None:
         # L = factor_t.T is Fortran-ordered: solved in place, no copy
         z_t = sla.blas.dtrsm(1.0, chol, factor_t.T, side=1, overwrite_b=True)
         return _check_nx(n * np.einsum("ij,ij->i", z_t, z_t), kernel, lam)
-    k_mat = gram(kernel, xs)
-    k_mat /= n
-    factor = cholesky_psd(k_mat, lam, overwrite_a=True)
-    r_inv, info = sla.lapack.dtrtri(factor, lower=0, overwrite_c=1)
+    r_inv, info = sla.lapack.dtrtri(chol, lower=0, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"triangular inverse failed (LAPACK info {info})")
     inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
-    return _check_nx(n * (1.0 - lam * inv_diag), kernel, lam)
+    return _check_nx(n * (1.0 - lam * n * inv_diag), kernel, lam)
 
 
 def n_infinity(source: KernelSpec, lam: float, xs=None) -> float:
@@ -290,7 +276,7 @@ def qualification_margin(phi: IndexFunction, lam: float, q: float, t_grid) -> fl
     The margin stays <= 1 at q = 0 and <= 2 for q in (0, 1/2] for the
     admissible families here.
     """
-    if not 0.0 <= q <= 0.5:
+    if not 0.0 <= check_number(q, "q") <= 0.5:
         raise ValueError(f"q must lie in [0, 1/2], got {q}")
     t = np.asarray(t_grid, dtype=np.float64)
     if np.any(t <= 0):
@@ -312,7 +298,6 @@ class CGammaBound:
 
     c_gamma: float
     upper_bound: float
-    gamma: float
 
 
 def c_gamma_for_designed(decay: DecaySpec, truncation: int, gamma: float) -> CGammaBound:
@@ -322,7 +307,7 @@ def c_gamma_for_designed(decay: DecaySpec, truncation: int, gamma: float) -> CGa
     form ``basis_sup`` (attained at x = 0); the analytic envelope
     ``sqrt(2 sum_k mu_k^(2-gamma))`` uses ``e_k^2 <= 2``.
     """
-    if not 0.0 < gamma <= 1.0:
+    if not 0.0 < check_number(gamma, "gamma") <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     if (2.0 - gamma) / decay.s <= 1.0:
         raise ValueError(
@@ -333,5 +318,4 @@ def c_gamma_for_designed(decay: DecaySpec, truncation: int, gamma: float) -> CGa
     return CGammaBound(
         c_gamma=math.sqrt(basis_sup(mu_pow)),
         upper_bound=math.sqrt(2.0 * float(mu_pow.sum())),
-        gamma=gamma,
     )

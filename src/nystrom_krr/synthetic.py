@@ -97,10 +97,6 @@ class Dataset:
         if self.xs.shape != self.ys.shape:
             raise ValueError("xs and ys must have equal length")
 
-    @property
-    def has_truth(self) -> bool:
-        return self.target is not None
-
 
 def check_target(phi: IndexFunction, profile: str, seed: int) -> int:
     """The checks of ``make_target``'s settings, without drawing a target: an
@@ -166,7 +162,7 @@ def l2_rho_error(model: KernelModel, kernel: KernelSpec, dataset: Dataset) -> fl
     The synthetic target lives entirely inside the truncated basis, so there
     is no truncation tail to account for.
     """
-    if not dataset.has_truth:
+    if dataset.target is None:
         raise ValueError("exact error needs a dataset carrying its target")
     f_hat = fitted_coefficients(model, kernel)
     f_true = dataset.target.f_coefficients

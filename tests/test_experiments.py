@@ -208,6 +208,20 @@ def test_cost_sweep_flags_no_guarantee():
     assert passed  # informational only in that regime
 
 
+def test_cost_sweep_fits_no_exponent_below_four_points():
+    """The cost fit has three coefficients (intercept, log n, log log n), so a
+    grid of three points or fewer fits exactly, r^2 = 1 at any slope: such a
+    sweep fits no exponent and gives no verdict, as the rate sweep does below
+    three points."""
+    for n_grid in ([256, 512], [256, 512, 1024]):
+        config = small_config(n_grid=n_grid, repetitions=1, gamma=0.75)
+        slope, predicted, rows, _, summary, passed = exp.run_cost_sweep(config)
+        assert slope is None and passed and len(rows) == len(n_grid)
+        assert math.isclose(predicted, (3.0 + 0.5 - 1.5) / 1.5, rel_tol=1e-12)
+        assert "no exponent fit" in summary[0]
+        assert not any("PASS" in line or "FAIL" in line for line in summary)
+
+
 def test_cost_sweep_needs_gamma():
     with pytest.raises(ValueError, match="gamma"):
         exp.run_cost_sweep(small_config())
@@ -397,8 +411,8 @@ def test_cli_log_level_shows_jitter_escalation(tmp_path):
 
 def test_cli_rejects_bad_config_values(tmp_path, capsys):
     """A config value or section of the wrong type (a number given as a bool or
-    a string included), a value out of range or an unknown diagnostics key ends
-    in exit 1 and an ``error:`` line naming it: no exception escapes ``main``,
+    a string included), a value out of range or a key that no section reads (a
+    misspelt key included, at the top level or in any section) ends in exit 1 and an ``error:`` line naming it: no exception escapes ``main``,
     and no silent FAIL verdict. NaN and Infinity are JSON literals Python's
     reader accepts. Runs in process: ``main`` is the whole CLI below the
     interpreter."""
@@ -430,6 +444,19 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys):
         ("lambda-sweep", {"lambda_factor": True}, "lambda_factor"),
         ("lambda-sweep", {"lambda_factor": "3"}, "lambda_factor"),
         ("diagnostics", {"target": {"family": "log_type", "r": 0.75}}, "target.r"),
+        ("rate-sweep", {"reps": 7}, "'reps' is not a top-level setting"),
+        ("rate-sweep", {"krr_basline": True}, "'krr_basline'"),
+        ("rate-sweep", {"target": {**config_dict()["target"], "coef_seed": 9}}, "target.coef_seed"),
+        ("rate-sweep", {"size_rule": {**rule, "C": 5}}, "'size_rule.C' is not a size_rule setting"),
+        ("rate-sweep", {"noise": {"variant": "gaussian", "scale": 0.1, "sigma": 1}}, "noise.sigma"),
+        ("lambda-sweep", {"lambda_policy": {"kind": "lambda0", "vals": [1e-3]}}, "lambda_policy.vals"),
+        ("rate-sweep", {"kernel": {**designed, "s": 0.5, "bandwidth": 0.1}}, "kernel.bandwidth"),
+        (
+            "rate-sweep",
+            {"kernel": {"variant": "gaussian", "bandwidth": 0.1, "truncation": 64}},
+            "kernel.truncation",
+        ),
+        ("rate-sweep", {"diagnostics": {**diag, "Tx": 3}}, "diagnostics.Tx"),
     ]
     for i, (command, overrides, key) in enumerate(cases):
         case_dir = tmp_path / str(i)

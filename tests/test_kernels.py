@@ -36,7 +36,6 @@ def test_decay_spec_validation():
         DecaySpec(0.0)
     with pytest.raises(ValueError):
         DecaySpec(1.5)
-    assert DecaySpec(1.0).borderline
     mu = DecaySpec(0.5).eigenvalues(4)
     assert_allclose(mu, [1.0, 0.25, 1.0 / 9.0, 0.0625])
     assert np.all(np.diff(mu) < 0)
@@ -291,7 +290,7 @@ def test_trig_sums_across_row_chunks(monkeypatch):
     xs, f, w = rng.uniform(0.0, 1.0, n), rng.standard_normal(truncation), rng.standard_normal(n)
     b, q = kernels._split(truncation // 2)
     monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 2 * (q + b) * 7)
-    assert len(list(kernels._row_chunks(n, q + b))) == 8
+    assert len(list(kernels._row_blocks(n, 2 * (q + b)))) == 8
     basis = fourier_basis(xs, truncation)
     assert np.abs(basis_sum(xs, f) - basis @ f).max() <= 1e-12
     assert np.abs(basis_moments(xs, w, truncation) - basis.T @ w).max() <= 1e-12

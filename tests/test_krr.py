@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import scipy.linalg as sla
 
-from nystrom_krr import krr, nystrom
+from nystrom_krr import kernels, krr, nystrom
 from nystrom_krr.kernels import KernelSpec, cross_gram, gram, low_rank_gram, pivoted_gram
 from nystrom_krr.krr import KernelModel, empirical_risk, fit_krr, fitted_coefficients, predict
 from nystrom_krr.linalg import OpCount, cholesky_psd, solve_regularized
@@ -374,7 +374,7 @@ def test_closed_form_predict_in_row_blocks(monkeypatch):
     for kernel, chunk in ((KernelSpec.gaussian(0.1), 4000), (KernelSpec.laplacian(0.2), 30)):
         model = KernelModel(rng.uniform(0.0, 1.0, 40), rng.standard_normal(40), 1e-3, kernel=kernel)
         direct = cross_gram(kernel, xs, model.support_xs) @ model.alpha
-        monkeypatch.setattr(krr, "_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", chunk)
         assert_allclose(predict(model, kernel, xs), direct, rtol=1e-13, atol=1e-13)
 
 

@@ -20,7 +20,13 @@ from nystrom_krr.linalg import (
     sym_extremes,
 )
 from nystrom_krr.nystrom import SizeRuleParams, lambda_admissible, subsample_plain
-from nystrom_krr.spectral import IndexFunction, analytic_profile, lambda0
+from nystrom_krr.spectral import (
+    IndexFunction,
+    analytic_profile,
+    c_gamma_for_designed,
+    lambda0,
+    qualification_margin,
+)
 from nystrom_krr.synthetic import NoiseSpec, make_target, monte_carlo_error, sample_dataset
 
 
@@ -233,12 +239,14 @@ def test_every_positive_scalar_is_checked():
     """``check_positive`` is ``check_number`` first, so a bool or a string is a
     ``ValueError`` naming the argument, never a scalar 1 or a ``TypeError``;
     the half-open ranges of ``DecaySpec``, ``SizeRuleParams``, ``NoiseSpec``'s
-    scale and ``IndexFunction``'s exponent too."""
+    scale, ``IndexFunction``'s exponent, ``c_gamma_for_designed``'s ``gamma`` and
+    ``qualification_margin``'s ``q`` too."""
     assert check_positive(2, "shift") == 2.0 and type(check_positive(2, "shift")) is float
     assert check_positive(np.float64(0.1)) == 0.1
     decay = DecaySpec(0.5)
     target = make_target(decay, 8, IndexFunction.holder(0.25), seed=2)
     data = sample_dataset(decay, 8, target, NoiseSpec.gaussian(0.1), 4, seed=1)
+    holder, grid = IndexFunction.holder(0.25), np.logspace(-4, 0, 5)
     for call, match in (
         (lambda: check_positive(True), "lambda must be a number, got True"),
         (lambda: check_positive("x", "shift"), "shift must be a number, got 'x'"),
@@ -260,6 +268,10 @@ def test_every_positive_scalar_is_checked():
         (lambda: IndexFunction.log_type(True), "log_type exponent must be a number, got True"),
         (lambda: IndexFunction.holder("x"), "holder exponent must be a number, got 'x'"),
         (lambda: IndexFunction.holder(0.75), r"holder exponent must be in \(0, 1/2\]"),
+        (lambda: c_gamma_for_designed(decay, 8, True), "gamma must be a number, got True"),
+        (lambda: c_gamma_for_designed(decay, 8, "x"), "gamma must be a number, got 'x'"),
+        (lambda: qualification_margin(holder, 0.1, False, grid), "q must be a number, got False"),
+        (lambda: qualification_margin(holder, 0.1, "x", grid), "q must be a number, got 'x'"),
     ):
         with pytest.raises(ValueError, match=match):
             call()
