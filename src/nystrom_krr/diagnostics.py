@@ -45,12 +45,15 @@ the left-hand side divided by the rate factor ``log(1/delta) sqrt(N/n)``
 instead. Per-trial seeds spawn from the master seed by trial index, so results
 do not depend on execution order.
 
-One loop runs the trials of the checks in a call, drawing each trial once: the
+One map runs the trials of the checks in a call, drawing each trial once: the
 n uniform points, then the m inducing indices when a check uses a subsample,
 then the label noise (vector concentration only). ``S_hat`` and the QR (with
 ``V`` and ``B`` read from it) are built at most once per trial and shared by
 the checks run together (``check_all_bounds``); with the points drawn first, a
-report does not depend on which other checks run beside it.
+report does not depend on which other checks run beside it. The map is
+``linalg.fork_map``: the trials are shared by one process per CPU, each at one
+BLAS thread, and every trial sends back only its left-hand sides, so a report
+is bit-identical at any CPU count.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .kernels import DecaySpec, KernelSpec, basis_moments, covariance, sections
-from .linalg import check_count, check_fraction, check_positive, check_seed, sym_extremes
+from .linalg import check_count, check_fraction, check_positive, check_seed, fork_map, sym_extremes
 from .nystrom import SizeRuleParams, subsample_size
 from .spectral import IndexFunction, SpectralProfile, effective_dimension
 from .synthetic import target_values
@@ -205,12 +208,18 @@ def _report(check: _Check, lhs, delta, common, warnings) -> BoundCheckReport:
     )
 
 
+def _trial(checks, n, m, mu, seed) -> list:
+    """Every check's left-hand side on one trial's draw."""
+    draw = _Draw(np.random.default_rng(seed), n, m, mu)
+    return [check.lhs(draw) for check in checks]
+
+
 def _run_checks(decay, truncation, n, m, lam, delta, trials, seed, makers) -> list:
-    """The one trial loop: one report per check ``make(mu=, n=, lam=, delta=)``,
-    each read from every trial's one ``_Draw``. First the one input check:
-    ``lam`` finite and positive, ``delta`` in (0, 1), T, n, m (None where no
-    check uses a subsample) and trials integers >= 1, with m <= n, and the seed
-    (``check_seed``)."""
+    """The one trial map: one report per check ``make(mu=, n=, lam=, delta=)``,
+    each read from every trial's one ``_Draw`` (``_trial``, run by
+    ``fork_map``). First the one input check: ``lam`` finite and positive,
+    ``delta`` in (0, 1), T, n, m (None where no check uses a subsample) and
+    trials integers >= 1, with m <= n, and the seed (``check_seed``)."""
     check_positive(lam)
     check_fraction(delta, "delta")
     sizes = {"truncation": truncation, "n": n, "m": m, "trials": trials}
@@ -230,12 +239,9 @@ def _run_checks(decay, truncation, n, m, lam, delta, trials, seed, makers) -> li
                 f"subsample size m={m} is below the rule value {needed}; "
                 "the bound's premise is not guaranteed"
             )
-    lhs = np.empty((len(checks), trials))
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for t, ss in enumerate(root.spawn(trials)):
-        draw = _Draw(np.random.default_rng(ss), n, m, mu)
-        for c, check in enumerate(checks):
-            lhs[c, t] = check.lhs(draw)
+    trial = partial(_trial, checks, n, m, mu)
+    lhs = np.array(fork_map(trial, root.spawn(trials)), dtype=np.float64).T
     common = {"n": n, "m": m, "lambda": lam, "T": truncation, "s": decay.s}
     return [_report(check, values, delta, common, warnings) for check, values in zip(checks, lhs)]
 

@@ -4,7 +4,12 @@ Every sweep writes one CSV (documented headers, deterministic bytes for a
 fixed config) plus human-readable summary lines with pass/fail verdicts
 against the configured tolerances. Cells of a sweep are keyed by
 (grid index, repetition); per-cell randomness spawns from the master seed by
-that key, so results do not depend on execution order.
+that key, so results do not depend on execution order. The cells run in
+``linalg.fork_map``, one process per CPU and one BLAS thread per process, and
+each sends back its row values, not arrays: for a fixed config the rows are
+byte-identical at any CPU count when each process runs one BLAS thread. A
+cell's ``wall_ms`` is timed in the process that ran it and goes to the timing
+file, not the rows.
 """
 
 from __future__ import annotations
@@ -15,13 +20,14 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import krr, nystrom
 from .diagnostics import check_all_bounds
 from .kernels import KernelSpec
-from .linalg import _check_keys, check_count, check_number, check_positive, check_seed
+from .linalg import _check_keys, check_count, check_number, check_positive, check_seed, fork_map
 from .nystrom import SizeRuleParams, lambda_admissible, subsample_plain, subsample_size
 from .spectral import (
     IndexFunction,
@@ -216,15 +222,40 @@ def fit_loglog_with_loglog_covariate(ns, values) -> tuple[float, float]:
     return float(coeffs[1]), r2
 
 
-def _sweep_cells(config: ExperimentConfig, grid):
-    """Run every cell of a sweep over ``grid``, a list of ``(n, m, lambda)``.
+def _cell_values(config: ExperimentConfig, grid, target, seeds, krr_baseline: bool, cell: int):
+    """One cell's row values ``(error, krr_error, flops, wall_ms)``, the KRR
+    error as its CSV field (``repr``, or empty without the baseline).
 
     Cell ``index * repetitions + rep`` spawns its dataset and subsample seeds
-    from the master seed, samples the dataset, draws ``m`` inducing points,
-    fits Nystrom and takes the exact error. Yields
-    ``(index, head, data, model, error, timing_row)``: ``head`` is the CSV row
-    prefix ``[n, rep, seed key, m, repr(lambda)]`` and ``timing_row`` the
-    ``TIMING_CSV_FIELDS`` row, whose wall_ms times subsample+fit.
+    from its own master-seed child, samples the dataset, draws ``m`` inducing
+    points, fits Nystrom (``wall_ms`` times subsample+fit) and takes the exact
+    error, and with ``krr_baseline`` that of full KRR on the same data."""
+    n, m, lam = grid[cell // config.repetitions]
+    ds_seed, sub_seed = seeds[cell].spawn(2)
+    data = sample_dataset(
+        config.kernel.decay, config.kernel.truncation, target, config.noise, n, ds_seed
+    )
+    t0 = time.perf_counter()
+    idx = subsample_plain(n, m, sub_seed)
+    model = nystrom.fit_nystrom(config.kernel, data, lam, idx)
+    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    err = l2_rho_error(model, config.kernel, data)
+    krr_err = ""
+    if krr_baseline:
+        krr_err = repr(l2_rho_error(krr.fit_krr(config.kernel, data, lam), config.kernel, data))
+    return err, krr_err, model.opcount.flops, wall_ms
+
+
+def _sweep_cells(config: ExperimentConfig, grid, krr_baseline: bool = False) -> list:
+    """Run every cell of a sweep over ``grid``, a list of ``(n, m, lambda)``.
+
+    The cells go to ``linalg.fork_map`` largest n (then m) first, so the
+    cheapest are the last to start; each sends back only its row values
+    (``_cell_values``). Returns, in cell order,
+    ``(index, head, error, krr_error, flops, timing_row)``: ``head`` is the
+    CSV row prefix ``[n, rep, seed key, m, repr(lambda)]`` and ``timing_row``
+    the ``TIMING_CSV_FIELDS`` row, its wall_ms timed in the process that ran
+    the cell.
     """
     target = make_target(
         config.kernel.decay,
@@ -233,21 +264,17 @@ def _sweep_cells(config: ExperimentConfig, grid):
         config.coeff_seed,
         profile=config.target_profile,
     )
-    seeds = np.random.SeedSequence(config.seed).spawn(len(grid) * config.repetitions)
-    for index, (n, m, lam) in enumerate(grid):
-        for rep in range(config.repetitions):
-            cell = index * config.repetitions + rep
-            ds_seed, sub_seed = seeds[cell].spawn(2)
-            data = sample_dataset(
-                config.kernel.decay, config.kernel.truncation, target, config.noise, n, ds_seed
-            )
-            t0 = time.perf_counter()
-            idx = subsample_plain(n, m, sub_seed)
-            model = nystrom.fit_nystrom(config.kernel, data, lam, idx)
-            wall_ms = 1000.0 * (time.perf_counter() - t0)
-            err = l2_rho_error(model, config.kernel, data)
-            head = [n, rep, f"{config.seed}:{cell}", m, repr(lam)]
-            yield index, head, data, model, err, [n, rep, f"{wall_ms:.1f}"]
+    reps = config.repetitions
+    seeds = np.random.SeedSequence(config.seed).spawn(len(grid) * reps)
+    order = sorted(range(len(seeds)), key=lambda cell: grid[cell // reps][:2], reverse=True)
+    run = partial(_cell_values, config, grid, target, seeds, krr_baseline)
+    cells = []
+    for cell, (err, krr_err, flops, wall_ms) in sorted(zip(order, fork_map(run, order))):
+        index, rep = divmod(cell, reps)
+        n, m, lam = grid[index]
+        head = [n, rep, f"{config.seed}:{cell}", m, repr(lam)]
+        cells.append((index, head, err, krr_err, flops, [n, rep, f"{wall_ms:.1f}"]))
+    return cells
 
 
 def _resolve_lambda(config: ExperimentConfig, n: int) -> float:
@@ -307,13 +334,10 @@ def run_rate_sweep(config: ExperimentConfig):
         warns.append(_row_warnings(config, m, warn))
     rows, timing = [], []
     errs = [[] for _ in grid]
-    for i, head, data, model, err, timing_row in _sweep_cells(config, grid):
-        krr_err = ""
-        if config.krr_baseline:
-            base = krr.fit_krr(config.kernel, data, grid[i][2])
-            krr_err = repr(l2_rho_error(base, config.kernel, data))
+    cells = _sweep_cells(config, grid, config.krr_baseline)
+    for i, head, err, krr_err, flops, timing_row in cells:
         errs[i].append(err)
-        rows.append(head + [repr(err), krr_err, model.opcount.flops, warns[i]])
+        rows.append(head + [repr(err), krr_err, flops, warns[i]])
         timing.append(timing_row)
     medians = [float(np.median(e)) for e in errs]
 
@@ -375,9 +399,9 @@ def run_cost_sweep(config: ExperimentConfig):
     rows, timing = [], []
     cell_flops = [[] for _ in grid]
     warns = [_row_warnings(config, m, warn) for _, m, _ in grid]
-    for i, head, _, model, err, timing_row in _sweep_cells(config, grid):
-        cell_flops[i].append(model.opcount.flops)
-        rows.append(head + [repr(bound.c_gamma), repr(err), model.opcount.flops, warns[i]])
+    for i, head, err, _, flops, timing_row in _sweep_cells(config, grid):
+        cell_flops[i].append(flops)
+        rows.append(head + [repr(bound.c_gamma), repr(err), flops, warns[i]])
         timing.append(timing_row)
     flops_per_n = [float(np.median(f)) for f in cell_flops]
 
@@ -425,9 +449,9 @@ def run_lambda_sensitivity(config: ExperimentConfig):
     ]
     errs = [[] for _ in grid]
     flops = [[] for _ in grid]
-    for i, _, _, model, err, _ in _sweep_cells(config, grid):
+    for i, _, err, _, flop_count, _ in _sweep_cells(config, grid):
         errs[i].append(err)
-        flops[i].append(model.opcount.flops)
+        flops[i].append(flop_count)
     rows, medians = [], {}
     for i_l, (_, m, lam) in enumerate(grid):
         med = float(np.median(errs[i_l]))

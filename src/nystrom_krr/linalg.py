@@ -1,4 +1,6 @@
-"""The regularized symmetric solve, the rank-revealing factors, eigenvalues, the cost model.
+"""The regularized symmetric solve, the rank-revealing factors, eigenvalues,
+the cost model, and the one process map (``fork_map``) that runs a sweep's
+cells and the diagnostics' trials on every CPU, one BLAS thread each.
 
 The cost metric is a deterministic flop model rather than wall-clock: an
 ``n x m`` Gram-style product counts ``n * m**2``, an ``m x m`` factorization
@@ -8,11 +10,23 @@ side. Wall-clock is reported separately by the experiment harness.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import logging
 import math
+import os
+import pickle
+import signal
+import traceback
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
+
+logger = logging.getLogger(__name__)
 
 
 class NumericalError(RuntimeError):
@@ -267,3 +281,157 @@ def sym_extremes(a: np.ndarray) -> tuple[float, float]:
         for k in (0, n - 1)
     )
     return float(lo), float(hi)
+
+
+# The thread-count calls of the OpenBLAS builds bundled in the numpy wheel (64-bit
+# integers, suffix ``64_``) and the scipy wheel, in ``<package>.libs``.
+_OPENBLAS = ((np, "scipy_openblas_{}_num_threads64_"), (scipy, "scipy_openblas_{}_num_threads"))
+
+
+@cache
+def _blas_thread_calls() -> tuple:
+    """``(get, set)`` of each bundled OpenBLAS's thread count; a library or
+    symbol not found is left out, with one DEBUG line."""
+    calls = []
+    for package, symbol in _OPENBLAS:
+        root = os.path.dirname(os.path.dirname(package.__file__))
+        paths = glob.glob(os.path.join(root, f"{package.__name__}.libs", "libscipy_openblas*.so"))
+        try:
+            lib = ctypes.CDLL(paths[0])
+            get, set_count = getattr(lib, symbol.format("get")), getattr(lib, symbol.format("set"))
+        except (IndexError, OSError, AttributeError):
+            logger.debug("no %s in %s's bundled libraries: its BLAS threads are left as they are",
+                         symbol.format("set"), package.__name__)
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_count.argtypes, set_count.restype = [ctypes.c_int], None
+        calls.append((get, set_count))
+    return tuple(calls)
+
+
+@contextmanager
+def blas_threads(count: int):
+    """Run the body with ``count`` threads in each bundled OpenBLAS (numpy's and
+    scipy's), then restore each library's own count. Does nothing for a library
+    whose thread calls are not found (``_blas_thread_calls``)."""
+    calls = _blas_thread_calls()
+    before = [get() for get, _ in calls]
+    for _, set_count in calls:
+        set_count(count)
+    try:
+        yield
+    finally:
+        for (_, set_count), old in zip(calls, before):
+            set_count(old)
+
+
+# Children are forked, not spawned: a spawned one would import numpy and scipy
+# again before its first item. The package starts no Python thread, and
+# OpenBLAS stops its own thread pool before a fork (its pthread_atfork
+# handler), so a child starts from one thread.
+# Work goes out as 4-byte item indices, all written to one pipe before any
+# child starts. At most 1024 of them fill one 4096-byte page, the least a
+# Linux pipe holds, so that write cannot block; above 1024 items each index
+# starts a run of consecutive items.
+_MAX_TOKENS = 1024
+# True while a map runs, in its caller and in every child it forked: a map
+# started inside one runs in process, so forks never nest.
+_mapping = False
+
+
+def fork_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, shared by this process and one forked
+    child per other CPU it may run on (``os.sched_getaffinity``).
+
+    Every process takes the next item (or run of items) from one pipe as it
+    goes, so a faster core takes more; each child sends its results back
+    pickled over its own pipe, and they return in input order. All of it runs
+    at one BLAS thread: this process holds ``blas_threads(1)`` until the map
+    returns, and the children inherit it. It runs in process, still at one
+    thread, with one CPU or one item, inside a map (they never nest), or
+    where ``os.fork`` or ``os.sched_getaffinity`` is missing. A child's
+    exception is raised again here, caused by a ``ChildProcessError`` that
+    carries its traceback; every child is reaped before the map returns or
+    raises, also on an error or ``KeyboardInterrupt``, which kill the rest."""
+    global _mapping
+    items = list(items)
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    cpus = len(os.sched_getaffinity(0)) if forks else 1
+    workers = 1 if _mapping else min(cpus, len(items))
+    outer, _mapping = _mapping, True
+    try:
+        with blas_threads(1):
+            if workers <= 1:
+                return [fn(item) for item in items]
+            return _fork_map(fn, items, workers)
+    finally:
+        _mapping = outer
+
+
+def _fork_map(fn, items: list, workers: int) -> list:
+    batch = -(-len(items) // _MAX_TOKENS)
+    todo, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(0, len(items), batch)))
+    os.close(feed)
+
+    def share() -> dict:
+        done = {}
+        while token := os.read(todo, 4):
+            start = int.from_bytes(token, "little")
+            for i in range(start, min(start + batch, len(items))):
+                done[i] = fn(items[i])
+        return done
+
+    children, results = {}, {}
+    try:
+        for _ in range(workers - 1):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(share, read_fd, write_fd)
+            os.close(write_fd)
+            children[pid] = open(read_fd, "rb")
+        results.update(share())
+        while children:
+            pid, pipe = next(iter(children.items()))
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            pipe.close()
+            del children[pid]
+            if not data:
+                raise ChildProcessError(f"worker process {pid} ended (wait status {status}) "
+                                        "without returning its results")
+            value, trace = pickle.loads(data)
+            if trace is not None:
+                raise value from ChildProcessError(f"in worker process {pid}:\n{trace}")
+            results.update(value)
+    finally:
+        os.close(todo)
+        for pid, pipe in children.items():
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            pipe.close()
+    return [results[i] for i in range(len(items))]
+
+
+def _child(share, read_fd: int, write_fd: int) -> None:
+    """A forked child's whole life: run its share and write ``(results, None)``,
+    or ``(exception, traceback text)``, pickled to ``write_fd``; then leave by
+    ``os._exit``, so no handler or ``finally`` of the parent runs twice."""
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            data = pickle.dumps((share(), None))
+        except BaseException as exc:  # KeyboardInterrupt too: every error goes back
+            trace = traceback.format_exc()
+            try:
+                data = pickle.dumps((exc, trace))
+            except Exception:  # an exception that does not pickle goes back as its text
+                data = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)

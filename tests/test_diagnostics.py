@@ -365,14 +365,17 @@ def test_run_diagnostics_equals_separate_checks():
             assert vars(joint) == vars(alone), alone.bound_name
 
 
-def test_run_diagnostics_builds_each_trial_once(monkeypatch):
+def test_run_diagnostics_builds_each_trial_once(monkeypatch, tmp_path):
     """A run of k trials builds k empirical covariances and k QRs of the
-    inducing sections: each trial's draw is shared by the four checks."""
-    calls = {"covariance": 0, "qr": 0}
+    inducing sections: each trial's draw is shared by the four checks. The
+    trials may run in forked processes, so every call appends its name to one
+    file, which counts the calls of all of them."""
+    log = tmp_path / "calls"
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            with open(log, "a") as fh:
+                fh.write(name + "\n")
             return func(*args, **kwargs)
 
         return wrapper
@@ -381,4 +384,5 @@ def test_run_diagnostics_builds_each_trial_once(monkeypatch):
     monkeypatch.setattr(diagnostics.sla, "qr", counted("qr", diagnostics.sla.qr))
     trials = 7
     run_diagnostics(_diagnostics_config(IndexFunction.holder(0.25), trials))
-    assert calls == {"covariance": trials, "qr": trials}
+    calls = log.read_text().split()
+    assert {name: calls.count(name) for name in set(calls)} == {"covariance": trials, "qr": trials}

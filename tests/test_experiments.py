@@ -529,3 +529,53 @@ def test_rate_sweep_agrees_across_blas_threads(tmp_path):
             assert a[key] == b[key]
         for key in ("lambda", "error", "krr_error"):
             assert math.isclose(float(a[key]), float(b[key]), rel_tol=BLAS_THREAD_RTOL)
+
+
+# Run in a fresh interpreter: a small rate sweep with the KRR baseline and the
+# diagnostics, on one CPU when argv[2] is "pinned"; the rate CSV goes to
+# argv[1], every report field to stdout.
+_SWEEP_AND_DIAGNOSTICS = """
+import dataclasses, json, os, sys
+from nystrom_krr import experiments as exp
+if sys.argv[2] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+config = exp.config_from_dict({
+    "kernel": {"variant": "designed_spectral", "s": 0.5, "truncation": 256},
+    "target": {"family": "holder", "r": 0.25, "profile": "power_boundary", "coeff_seed": 7},
+    "noise": {"variant": "gaussian", "scale": 0.1},
+    "n_grid": [128, 256, 512], "repetitions": 3, "seed": 5, "krr_baseline": True,
+    "size_rule": {"c": 2.0, "delta": 0.1}, "lambda_policy": {"kind": "lambda0"},
+    "diagnostics": {"T": 128, "n": 512, "trials": 9},
+})
+_, rows, _, _, _ = exp.run_rate_sweep(config)
+exp.write_rows(sys.argv[1], exp.RATE_CSV_FIELDS, rows)
+reports, _, _ = exp.run_diagnostics(config)
+print(json.dumps([dataclasses.asdict(r) for r in reports]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_rows_are_byte_identical_at_any_cpu_count(tmp_path):
+    """The determinism promise: for a fixed config the rows are byte-identical
+    at any CPU count when each process runs one BLAS thread. The sweep's
+    cells and the diagnostics' trials run once pinned to one CPU (in process)
+    and once on every CPU (forked), at 1 and at 2 OpenBLAS threads in the
+    environment; each pair writes the same CSV bytes and report fields."""
+    env = dict(os.environ)
+    src = str(Path(nystrom_krr.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        outputs = []
+        for cpus in ("pinned", "all"):
+            path = tmp_path / f"rate_{threads}_{cpus}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-c", _SWEEP_AND_DIAGNOSTICS, str(path), cpus],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((path.read_bytes(), proc.stdout))
+        (rate_pinned, reports_pinned), (rate_all, reports_all) = outputs
+        assert rate_pinned.count(b"\n") == 1 + 3 * 3
+        assert rate_pinned == rate_all
+        assert json.loads(reports_pinned) and reports_pinned == reports_all

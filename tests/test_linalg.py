@@ -1,5 +1,12 @@
+import ctypes
+import glob
+import os
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 from numpy.testing import assert_allclose
 
 from nystrom_krr.diagnostics import check_norm_equivalence
@@ -8,11 +15,13 @@ from nystrom_krr.krr import fit_krr
 from nystrom_krr.linalg import (
     NumericalError,
     OpCount,
+    blas_threads,
     check_count,
     check_fraction,
     check_positive,
     check_seed,
     cholesky_psd,
+    fork_map,
     partial_cholesky,
     pivoted_cholesky,
     solve_regularized,
@@ -310,3 +319,138 @@ def test_partial_cholesky_stops_at_round_off_or_gives_up_at_cap():
     assert_allclose(extended, factor_t.T, rtol=0, atol=1e-10 * np.abs(factor_t).max())
     eye = np.eye(n)
     assert partial_cholesky(lambda i: eye[:, i], np.ones(n), shift) is None
+
+
+MULTI_CPU = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the map forks only with two or more CPUs",
+)
+
+
+def _gone(pid: int) -> bool:
+    """No process, not even an unreaped zombie, has ``pid``."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _wait_for(path: Path, seconds: float = 30.0) -> None:
+    """Wait until a child has marked ``path``, the directory it writes its pid in."""
+    stop = time.monotonic() + seconds
+    while not any(path.iterdir()):
+        assert time.monotonic() < stop, "no child took an item"
+        time.sleep(0.005)
+
+
+def test_fork_map_returns_in_input_order_and_never_nests():
+    """Results come back in input order, equal to an in-process map; a map
+    started inside a mapped function runs in the process that called it."""
+    items = list(range(40))
+    assert fork_map(lambda x: x * x, items) == [x * x for x in items]
+    assert fork_map(len, []) == []
+
+    def pid_after_a_while(_):
+        time.sleep(0.01)  # long enough for a forked child to take an item
+        return os.getpid()
+
+    inner = fork_map(lambda _: fork_map(pid_after_a_while, range(4)), range(6))
+    assert all(len(set(pids)) == 1 for pids in inner)
+
+
+def test_fork_map_runs_each_item_once_with_more_processes_than_cores(monkeypatch, tmp_path):
+    """Six processes (five children), whatever the CPU count, share 3000
+    items, more than the map's 1024 tokens, so the items go out in runs of
+    three: every item runs exactly once, in some process, and the results
+    come back in input order."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    log = tmp_path / "ran"
+
+    def work(item):
+        with open(log, "a") as fh:
+            fh.write(f"{item} {os.getpid()}\n")
+        return -item
+
+    items = range(3000)
+    assert fork_map(work, items) == [-i for i in items]
+    ran = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(int(item) for item, _ in ran) == list(items)
+    assert len({pid for _, pid in ran}) <= 6
+
+
+@MULTI_CPU
+def test_fork_map_raises_a_child_error_and_reaps_every_child(tmp_path):
+    """A child that raises: the caller raises the same error with the child's
+    message, caused by the child's traceback, and no child is left. The
+    caller's share waits until a child has taken an item."""
+    caller = os.getpid()
+
+    def work(item):
+        if os.getpid() == caller:
+            _wait_for(tmp_path)
+            return item
+        (tmp_path / str(os.getpid())).touch()
+        raise ValueError(f"item {item} failed in a child")
+
+    with pytest.raises(ValueError, match=r"item \d+ failed in a child") as info:
+        fork_map(work, range(8))
+    assert isinstance(info.value.__cause__, ChildProcessError)
+    assert "Traceback" in str(info.value.__cause__)
+    children = [int(p.name) for p in tmp_path.iterdir()]
+    assert children and all(_gone(pid) for pid in children)
+
+
+@MULTI_CPU
+def test_fork_map_interrupted_kills_and_reaps_its_children(tmp_path):
+    """A ``KeyboardInterrupt`` in the caller's share, with a child still busy
+    for a minute, kills and reaps that child and reaches the caller at once."""
+    caller = os.getpid()
+
+    def work(item):
+        if os.getpid() == caller:
+            _wait_for(tmp_path)
+            raise KeyboardInterrupt
+        (tmp_path / str(os.getpid())).touch()
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        fork_map(work, range(2))
+    assert time.monotonic() - start < 30
+    children = [int(p.name) for p in tmp_path.iterdir()]
+    assert children and all(_gone(pid) for pid in children)
+
+
+def _openblas_thread_calls():
+    """The get and set thread-count symbols of numpy's and scipy's bundled
+    OpenBLAS, looked up here independently of ``linalg``."""
+    calls = []
+    for package, symbol in ((np, "num_threads64_"), (scipy, "num_threads")):
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        paths = glob.glob(str(libs / "libscipy_openblas*.so"))
+        if not paths:
+            pytest.skip(f"no bundled OpenBLAS in {libs}")
+        lib = ctypes.CDLL(paths[0])
+        calls.append((getattr(lib, f"scipy_openblas_get_{symbol}"),
+                      getattr(lib, f"scipy_openblas_set_{symbol}")))
+    return calls
+
+
+def test_blas_threads_sets_and_restores_both_libraries():
+    """Inside ``blas_threads(1)`` both libraries run one thread; on leaving,
+    normally or by an error, each gets back the count it had (2 here)."""
+    calls = _openblas_thread_calls()
+    before = [get() for get, _ in calls]
+    try:
+        for _, set_count in calls:
+            set_count(2)
+        with blas_threads(1):
+            assert [get() for get, _ in calls] == [1, 1]
+        assert [get() for get, _ in calls] == [2, 2]
+        with pytest.raises(RuntimeError), blas_threads(1):
+            raise RuntimeError
+        assert [get() for get, _ in calls] == [2, 2]
+    finally:
+        for (_, set_count), old in zip(calls, before):
+            set_count(old)
