@@ -150,11 +150,12 @@ def _training_arrays(kernel: KernelSpec, data, lam: float):
 def _moment_factor(xs, ys, mu, lam):
     """The system ``(S + lam I) u = b`` of n > T points from the trig moments: the
     upper ``U = cholesky(S + lam I)``, in the memory of ``S = covariance(xs, mu)``,
-    and ``b = sqrt(mu) * Phi^T y / n``."""
+    ``b = sqrt(mu) * Phi^T y / n`` and ``||U||_F^2 = tr S + T lam``."""
     s_mat = covariance(xs, mu)
     _require_symmetric(s_mat)
+    norm2 = float(np.trace(s_mat)) + mu.size * lam
     u_mat = cholesky_psd(s_mat, lam, overwrite_a=True)
-    return u_mat, np.sqrt(mu) * basis_moments(xs, ys, mu.size) / xs.size
+    return u_mat, np.sqrt(mu) * basis_moments(xs, ys, mu.size) / xs.size, norm2
 
 
 def _shifted_factor(kernel: KernelSpec, xs, shift: float):
@@ -176,7 +177,7 @@ def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
     n = xs.size
     if kernel.is_designed and n > kernel.truncation:
         mu = kernel.eigenvalues()
-        u_mat, rhs = _moment_factor(xs, ys, mu, lam)
+        u_mat, rhs, _ = _moment_factor(xs, ys, mu, lam)
         coeff = np.sqrt(mu) * sla.cho_solve((u_mat, False), rhs, check_finite=False)
         return KernelModel(xs, None, lam, OpCount.krr(n), kernel=kernel, coefficients=coeff)
     factor_t, pivots, chol = _shifted_factor(kernel, xs, lam * n)

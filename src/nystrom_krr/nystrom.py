@@ -20,7 +20,7 @@ and ``S + lam I = U^T U`` is factored once, in place (``krr._moment_factor``,
 designed full KRR's factor too). With ``u = U v`` the objective is
 ``||u - U^-T b||^2`` up to a constant, so for a basis ``B`` of the span and a
 Householder QR ``Z = U B = Q_z R_z``, ``v = U^-1 Q_z Q_z^T U^-T b``, ``Q_z``
-applied as reflectors (two ``ormqr`` calls on one vector). ``B`` is:
+applied as reflectors (two ``gemqrt`` calls on one vector). ``B`` is:
 
 - ``W^T`` itself (the whitened span, T > m), ``Z`` formed by ``trmm`` in
   place of the sections, when a certificate rules out a cut: as
@@ -48,6 +48,14 @@ singular directions ``U_r`` of R, whose singular values are W's, above
 ``tol sigma_max``, and the basis is ``Q U_r`` (Chan 1982). A pivoted QR's
 diagonal overestimates the smallest singular values and would keep round-off
 directions this rule drops.
+
+Every T x r Householder QR (``Z`` and, below T, ``W^T``; ``_householder``) is
+LAPACK's compact-WY ``dgeqrt`` (Elmroth & Gustavson 2000) in column blocks of
+``_QR_BLOCK`` = 96, capped at r, which ``dgeqrt`` requires: its recursive
+panels and wider blocks take 68 ms on the 2048 x 978 ``Z`` of a rate cell,
+where ``dgeqrf`` (scipy's ``qr``, 32-column panels) takes 99 ms at one BLAS
+thread. ``gemqrt`` applies its Q; the rank rule's explicit Q is ``orgqr`` on
+the same reflectors. The RQ from T on stays scipy's ``rq``.
 
 Closed-form kernels (Gaussian, Laplacian): with ``K_nm`` the training-by-inducing
 Gram block and ``K_mm`` the inducing Gram, the coefficients solve
@@ -101,6 +109,14 @@ from .linalg import (
 from .spectral import n_infinity
 
 logger = logging.getLogger(__name__)
+
+# Column block of ``_householder``'s ``dgeqrt`` (module docstring). Median ms of
+# 9-41 calls on W^T (one BLAS thread, 2-core x86 VM), ``dgeqrf`` (scipy's
+# ``qr``) against block 32 / 64 / 96 / 128:
+# T = 2048, m = 978: 99 against 78 / 71 / 68 / 69; m = 527: 33 against
+# 27 / 25 / 24 / 25; m = 1500: 201 against 168 / 152 / 143 / 142; T = 1024,
+# m = 400: 9.8 against 7.4 / 7.2 / 7.1 / 7.4.
+_QR_BLOCK = 96
 
 
 @dataclass(frozen=True)
@@ -194,20 +210,26 @@ def _designed_fit(kernel, xs, ys, x_ind, lam):
         # the factor of S + lam I before Q: built after Q, the moment blocks of S
         # stack on it (peak RSS 150-155 MB against 136-140 MB on rate cells
         # n=16384, m=978, T=2048)
-        s_factor, rhs = _moment_factor(xs, ys, mu, lam)
+        s_factor, rhs, u_norm2 = _moment_factor(xs, ys, mu, lam)
         if m < t:
-            v_vec = _whitened_solve(s_factor, rhs, sections(x_ind, mu).T, tol)
+            v_vec = _whitened_solve(s_factor, rhs, u_norm2, sections(x_ind, mu).T, tol)
             if v_vec is not None:
                 return np.sqrt(mu) * v_vec, m
     q_mat = u_mat = None
     if m < t or pivoted_cholesky(covariance(x_ind, mu))[1].size < t:
         # W^T (T x m, Fortran order) is factored in place: below T as Q R, so
-        # range(W^T) = Q range(R); from T on as R Q' with R square, range(R)
-        w_t, args = sections(x_ind, mu).T, {"overwrite_a": True, "check_finite": False}
+        # range(W^T) = Q range(R); from T on as R Q' with R square, range(R).
+        # dorgqr forms Q from the reflectors in 80 ms at T = 2048, m = 978,
+        # dgemqrt on [I; 0] in 115 ms (one BLAS thread)
+        w_t = sections(x_ind, mu).T
         if m < t:
-            q_mat, r_mat = sla.qr(w_t, mode="economic", **args)
+            w_t, t_mat = _householder(w_t)
+            r_mat = np.triu(w_t[:m])
+            tau = t_mat[np.arange(m) % t_mat.shape[0], np.arange(m)]
+            lwork = int(sla.lapack.dorgqr(w_t, tau, lwork=-1, overwrite_a=True)[1][0])
+            q_mat = sla.lapack.dorgqr(w_t, tau, lwork=lwork, overwrite_a=True)[0]
         else:
-            r_mat = sla.rq(w_t, mode="r", **args)[:, -t:]
+            r_mat = sla.rq(w_t, mode="r", overwrite_a=True, check_finite=False)[:, -t:]
         del w_t
         # cond_2(R)^2 <= cond_1(R) cond_inf(R): LAPACK's estimates of 1 / cond_1 and
         # 1 / cond_inf, on R^T (lower, Fortran order: no copy), rule out a rank cut
@@ -231,13 +253,13 @@ def _designed_fit(kernel, xs, ys, x_ind, lam):
     return np.sqrt(mu) * (beta if basis is None else basis @ beta), beta.size
 
 
-def _whitened_solve(s_factor, rhs, w_t, tol):
+def _whitened_solve(s_factor, rhs, u_norm2, w_t, tol):
     """``_project`` onto ``range(W^T)`` itself, ``w_t = W^T`` (T x m, Fortran
     order, overwritten), or None when the certificate cannot rule out a rank
-    cut of W (module docstring). ``||U||_F^2`` is ``tr S + T lam``, as
+    cut of W (module docstring). ``u_norm2 = ||U||_F^2`` is ``tr S + T lam``, as
     ``U^T U = S + lam I`` is T x T."""
-    flat, u_flat = w_t.T.ravel(), s_factor.T.ravel()  # views: W and U^T, C-ordered
-    return _project(s_factor, rhs, w_t, (flat @ flat) * (u_flat @ u_flat) * tol**2)
+    flat = w_t.T.ravel()  # a view: W, C-ordered
+    return _project(s_factor, rhs, w_t, (flat @ flat) * u_norm2 * tol**2)
 
 
 def _project(s_factor, rhs, basis, bound=None):
@@ -247,20 +269,32 @@ def _project(s_factor, rhs, basis, bound=None):
     (T x r, Fortran order) when it can be; ``Q_z`` is applied as reflectors.
     With ``bound``, None unless ``bound < 1 / (||R_z^-1||_1 ||R_z^-1||_inf)``."""
     z_mat = sla.blas.dtrmm(1.0, s_factor, basis, overwrite_b=True)
-    (qr_mat, tau), r_mat = sla.qr(z_mat, mode="raw", overwrite_a=True, check_finite=False)
+    qr_mat, t_mat = _householder(z_mat)
+    rank = qr_mat.shape[1]
     if bound is not None:
-        # rcond times the norm is 1 / ||R_z^-1|| in each norm; estimated on R_z^T
-        # (Fortran order), whose 1-norm is R_z's inf-norm and the other way round
-        r_t = r_mat.T
-        norms = (sla.lapack.dtrcon(r_t, norm=c, uplo="L")[0] * sla.lapack.dlantr(c, r_t, uplo="L")
-                 for c in "1I")
+        # rcond times the norm is 1 / ||R_z^-1|| in each norm, on one square copy
+        # of R_z: scipy's dtrcon takes its order from the rows of a tall array
+        r_z = np.array(qr_mat[:rank], order="F")
+        norms = (sla.lapack.dtrcon(r_z, norm=c)[0] * sla.lapack.dlantr(c, r_z) for c in "1I")
         if not bound < math.prod(norms):
             return None
     vec = sla.solve_triangular(s_factor, rhs, trans="T", check_finite=False)[:, None]
-    vec = sla.lapack.dormqr("L", "T", qr_mat, tau, vec, 1, overwrite_c=True)[0]
-    vec[tau.size :] = 0.0
-    vec = sla.lapack.dormqr("L", "N", qr_mat, tau, vec, 1, overwrite_c=True)[0]
+    vec = sla.lapack.dgemqrt(qr_mat, t_mat, vec, trans="T", overwrite_c=True)[0]
+    vec[rank:] = 0.0
+    vec = sla.lapack.dgemqrt(qr_mat, t_mat, vec, trans="N", overwrite_c=True)[0]
     return sla.solve_triangular(s_factor, vec[:, 0], check_finite=False)
+
+
+def _householder(a):
+    """Householder QR of the T x r ``a`` (Fortran order, overwritten), r <= T:
+    ``dgeqrt`` in column blocks of ``_QR_BLOCK``, at most r. Returns ``a`` with R
+    on and above its diagonal and the reflectors below, and the nb x r factor
+    of the compact-WY block reflectors, ``tau`` on its diagonal blocks'
+    diagonals."""
+    qr_mat, t_mat, info = sla.lapack.dgeqrt(min(_QR_BLOCK, *a.shape), a, overwrite_a=True)
+    if info:
+        raise ValueError(f"dgeqrt rejected argument {-info}")
+    return qr_mat, t_mat
 
 
 def _reduced_generic(kernel, xs, ys, x_ind, r_factor, lam):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,12 +13,13 @@ import pytest
 
 import nystrom_krr
 from nystrom_krr import experiments as exp
+from nystrom_krr import linalg, nystrom
 from nystrom_krr.cli import main as cli_main
 from nystrom_krr.kernels import KernelSpec
-from nystrom_krr.linalg import NumericalError
+from nystrom_krr.linalg import NumericalError, blas_threads
 from nystrom_krr.nystrom import SizeRuleParams
 from nystrom_krr.spectral import IndexFunction
-from nystrom_krr.synthetic import NoiseSpec
+from nystrom_krr.synthetic import NoiseSpec, l2_rho_error, make_target, sample_dataset
 
 
 def small_config(**overrides):
@@ -490,8 +492,10 @@ def test_config_counts_and_seeds_are_checked(tmp_path, capsys):
 
 
 # Largest relative move allowed between 1 and 2 BLAS threads. Summation order
-# inside BLAS changes the last digits: 1.6e-16 relative on this test's sweep, up
-# to 1.3e-15 on the criterion-3 sweep's n=16384 cells.
+# inside BLAS changes the last digits of a fit run at two threads: 1e-16 to 2e-16
+# relative on two of test_designed_routes_agree_across_blas_threads's four
+# cells, up to 1.3e-15 on the criterion-3 sweep's n=16384 cells (measured
+# before ``fork_map`` ran a sweep's cells at one thread).
 BLAS_THREAD_RTOL = 1e-5
 
 
@@ -529,6 +533,47 @@ def test_rate_sweep_agrees_across_blas_threads(tmp_path):
             assert a[key] == b[key]
         for key in ("lambda", "error", "krr_error"):
             assert math.isclose(float(a[key]), float(b[key]), rel_tol=BLAS_THREAD_RTOL)
+
+
+def test_designed_routes_agree_across_blas_threads(monkeypatch):
+    """One designed cell per route of the Nystrom fit, fitted in this process
+    under ``blas_threads(1)`` and ``blas_threads(2)`` (both libraries read the
+    count): n <= T; n > T on the whitened span; n > T with a refused
+    certificate, projected onto the rank rule's basis (every inducing point
+    repeated once, ``kept 50 of 100``); and m >= T. The exact L2 errors agree
+    within BLAS_THREAD_RTOL. The sweep above cannot show this: ``fork_map``
+    runs its cells at one thread."""
+    kernel = KernelSpec.designed(0.5, 256)
+    target = make_target(kernel.decay, 256, IndexFunction.holder(0.25), 7, "power_boundary")
+    taken, solve = [], nystrom._whitened_solve
+
+    def spy(*args):
+        v_vec = solve(*args)
+        taken.append(v_vec is not None)
+        return v_vec
+
+    monkeypatch.setattr(nystrom, "_whitened_solve", spy)
+    errors = {}
+    for threads in (1, 2):
+        with blas_threads(threads):
+            assert [get() for get, _ in linalg._blas_thread_calls()] == [threads, threads]
+            for route, n, m, repeat, whitened in (
+                ("n <= T", 200, 100, False, []),
+                ("whitened", 2048, 100, False, [True]),
+                ("refused", 2048, 100, True, [False]),
+                ("m >= T", 2048, 300, False, []),
+            ):
+                data = sample_dataset(kernel.decay, 256, target, NoiseSpec.gaussian(0.1), n, seed=n + m)
+                if repeat:
+                    xs = data.xs.copy()
+                    xs[m // 2 : m] = xs[: m // 2]
+                    data = dataclasses.replace(data, xs=xs)
+                taken.clear()
+                model = nystrom.fit_nystrom(kernel, data, 1e-3, np.arange(m))
+                assert taken == whitened, (route, taken)
+                errors.setdefault(route, []).append(l2_rho_error(model, kernel, data))
+    for route, (one, two) in errors.items():
+        assert math.isclose(one, two, rel_tol=BLAS_THREAD_RTOL), (route, one, two)
 
 
 # Run in a fresh interpreter: a small rate sweep with the KRR baseline and the

@@ -1,0 +1,138 @@
+"""Alternating parent/change pairs of the benchmark, written to ``BENCH_<label>.json``.
+
+The change is the checkout this script sits in; the parent is another
+checkout (say, a ``git archive`` of the parent commit unpacked into its own
+directory). Pair k runs ``perfbench/run.py --workload W --seed SEED+k-1
+--seconds 20 --trace 0`` (``BENCHMARK.json``'s run length) once in each
+checkout, from that checkout, the parent first in odd pairs and the change
+first in even ones. Run from the repository root:
+
+    python3 tools/bench_pairs.py --parent ../parent --workload rate_cell_16k \\
+        --pairs 10 --seed 2701 --label mylabel --claim rate_cell_16k.op_s_p50
+
+The file holds every run's result line and, per ``<workload>.<metric>`` of
+``BENCHMARK.json``'s end-to-end metrics, each side's median and quartiles
+(``statistics.quantiles``, n = 4, exclusive method) and the pairs the change
+won (ties count for neither side). With ``--claim``, it also says whether the
+change won at least nine tenths of the pairs and moved the median by more than
+the distance between the parent's quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+with open(ROOT / "BENCHMARK.json") as _fh:
+    BENCHMARK = json.load(_fh)
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its last line, metrics keyed
+    ``<workload>.<metric>`` even for a single workload."""
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True, check=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    if workload != "all":
+        metrics = {f"{workload}.{name}": value for name, value in metrics.items()}
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], "metrics": metrics}
+
+
+def summarize(runs: list[dict], pairs: int, better: dict) -> dict:
+    """Per metric: each side's median and quartiles, and the pairs the change won."""
+    summary = {}
+    for name in runs[0]["metrics"]:
+        lower = better[name.split(".", 1)[1]] == "lower"
+        side = {
+            s: [r["metrics"][name] for r in sorted(runs, key=lambda r: r["pair"]) if r["side"] == s]
+            for s in ("parent", "change")
+        }
+        won = sum(
+            (c < p) if lower else (c > p) for p, c in zip(side["parent"], side["change"])
+        )
+        summary[name] = {"better": "lower" if lower else "higher"}
+        for s, values in side.items():
+            quartiles = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+            summary[name][f"{s}_median"] = statistics.median(values)
+            summary[name][f"{s}_quartiles"] = [quartiles[0], quartiles[2]]
+        summary[name]["change_better_pairs"] = won
+        summary[name]["pairs"] = pairs
+    return summary
+
+
+def judge(summary: dict, name: str) -> dict:
+    """The gain rule for one metric: at least nine tenths of the pairs won, and
+    the medians apart by more than the parent's quartile spread."""
+    s = summary[name]
+    gap = s["parent_median"] - s["change_median"]
+    if s["better"] == "higher":
+        gap = -gap
+    spread = s["parent_quartiles"][1] - s["parent_quartiles"][0]
+    won, pairs = s["change_better_pairs"], s["pairs"]
+    return {"metric": name, "pairs_won": won, "pairs": pairs, "median_gain": gap,
+            "parent_quartile_spread": spread, "met": 10 * won >= 9 * pairs and gap > spread}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--workload", required=True, help="a workload of BENCHMARK.json, or all")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, required=True, help="seed of pair 1; pair k runs seed + k - 1")
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json in this checkout")
+    ap.add_argument("--claim", help="a <workload>.<metric> to judge by the gain rule")
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
+
+    runs = []
+    for k in range(1, args.pairs + 1):
+        seed = args.seed + k - 1
+        order = ("parent", "change") if k % 2 else ("change", "parent")
+        for position, side in enumerate(order, 1):
+            run = run_once(trees[side], args.workload, seed)
+            runs.append({"pair": k, "seed": seed, "side": side, "position": position, **run})
+            print(f"pair {k} seed {seed} {side}: failed {run['failed']} of {run['attempted']}, "
+                  + ", ".join(f"{n} {v:.4g}" for n, v in run["metrics"].items()), flush=True)
+    summary = summarize(runs, args.pairs, better)
+    report = {
+        "label": args.label,
+        "command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED "
+                   f"--seconds {BENCHMARK['run_seconds']:g} --trace 0",
+        "order": "parent first in odd pairs, change first in even pairs",
+        "seeds": [args.seed, args.seed + args.pairs - 1],
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                 "python": platform.python_version()},
+        "failed_ops": {
+            side: f"{sum(r['failed'] for r in runs if r['side'] == side)} of "
+                  f"{sum(r['attempted'] for r in runs if r['side'] == side)}"
+            for side in trees
+        },
+        "summary": summary,
+        "runs": runs,
+    }
+    if args.claim:
+        report["claim"] = judge(summary, args.claim)
+        print(json.dumps(report["claim"]))
+    path = ROOT / f"BENCH_{args.label}.json"
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
