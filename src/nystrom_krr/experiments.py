@@ -6,7 +6,7 @@ against the configured tolerances. Cells of a sweep are keyed by
 (grid index, repetition); per-cell randomness spawns from the master seed by
 that key, so results do not depend on execution order. The cells run in
 ``linalg.fork_map``, one process per CPU and one BLAS thread per process, and
-each sends back its row values, not arrays: for a fixed config the rows are
+each sends back its numbers, not arrays: for a fixed config the rows are
 byte-identical at any CPU count when each process runs one BLAS thread. A
 cell's ``wall_ms`` is timed in the process that ran it and goes to the timing
 file, not the rows.
@@ -19,7 +19,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -53,6 +53,8 @@ class LambdaPolicy:
             check_positive(self.value, "fixed lambda policy 'value'")
         if self.kind == "grid" and len(self.values) == 0:
             raise ValueError("grid lambda policy needs nonempty 'values'")
+        for value in self.values:
+            check_positive(value, "grid lambda policy 'values'")
 
 
 @dataclass
@@ -223,14 +225,14 @@ def fit_loglog_with_loglog_covariate(ns, values) -> tuple[float, float]:
 
 
 def _cell_values(config: ExperimentConfig, grid, target, seeds, krr_baseline: bool, cell: int):
-    """One cell's row values ``(error, krr_error, flops, wall_ms)``, the KRR
-    error as its CSV field (``repr``, or empty without the baseline).
+    """One cell's numbers ``(error, krr_error, flops, wall_ms)``; ``krr_error``
+    is None without the baseline.
 
     Cell ``index * repetitions + rep`` spawns its dataset and subsample seeds
     from its own master-seed child, samples the dataset, draws ``m`` inducing
     points, fits Nystrom (``wall_ms`` times subsample+fit) and takes the exact
     error, and with ``krr_baseline`` that of full KRR on the same data."""
-    n, m, lam = grid[cell // config.repetitions]
+    n, m, lam, _ = grid[cell // config.repetitions]
     ds_seed, sub_seed = seeds[cell].spawn(2)
     data = sample_dataset(
         config.kernel.decay, config.kernel.truncation, target, config.noise, n, ds_seed
@@ -240,22 +242,25 @@ def _cell_values(config: ExperimentConfig, grid, target, seeds, krr_baseline: bo
     model = nystrom.fit_nystrom(config.kernel, data, lam, idx)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     err = l2_rho_error(model, config.kernel, data)
-    krr_err = ""
+    krr_err = None
     if krr_baseline:
-        krr_err = repr(l2_rho_error(krr.fit_krr(config.kernel, data, lam), config.kernel, data))
+        krr_err = l2_rho_error(krr.fit_krr(config.kernel, data, lam), config.kernel, data)
     return err, krr_err, model.opcount.flops, wall_ms
 
 
-def _sweep_cells(config: ExperimentConfig, grid, krr_baseline: bool = False) -> list:
-    """Run every cell of a sweep over ``grid``, a list of ``(n, m, lambda)``.
+def _sweep_cells(config: ExperimentConfig, grid, krr_baseline: bool = False):
+    """Run every cell of a sweep over ``grid``, a list of
+    ``(n, m, lambda, warnings)``, ``warnings`` being its rows' field.
 
     The cells go to ``linalg.fork_map`` largest n (then m) first, so the
-    cheapest are the last to start; each sends back only its row values
-    (``_cell_values``). Returns, in cell order,
-    ``(index, head, error, krr_error, flops, timing_row)``: ``head`` is the
-    CSV row prefix ``[n, rep, seed key, m, repr(lambda)]`` and ``timing_row``
-    the ``TIMING_CSV_FIELDS`` row, its wall_ms timed in the process that ran
-    the cell.
+    cheapest are the last to start; each sends back only its numbers
+    (``_cell_values``). Returns ``(cells, medians, timing)``:
+    - ``cells``, in cell order, ``(head, error, krr_error, flops, warnings)``,
+      ``head`` the CSV row prefix ``[n, rep, seed key, m, repr(lambda)]``;
+    - ``medians``, ``(errors, flops)``: per grid point, the median error and
+      the median flops of its cells;
+    - ``timing``, the ``TIMING_CSV_FIELDS`` rows, each wall_ms timed in the
+      process that ran the cell.
     """
     target = make_target(
         config.kernel.decay,
@@ -268,13 +273,17 @@ def _sweep_cells(config: ExperimentConfig, grid, krr_baseline: bool = False) -> 
     seeds = np.random.SeedSequence(config.seed).spawn(len(grid) * reps)
     order = sorted(range(len(seeds)), key=lambda cell: grid[cell // reps][:2], reverse=True)
     run = partial(_cell_values, config, grid, target, seeds, krr_baseline)
-    cells = []
-    for cell, (err, krr_err, flops, wall_ms) in sorted(zip(order, fork_map(run, order))):
-        index, rep = divmod(cell, reps)
-        n, m, lam = grid[index]
+    results = [values for _, values in sorted(zip(order, fork_map(run, order)))]
+    cells, timing = [], []
+    for cell, (err, krr_err, flops, wall_ms) in enumerate(results):
+        rep = cell % reps
+        n, m, lam, warnings = grid[cell // reps]
         head = [n, rep, f"{config.seed}:{cell}", m, repr(lam)]
-        cells.append((index, head, err, krr_err, flops, [n, rep, f"{wall_ms:.1f}"]))
-    return cells
+        cells.append((head, err, krr_err, flops, warnings))
+        timing.append([n, rep, f"{wall_ms:.1f}"])
+    # cell index * reps + rep: each grid point's cells are one row of reps
+    per_point = np.reshape([(err, flops) for err, _, flops, _ in results], (len(grid), reps, 2))
+    return cells, np.median(per_point, axis=1).T.tolist(), timing
 
 
 def _resolve_lambda(config: ExperimentConfig, n: int) -> float:
@@ -324,24 +333,20 @@ def run_rate_sweep(config: ExperimentConfig):
     _require_designed(config, "rate sweep")
     delta = config.size_rule.delta
     top_eig = float(config.kernel.eigenvalues()[0])
-    grid, warns = [], []
+    grid = []
     for n in config.n_grid:
         lam = _resolve_lambda(config, n)
         m = subsample_size(n, lam, config.size_rule, kernel=config.kernel)
-        grid.append((n, m, lam))
         admissible = lambda_admissible(lam, n, delta, top_eig)
         warn = "" if admissible else "lambda outside admissible window"
-        warns.append(_row_warnings(config, m, warn))
-    rows, timing = [], []
-    errs = [[] for _ in grid]
-    cells = _sweep_cells(config, grid, config.krr_baseline)
-    for i, head, err, krr_err, flops, timing_row in cells:
-        errs[i].append(err)
-        rows.append(head + [repr(err), krr_err, flops, warns[i]])
-        timing.append(timing_row)
-    medians = [float(np.median(e)) for e in errs]
+        grid.append((n, m, lam, _row_warnings(config, m, warn)))
+    cells, (errors, _), timing = _sweep_cells(config, grid, config.krr_baseline)
+    rows = [
+        head + [repr(err), "" if krr_err is None else repr(krr_err), flops, warnings]
+        for head, err, krr_err, flops, warnings in cells
+    ]
 
-    fit = fit_loglog(config.n_grid, medians) if len(config.n_grid) >= 3 else None
+    fit = fit_loglog(config.n_grid, errors) if len(config.n_grid) >= 3 else None
     passed = True
     if fit is None:
         summary = ["rate sweep: fewer than 3 grid points, no exponent fit"]
@@ -384,26 +389,19 @@ def run_cost_sweep(config: ExperimentConfig):
     s = config.kernel.decay.s
     gamma = float(config.gamma)
     bound = c_gamma_for_designed(config.kernel.decay, config.kernel.truncation, gamma)
-    rule = SizeRuleParams(
-        c=config.size_rule.c,
-        delta=config.size_rule.delta,
-        gamma=gamma,
-        c_gamma=bound.c_gamma,
-    )
+    rule = replace(config.size_rule, gamma=gamma, c_gamma=bound.c_gamma)
     subquadratic = 2.0 * gamma + s > 1.0
     warn = "" if subquadratic else "no subquadratic guarantee (2 gamma + s <= 1)"
     grid = []
     for n in config.n_grid:
         lam = _resolve_lambda(config, n)
-        grid.append((n, subsample_size(n, lam, rule, kernel=config.kernel), lam))
-    rows, timing = [], []
-    cell_flops = [[] for _ in grid]
-    warns = [_row_warnings(config, m, warn) for _, m, _ in grid]
-    for i, head, err, _, flops, timing_row in _sweep_cells(config, grid):
-        cell_flops[i].append(flops)
-        rows.append(head + [repr(bound.c_gamma), repr(err), flops, warns[i]])
-        timing.append(timing_row)
-    flops_per_n = [float(np.median(f)) for f in cell_flops]
+        m = subsample_size(n, lam, rule, kernel=config.kernel)
+        grid.append((n, m, lam, _row_warnings(config, m, warn)))
+    cells, (_, flops_per_n), timing = _sweep_cells(config, grid)
+    rows = [
+        head + [repr(bound.c_gamma), repr(err), flops, warnings]
+        for head, err, _, flops, warnings in cells
+    ]
 
     predicted = (3.0 + s - 2.0 * gamma) / (1.0 + s)
     notes = [] if subquadratic else ["warning: 2 gamma + s <= 1, no subquadratic guarantee"]
@@ -435,7 +433,7 @@ def run_lambda_sensitivity(config: ExperimentConfig):
     n = config.n_grid[-1]
     profile = analytic_profile(config.kernel.decay, config.kernel.truncation)
     lam0 = lambda0(profile, n)
-    if config.lambda_policy.kind == "grid" and config.lambda_policy.values:
+    if config.lambda_policy.kind == "grid":
         lam_grid = sorted(config.lambda_policy.values)
     else:
         lam_grid = np.logspace(
@@ -443,18 +441,13 @@ def run_lambda_sensitivity(config: ExperimentConfig):
         ).tolist()
     if lam0 not in lam_grid:
         lam_grid = sorted(set(lam_grid) | {lam0})
-    grid = [
-        (n, subsample_size(n, min(lam, 0.999), config.size_rule, kernel=config.kernel), lam)
-        for lam in lam_grid
-    ]
-    errs = [[] for _ in grid]
-    flops = [[] for _ in grid]
-    for i, _, err, _, flop_count, _ in _sweep_cells(config, grid):
-        errs[i].append(err)
-        flops[i].append(flop_count)
+    grid = []
+    for lam in lam_grid:
+        m = subsample_size(n, min(lam, 0.999), config.size_rule, kernel=config.kernel)
+        grid.append((n, m, lam, _row_warnings(config, m, "")))
+    errors, flops = _sweep_cells(config, grid)[1]
     rows, medians = [], {}
-    for i_l, (_, m, lam) in enumerate(grid):
-        med = float(np.median(errs[i_l]))
+    for i_l, ((_, m, lam, warnings), med, med_flops) in enumerate(zip(grid, errors, flops)):
         medians[lam] = med
         rows.append(
             [
@@ -463,9 +456,9 @@ def run_lambda_sensitivity(config: ExperimentConfig):
                 f"{config.seed}:{i_l}",
                 m,
                 repr(med),
-                int(np.median(flops[i_l])),
+                int(med_flops),
                 int(lam == lam0),
-                _row_warnings(config, m, ""),
+                warnings,
             ]
         )
     best = min(medians.values())

@@ -386,7 +386,12 @@ def _fork_map(fn, items: list, workers: int) -> list:
     try:
         for _ in range(workers - 1):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN or ENOMEM: no child holds this pipe
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 _child(share, read_fd, write_fd)
             os.close(write_fd)

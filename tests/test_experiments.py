@@ -13,7 +13,7 @@ import pytest
 
 import nystrom_krr
 from nystrom_krr import experiments as exp
-from nystrom_krr import linalg, nystrom
+from nystrom_krr import krr, linalg, nystrom
 from nystrom_krr.cli import main as cli_main
 from nystrom_krr.kernels import KernelSpec
 from nystrom_krr.linalg import NumericalError, blas_threads
@@ -90,6 +90,13 @@ def test_lambda_policy_validation():
     for bad in (np.nan, np.inf, 0.0):
         with pytest.raises(ValueError, match="value"):
             exp.LambdaPolicy("fixed", value=bad)
+    # each grid value as the fixed value, also through a JSON config
+    for bad in (np.nan, np.inf, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="grid lambda policy 'values' must be finite and positive"):
+            exp.LambdaPolicy("grid", values=(1e-3, bad))
+        policy = {"kind": "grid", "values": [1e-3, bad]}
+        with pytest.raises(ValueError, match="'values' must be finite and positive"):
+            exp.config_from_dict(config_dict(lambda_policy=policy))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +159,44 @@ def test_rows_flag_m_at_or_above_truncation():
         for row, above in zip(rows, flagged):
             want = "; ".join(w for w in (other, flag if above else "") if w)
             assert row[-1] == want, row
+
+
+def test_sweep_rows_match_an_in_process_reference():
+    """Every cell of the rate, cost and lambda sweeps, refitted here at one BLAS
+    thread from its own seeds (cell ``c`` of ``k`` spawns its dataset and
+    subsample seeds from ``SeedSequence(seed).spawn(k)[c]``): the rate and cost
+    rows' ``error``, ``krr_error`` and ``flops`` and the lambda sweep's
+    ``median_error`` and ``median_flops`` are equal to the reference's. With
+    T = 64 the n = 48 cells fit on the points' sections, the n = 96, 192 cells
+    on the trig-moment covariance."""
+    kernel = KernelSpec.designed(0.5, 64)
+    config = small_config(kernel=kernel, n_grid=[48, 96, 192], repetitions=2, krr_baseline=True,
+                          gamma=0.75)
+    target = make_target(kernel.decay, 64, config.phi, config.coeff_seed, config.target_profile)
+
+    def reference(n, m, lam, cell, cells):
+        ds_seed, sub_seed = np.random.SeedSequence(config.seed).spawn(cells)[cell].spawn(2)
+        data = sample_dataset(kernel.decay, 64, target, config.noise, n, ds_seed)
+        model = nystrom.fit_nystrom(kernel, data, lam, nystrom.subsample_plain(n, m, sub_seed))
+        krr_error = l2_rho_error(krr.fit_krr(kernel, data, lam), kernel, data)
+        return l2_rho_error(model, kernel, data), krr_error, model.opcount.flops
+
+    rate_rows = exp.run_rate_sweep(config)[1]
+    cost_rows = exp.run_cost_sweep(config)[2]
+    lambda_rows = exp.run_lambda_sensitivity(config)[0]
+    with blas_threads(1):
+        for rows, error_field in ((rate_rows, 5), (cost_rows, 6)):
+            assert [row[2] for row in rows] == [f"101:{cell}" for cell in range(6)]
+            for cell, row in enumerate(rows):
+                err, krr_err, flops = reference(row[0], row[3], float(row[4]), cell, 6)
+                assert row[error_field] == repr(err) and row[7] == flops, row
+                if rows is rate_rows:
+                    assert row[6] == repr(krr_err), row
+        for i, row in enumerate(lambda_rows):
+            fits = [reference(192, row[3], float(row[0]), 2 * i + rep, 2 * len(lambda_rows))
+                    for rep in range(2)]
+            assert row[4] == repr(float(np.median([err for err, _, _ in fits]))), row
+            assert row[5] == int(np.median([flops for _, _, flops in fits])), row
 
 
 def test_rate_sweep_requires_designed_kernel():

@@ -1,4 +1,5 @@
 import ctypes
+import errno
 import glob
 import os
 import time
@@ -420,6 +421,32 @@ def test_fork_map_interrupted_kills_and_reaps_its_children(tmp_path):
     assert time.monotonic() - start < 30
     children = [int(p.name) for p in tmp_path.iterdir()]
     assert children and all(_gone(pid) for pid in children)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc")
+def test_fork_map_fork_failure_closes_pipes_and_reaps(monkeypatch):
+    """``os.fork`` failing (EAGAIN, as when no process id is left) after one
+    child has started: the map raises that ``OSError``, the one child is
+    killed and reaped, and no pipe end stays open. Three CPUs are faked, so
+    the map tries two forks; the first is real, the second raises."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+    real_fork, forked = os.fork, []
+
+    def fork():
+        if forked:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    open_before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError) as info:
+        fork_map(abs, range(3))
+    assert info.value.errno == errno.EAGAIN
+    assert len(forked) == 1 and _gone(forked[0])
+    assert len(os.listdir("/proc/self/fd")) == open_before
 
 
 def _openblas_thread_calls():

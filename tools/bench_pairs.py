@@ -12,16 +12,22 @@ first in even ones. Run from the repository root:
 
 The file holds every run's result line and, per ``<workload>.<metric>`` of
 ``BENCHMARK.json``'s end-to-end metrics, each side's median and quartiles
-(``statistics.quantiles``, n = 4, exclusive method) and the pairs the change
-won (ties count for neither side). With ``--claim``, it also says whether the
-change won at least nine tenths of the pairs and moved the median by more than
-the distance between the parent's quartiles.
+(``statistics.quantiles``, n = 4, exclusive method), the pairs the change
+won (ties count for neither side), and the no-regression verdict against the
+metric's ``bound`` in ``BENCHMARK.json``: ``within`` when the change's median
+is worse than the parent's by at most that fraction of the parent's median,
+``worse`` when by more, and ``unresolved`` when the parent's quartile spread
+is wider than that fraction and not every change run beats every parent run.
+With ``--claim``, it also says whether the change won at least nine tenths of
+the pairs and moved the median by more than the distance between the parent's
+quartiles.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import platform
 import statistics
@@ -49,7 +55,8 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
 
 
 def summarize(runs: list[dict], pairs: int, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the change won."""
+    """Per metric: each side's median and quartiles, the pairs the change won,
+    and whether every change run beats every parent run."""
     summary = {}
     for name in runs[0]["metrics"]:
         lower = better[name.split(".", 1)[1]] == "lower"
@@ -57,9 +64,8 @@ def summarize(runs: list[dict], pairs: int, better: dict) -> dict:
             s: [r["metrics"][name] for r in sorted(runs, key=lambda r: r["pair"]) if r["side"] == s]
             for s in ("parent", "change")
         }
-        won = sum(
-            (c < p) if lower else (c > p) for p, c in zip(side["parent"], side["change"])
-        )
+        beats = operator.lt if lower else operator.gt
+        won = sum(beats(c, p) for p, c in zip(side["parent"], side["change"]))
         summary[name] = {"better": "lower" if lower else "higher"}
         for s, values in side.items():
             quartiles = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
@@ -67,6 +73,9 @@ def summarize(runs: list[dict], pairs: int, better: dict) -> dict:
             summary[name][f"{s}_quartiles"] = [quartiles[0], quartiles[2]]
         summary[name]["change_better_pairs"] = won
         summary[name]["pairs"] = pairs
+        summary[name]["change_beats_every_parent_run"] = all(
+            beats(c, p) for c in side["change"] for p in side["parent"]
+        )
     return summary
 
 
@@ -83,6 +92,26 @@ def judge(summary: dict, name: str) -> dict:
             "parent_quartile_spread": spread, "met": 10 * won >= 9 * pairs and gap > spread}
 
 
+def no_regression(summary: dict, name: str, bound: float) -> dict:
+    """The no-regression rule for one metric, with ``bound`` a fraction of the
+    parent's median: ``worse_by`` is how much worse the change's median is
+    (negative when better), ``parent_spread`` the parent's quartile distance,
+    both as that fraction; a spread wider than the bound leaves the verdict
+    ``unresolved`` unless every change run beats every parent run."""
+    s = summary[name]
+    base = abs(s["parent_median"])
+    worse_by = (s["change_median"] - s["parent_median"]) / base
+    if s["better"] == "higher":
+        worse_by = -worse_by
+    spread = (s["parent_quartiles"][1] - s["parent_quartiles"][0]) / base
+    if spread > bound and not s["change_beats_every_parent_run"]:
+        verdict = "unresolved"
+    else:
+        verdict = "within" if worse_by <= bound else "worse"
+    return {"metric": name, "bound": bound, "worse_by": worse_by, "parent_spread": spread,
+            "verdict": verdict}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -95,6 +124,7 @@ def main() -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": ROOT}
 
     runs = []
@@ -121,8 +151,14 @@ def main() -> int:
             for side in trees
         },
         "summary": summary,
+        "no_regression": [
+            no_regression(summary, name, bounds[name.split(".", 1)[1]]) for name in summary
+        ],
         "runs": runs,
     }
+    for check in report["no_regression"]:
+        print(f"{check['metric']}: {check['verdict']} (worse by {check['worse_by']:+.4f}, "
+              f"parent spread {check['parent_spread']:.4f}, bound {check['bound']})")
     if args.claim:
         report["claim"] = judge(summary, args.claim)
         print(json.dumps(report["claim"]))
