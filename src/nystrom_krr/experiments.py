@@ -55,6 +55,9 @@ class LambdaPolicy:
             raise ValueError("grid lambda policy needs nonempty 'values'")
         for value in self.values:
             check_positive(value, "grid lambda policy 'values'")
+        if len(set(self.values)) < len(self.values):
+            # a repeat would be a second grid point with the same lambda
+            raise ValueError(f"grid lambda policy 'values' repeats a value: {self.values}")
 
 
 @dataclass

@@ -15,9 +15,10 @@ a-priori regularization parameters, and exact L2 errors are all computable in
 closed form.
 
 Sums over the basis at many points (target values, predictions, data
-moments, the ``covariance``) go through one blocked trig-sum primitive,
-``trig_sum`` and its adjoint ``trig_moments``, and never form the n x T
-basis matrix. It splits frequency ``l = q B + r`` with ``B ~ sqrt(L + 1)``
+moments, the ``covariance``) never form the n x T basis matrix. The type-2
+``trig_sum`` is a non-uniform FFT, O(L log L + n) work. Its adjoint, the
+type-1 ``trig_moments``, stays blocked, as its round-off sets the designed
+fit's (README): it splits frequency ``l = q B + r`` with ``B ~ sqrt(L + 1)``
 and builds each point's blocks ``exp(2 pi i q B x)`` and ``exp(2 pi i r x)``
 from two exponentials, ``exp(2 pi i x)`` and ``exp(2 pi i B x)``, and their
 powers: O(n) exponentials and O(n sqrt(L)) complex products, in row chunks
@@ -29,9 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view as _windows
+from numpy.polynomial import chebyshev as _chebyshev
 
 from .linalg import (
     _check_keys, check_count, check_number, check_positive, partial_cholesky, pivoted_cholesky
@@ -44,15 +47,28 @@ DESIGNED = "designed_spectral"
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
 
-# Doubles per row block of every streamed loop (``_row_blocks``): the trig
-# sums' exponential blocks, a closed-form ``krr.predict`` and a Nystrom fit's
-# ``G^T G``. 2 MB, a core's L2 cache on the 2-core x86 VM of README's timings.
-# There (one BLAS thread, best of 9) the trig sums take about the same time at
-# 2 MB and at 32 MB chunks (``trig_moments`` at n = 16384, L = 2048: 11-13
-# against 12-16 ms), while the Gaussian ``gaussian_rule_4k`` benchmark op peaked
-# at 76 MB RSS, not 123 MB, when this size was chosen (65 MB since its ``K_mm``
-# is factored column-wise).
+# Doubles per row block of every streamed loop (``_row_blocks``): the
+# exponential blocks of ``trig_moments``, the kernel weights of ``trig_sum``,
+# a closed-form ``krr.predict`` and a Nystrom fit's ``G^T G``. 2 MB, a core's
+# L2 cache on the 2-core x86 VM of README's timings. There (one BLAS thread,
+# best of 9) ``trig_moments`` takes about the same time at 2 MB and at 32 MB
+# chunks (n = 16384, L = 2048: 11-13 against 12-16 ms), while the Gaussian
+# ``gaussian_rule_4k`` benchmark op peaked at 76 MB RSS, not 123 MB, when this
+# size was chosen (65 MB since its ``K_mm`` is factored column-wise).
 _CHUNK_ELEMENTS = 1 << 18
+
+# ``trig_sum``'s kernel width w (grid steps), shape beta and Chebyshev degree,
+# on a grid oversampled twice (sigma = 2; its irfft takes some 40 us at
+# L = 1024). Against a long-double direct sum the largest error reads 7-13
+# eps ||F||_1 at L <= 3, then 26, 81, 84 and 245 at L = 64, 1024, 2048 and 8192
+# (the blocked route it replaced: 0-7, 65, 299, 402 and 592). w = 14 reads up to
+# 157 and w = 12 1.5e4, at about the same time (0.44 against 0.46 ms at
+# n = 4096, L = 1024). beta = 2.30 w is the usual choice for sigma = 2. Degree
+# 12 fits the weights to round-off (largest error 6.9e-15; 10: 1.1e-12); 16 has
+# margin.
+_NUFFT_WIDTH = 16
+_NUFFT_BETA = 2.30 * _NUFFT_WIDTH
+_NUFFT_DEGREE = 16
 
 
 @dataclass(frozen=True)
@@ -159,8 +175,8 @@ def fourier_basis(xs, truncation: int) -> np.ndarray:
         return out
     b, q = _split(n_cos)
     for part in _row_blocks(xs.size, 2 * (q + b)):  # complex rows of Q + B entries
-        # Each block entry is its own exponential here, not a power as in the
-        # trig sums: the benchmark's verify_pass reference holds the
+        # Each block entry is its own exponential here, not a power as in
+        # ``trig_moments``: the benchmark's verify_pass reference holds the
         # diagnostics' smoothness ratios, which move with the basis round-off,
         # to 1e-3. Built from powers, the basis moved case 10's quantile ratio
         # by 8.3e-3; with these values case 31 sits at 9.98e-4.
@@ -245,32 +261,78 @@ def _finite_vector(values, name: str, dtype) -> np.ndarray:
 def trig_sum(xs, coeffs) -> np.ndarray:
     """Type-2 trigonometric sum ``Re sum_l F_l exp(2 pi i l x)``, l = 0..L, at each x.
 
-    With ``l = q B + r`` and ``B ~ sqrt(L + 1)`` the sum is one complex gemm
-    per row chunk, ``F[q, r]^T @ exp(2 pi i q B x)``, then a product with
-    ``exp(2 pi i r x)`` summed over r: two exponentials per point
-    (``_exp_power_chunks``) instead of O(L) sin/cos calls, and memory fixed by the
-    chunk size. This is numpy's stand-in for a type-2 non-uniform DFT (Dutt &
-    Rokhlin 1993; Barnett et al., FINUFFT 2019). ``coeffs`` must be a
-    nonempty, finite 1-D array.
+    A non-uniform FFT with the "exponential of semicircle" kernel
+    ``phi(z) = exp(beta (sqrt(1 - z^2) - 1))`` (Barnett, Magland & af
+    Klinteberg 2019; Dutt & Rokhlin 1993): the two-sided spectrum of the sum,
+    divided by the kernel's Fourier transform, goes onto a real grid of
+    ``nf >= 2 (2 L + 1)`` points by one ``irfft``, and each point sums its w
+    nearest grid values times the kernel, in row chunks. The sum is 1-periodic:
+    x is reduced mod 1. Error within ``(32 + 1.5 * 2 pi L) eps ||F||_1``.
+    ``coeffs`` must be a nonempty, finite 1-D array.
     """
     xs = as_points(xs)
     coeffs = _finite_vector(coeffs, "coeffs", np.complex128)
-    b, q = _split(coeffs.size - 1)
-    block = np.zeros(q * b, dtype=np.complex128)
-    block[: coeffs.size] = coeffs
-    block = block.reshape(q, b).T
+    nf, scale = _nufft_grid(coeffs.size - 1)
+    half = _NUFFT_WIDTH // 2
+    # entry k is grid value (k + 1 - half) mod nf: point t = nf x's window
+    # starts at floor(t), up to nf, as mod rounds a tiny negative x up to 1
+    grid = np.fft.irfft(coeffs * scale, nf).take(np.arange(1 - half, nf + half + 1), mode="wrap")
+    windows = _windows(grid, _NUFFT_WIDTH)
+    fit = _nufft_weights()
+    ts = nf * np.mod(xs, 1.0)
     out = np.empty(xs.size)
-    for lo, hi, e_q, e_b in _exp_power_chunks(xs, b, q):
-        out[lo:hi] = ((block @ e_q) * e_b).sum(axis=0).real
+    for part in _row_blocks(xs.size, fit.shape[0] + 2 * _NUFFT_WIDTH):
+        start = np.floor(ts[part])
+        weights = _chebyshev.chebvander(2.0 * (ts[part] - start) - 1.0, _NUFFT_DEGREE) @ fit
+        out[part] = np.einsum("ij,ij->i", weights, windows[start.astype(np.intp)])
     return out
+
+
+def _es_kernel(dist):
+    """The ES kernel at ``dist`` grid steps, ``|dist| <= _NUFFT_WIDTH / 2``."""
+    z = dist / (_NUFFT_WIDTH / 2)
+    return np.exp(_NUFFT_BETA * (np.sqrt(np.clip(1.0 - z * z, 0.0, None)) - 1.0))
+
+
+@cache
+def _nufft_weights() -> np.ndarray:
+    """Chebyshev coefficients ((degree + 1) x w) of a point's w kernel weights in
+    ``y = 2 frac - 1``, frac its offset past grid node floor(t): weight j is
+    the kernel at ``frac + w/2 - 1 - j`` steps."""
+    y = _chebyshev.chebpts1(_NUFFT_DEGREE + 1)
+    dist = (y[:, None] + 1.0) / 2.0 + (_NUFFT_WIDTH // 2 - 1) - np.arange(_NUFFT_WIDTH)
+    fit = _chebyshev.chebfit(y, _es_kernel(dist), _NUFFT_DEGREE)
+    fit.setflags(write=False)  # cached: every call shares it
+    return fit
+
+
+@cache
+def _nufft_grid(degree: int) -> tuple[int, np.ndarray]:
+    """Grid size nf of a degree-L sum, ``2^a`` or ``3 * 2^a`` (a fast ``irfft``)
+    and at least 2 (2L + 1) and 2w; and the factor ``nf / (2 phi_hat(l / nf))``,
+    doubled at l = 0 (``G_0 = Re F_0``, ``G_{+-l} = F_l / 2``), from ``F`` to the
+    ``irfft`` input, ``phi_hat`` by Gauss-Legendre quadrature on 4w nodes."""
+    least = max(2 * (2 * degree + 1), 2 * _NUFFT_WIDTH)
+    nf = 1 << (least - 1).bit_length()
+    if 3 * nf // 4 >= least:
+        nf = 3 * nf // 4
+    nodes, quad = np.polynomial.legendre.leggauss(4 * _NUFFT_WIDTH)
+    dist = nodes * (_NUFFT_WIDTH / 2)
+    phi_hat = np.cos(np.outer(np.arange(degree + 1), (_TWO_PI / nf) * dist)) @ (
+        quad * (_NUFFT_WIDTH / 2) * _es_kernel(dist)
+    )
+    scale = nf / (2.0 * phi_hat)
+    scale[0] *= 2.0
+    scale.setflags(write=False)
+    return nf, scale
 
 
 def trig_moments(xs, weights, degree: int) -> np.ndarray:
     """Type-1 moments ``c_l = sum_i w_i exp(2 pi i l x_i)`` for l = 0..degree.
 
-    The adjoint of ``trig_sum``, blocked the same way: ``c[q B + r]`` is
-    entry (q, r) of ``(w * exp(2 pi i q B x))^T @ exp(2 pi i r x)``,
-    accumulated over row chunks. ``weights`` must be finite, one per point;
+    The adjoint of ``trig_sum``, blocked: ``c[q B + r]`` is entry (q, r) of
+    ``(w * exp(2 pi i q B x))^T @ exp(2 pi i r x)``, accumulated over row
+    chunks of ``_exp_power_chunks``. ``weights`` must be finite, one per point;
     ``degree`` a nonnegative integer.
     """
     xs = as_points(xs)

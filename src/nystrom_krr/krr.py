@@ -218,8 +218,8 @@ def fitted_coefficients(model: KernelModel, kernel: KernelSpec) -> np.ndarray:
 
 def predict(model: KernelModel, kernel: KernelSpec, xs) -> np.ndarray:
     """Evaluate the model at ``xs``: for a designed kernel, its
-    ``fitted_coefficients`` summed by one type-2 trig sum (two exponentials per
-    point and O(n sqrt(T)) complex products, plus the same per support point
+    ``fitted_coefficients`` summed by one type-2 trig sum (a non-uniform FFT,
+    O(T log T + n) work, plus a blocked type-1 sum over the support points
     for an expansion's coefficients; no n x m block), else
     ``sum_j alpha_j K(x, x_j)``. A full-KRR fit on the low-rank factor takes
     ``h(x)^T c`` wherever the certificate vouches for it, O(r) kernel values

@@ -1,6 +1,8 @@
 """The pair statistics of ``tools/bench_pairs.py`` on hand-made runs."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,12 +16,13 @@ BETTER = {"op_s_p50": "lower", "ops_per_s": "higher"}
 
 
 def _runs(parent: dict, change: dict) -> list:
-    """Runs of pair k = 1, 2, ... from per-metric value lists of each side."""
+    """Runs of pair k = 1, 2, ... from per-metric value lists of each side,
+    every one with correct outputs."""
     runs = []
     for side, values in (("parent", parent), ("change", change)):
         for k in range(len(next(iter(values.values())))):
             metrics = {f"w.{name}": v[k] for name, v in values.items()}
-            runs.append({"pair": k + 1, "side": side, "metrics": metrics})
+            runs.append({"pair": k + 1, "side": side, "correct": True, "metrics": metrics})
     return runs
 
 
@@ -83,3 +86,59 @@ def test_no_regression_within_worse_and_unresolved():
     assert verdict(wide, [5.0, 5.5, 5.0, 5.5, 5.0])["verdict"] == "within"
     # a tie with the best parent run is no win: still unresolved
     assert verdict(wide, [6.0, 5.5, 5.0, 5.5, 5.0])["verdict"] == "unresolved"
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_wrong_outputs_on_either_side_leave_both_verdicts_not_judged(side):
+    """A change that wins every pair by far is still not judged, by the gain
+    rule or the no-regression rule, once one run of either side reported
+    wrong outputs."""
+    parent = [10.0, 10.2, 10.1, 9.9, 10.0, 10.1, 9.9, 10.0, 10.2, 10.1]
+    runs = _runs({"op_s_p50": parent}, {"op_s_p50": [v - 1.0 for v in parent]})
+    summary = bench_pairs.summarize(runs, 10, BETTER)
+    assert bench_pairs.judge(summary, "w.op_s_p50")["verdict"] == "met"
+    assert bench_pairs.no_regression(summary, "w.op_s_p50", 0.25)["verdict"] == "within"
+    next(r for r in runs if r["side"] == side and r["pair"] == 4)["correct"] = False
+    summary = bench_pairs.summarize(runs, 10, BETTER)
+    assert summary["w.op_s_p50"]["wrong_output_runs"] == 1
+    claim = bench_pairs.judge(summary, "w.op_s_p50")
+    assert claim["verdict"] == "not judged" and not claim["met"]
+    assert bench_pairs.no_regression(summary, "w.op_s_p50", 0.25)["verdict"] == "not judged"
+
+
+def test_main_writes_the_runs_so_far_and_exits_nonzero_after_a_failed_run(monkeypatch, tmp_path):
+    """Faked ``perfbench/run.py`` runs: two pairs that all succeed give a file
+    with every verdict and exit 0; a run that exits 3 (the third, pair 2's
+    change run) stops the script, which writes the three runs, that exit code
+    and no verdicts, and exits 1."""
+    names = [m["name"] for m in bench_pairs.BENCHMARK["end_to_end"]]
+    calls = []
+
+    def fake_run(tree, workload, seed, fail_at=None):
+        calls.append(seed)
+        if len(calls) == fail_at:
+            return {"exit_code": 3}
+        return {"exit_code": 0, "correct": True, "attempted": 5, "failed": 0,
+                "metrics": {f"{workload}.{name}": 1.0 for name in names}}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    argv = ["bench_pairs.py", "--parent", str(tmp_path), "--workload", "w", "--pairs", "2",
+            "--seed", "7", "--label", "fake", "--claim", "w.op_s_p50"]
+    monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    assert bench_pairs.main() == 0
+    report = json.loads((tmp_path / "BENCH_fake.json").read_text())
+    assert len(report["runs"]) == 4 and "stopped" not in report
+    assert report["claim"]["verdict"] == "not met"  # ties win no pair
+    assert len(report["no_regression"]) == len(names)
+
+    calls.clear()
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: fake_run(*a, fail_at=3))
+    assert bench_pairs.main() == 1
+    report = json.loads((tmp_path / "BENCH_fake.json").read_text())
+    assert [(r["pair"], r["side"], r["exit_code"]) for r in report["runs"]] == [
+        (1, "parent", 0), (1, "change", 0), (2, "change", 3)
+    ]
+    assert report["stopped"] == report["runs"][-1]
+    assert report["failed_ops"] == {"parent": "0 of 5", "change": "0 of 5"}
+    assert not {"summary", "no_regression", "claim"} & report.keys()

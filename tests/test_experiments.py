@@ -18,7 +18,7 @@ from nystrom_krr.cli import main as cli_main
 from nystrom_krr.kernels import KernelSpec
 from nystrom_krr.linalg import NumericalError, blas_threads
 from nystrom_krr.nystrom import SizeRuleParams
-from nystrom_krr.spectral import IndexFunction
+from nystrom_krr.spectral import IndexFunction, analytic_profile, lambda0
 from nystrom_krr.synthetic import NoiseSpec, l2_rho_error, make_target, sample_dataset
 
 
@@ -97,6 +97,15 @@ def test_lambda_policy_validation():
         policy = {"kind": "grid", "values": [1e-3, bad]}
         with pytest.raises(ValueError, match="'values' must be finite and positive"):
             exp.config_from_dict(config_dict(lambda_policy=policy))
+    # a repeated value, here lambda0 of the last n, would be two grid points
+    # with the same lambda, both marked is_lambda0
+    config = small_config()
+    lam0 = lambda0(analytic_profile(config.kernel.decay, config.kernel.truncation), config.n_grid[-1])
+    with pytest.raises(ValueError, match="grid lambda policy 'values' repeats a value"):
+        exp.LambdaPolicy("grid", values=(1e-3, lam0, lam0))
+    policy = {"kind": "grid", "values": [1e-3, lam0, lam0]}
+    with pytest.raises(ValueError, match="'values' repeats a value"):
+        exp.config_from_dict(config_dict(lambda_policy=policy))
 
 
 # ---------------------------------------------------------------------------
