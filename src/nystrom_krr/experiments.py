@@ -248,6 +248,7 @@ def _cell_values(config: ExperimentConfig, grid, target, seeds, krr_baseline: bo
     krr_err = None
     if krr_baseline:
         krr_err = l2_rho_error(krr.fit_krr(config.kernel, data, lam), config.kernel, data)
+    krr._drop_cell()  # no other cell reads this one's factor
     return err, krr_err, model.opcount.flops, wall_ms
 
 

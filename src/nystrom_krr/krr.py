@@ -26,6 +26,13 @@ no n x n array. The factor gives up at rank n/64, where the dense Cholesky
 ``R^T R = K + lam n I`` is the faster route; that is the Laplacian and very
 narrow Gaussians (numerical rank about 3.4 / bandwidth at n = 4096).
 
+One held cell, the last low-rank or moment factor, lets the size rule, ``fit_krr``
+and the designed Nystrom fit on one cell's data build it once. Its key is compared
+by value, never identity: the kernel, shift and points' bytes, or mu, lam, points
+and labels. A miss drops it before the build. Its arrays are read-only; it holds
+r x n doubles, or T^2 (n > T: 32 MB at T = 2048), until the next build or
+``_drop_cell``; the dense route is not held. Designed fits run at one BLAS thread.
+
 Predictions. An expansion is summed over its nonzero weights only (a Nystrom
 fit's weights vanish off the r inducing points its pivoted Cholesky kept; an
 all-zero ``alpha`` predicts zeros), as ``cross_gram @ alpha`` in the 2 MB row
@@ -68,7 +75,7 @@ from .kernels import (
     low_rank_gram,
     sections,
 )
-from .linalg import OpCount, _require_symmetric, check_positive, cholesky_psd
+from .linalg import OpCount, _require_symmetric, blas_threads, check_positive, cholesky_psd
 
 
 @dataclass(frozen=True)
@@ -147,26 +154,57 @@ def _training_arrays(kernel: KernelSpec, data, lam: float):
     return xs, ys
 
 
+_held = None  # (key, value) of the held cell (module docstring), or None
+
+
+def _drop_cell() -> None:
+    global _held
+    _held = None
+
+
+def _cell(key: tuple, build):
+    """``build()``, or the held value when ``key`` equals the held key; a miss
+    drops the held cell before the build, so two are never held."""
+    global _held
+    if _held is not None and _held[0] == key:
+        return _held[1]
+    _held = None
+    value = build()
+    if value is not None:
+        for part in value:
+            if isinstance(part, np.ndarray):
+                part.setflags(write=False)
+        _held = key, value
+    return value
+
+
 def _moment_factor(xs, ys, mu, lam):
     """The system ``(S + lam I) u = b`` of n > T points from the trig moments: the
     upper ``U = cholesky(S + lam I)``, in the memory of ``S = covariance(xs, mu)``,
-    ``b = sqrt(mu) * Phi^T y / n`` and ``||U||_F^2 = tr S + T lam``."""
-    s_mat = covariance(xs, mu)
-    _require_symmetric(s_mat)
-    norm2 = float(np.trace(s_mat)) + mu.size * lam
-    u_mat = cholesky_psd(s_mat, lam, overwrite_a=True)
-    return u_mat, np.sqrt(mu) * basis_moments(xs, ys, mu.size) / xs.size, norm2
+    ``b = sqrt(mu) * Phi^T y / n`` and ``||U||_F^2 = tr S + T lam``; held."""
+    def build():
+        s_mat = covariance(xs, mu)
+        _require_symmetric(s_mat)
+        norm2 = float(np.trace(s_mat)) + mu.size * lam
+        u_mat = cholesky_psd(s_mat, lam, overwrite_a=True)
+        return u_mat, np.sqrt(mu) * basis_moments(xs, ys, mu.size) / xs.size, norm2
+
+    return _cell(("moment", mu.tobytes(), lam, xs.tobytes(), ys.tobytes()), build)
 
 
 def _shifted_factor(kernel: KernelSpec, xs, shift: float):
-    """``(L^T, P, C)`` of ``low_rank_gram`` with ``C^T C = shift I + L^T L``, else
-    ``(None, None, R)`` with ``R^T R = K + shift I`` factored in the Gram's own
-    memory (one n x n array; ``gram`` is exactly symmetric); module docstring."""
-    low_rank = low_rank_gram(kernel, xs, shift)
-    if low_rank is None:
+    """``(L^T, P, C)`` of ``low_rank_gram`` with ``C^T C = shift I + L^T L``, held,
+    else ``(None, None, R)`` with ``R^T R = K + shift I`` factored in the Gram's
+    own memory (one n x n array, not held; ``gram`` is exactly symmetric)."""
+    def build():
+        low_rank = low_rank_gram(kernel, xs, shift)
+        if low_rank is not None:  # else None: the dense route is not held
+            return *low_rank, cholesky_psd(low_rank[0] @ low_rank[0].T, shift)
+
+    factor = _cell(("shifted", kernel, shift, xs.tobytes()), build)
+    if factor is None:
         return None, None, cholesky_psd(gram(kernel, xs), shift, overwrite_a=True)
-    factor_t, pivots = low_rank
-    return factor_t, pivots, cholesky_psd(factor_t @ factor_t.T, shift)
+    return factor
 
 
 def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
@@ -174,6 +212,13 @@ def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
     n > T as the T x T closed form, for a closed-form kernel by Woodbury on its
     low-rank factor when the rank is below the cap (module docstring)."""
     xs, ys = _training_arrays(kernel, data, lam)
+    if not kernel.is_designed:
+        return _fit_krr(kernel, xs, ys, lam)
+    with blas_threads(1):
+        return _fit_krr(kernel, xs, ys, lam)
+
+
+def _fit_krr(kernel: KernelSpec, xs, ys, lam: float) -> KernelModel:
     n = xs.size
     if kernel.is_designed and n > kernel.truncation:
         mu = kernel.eigenvalues()

@@ -221,7 +221,7 @@ def partial_cholesky(
     else:
         tol = n * eps * check_positive(shift, "shift")
         cap, stat = n // _PARTIAL_RANK_DIVISOR, np.sum
-    resid = np.array(diag, dtype=np.float64)
+    resid, square = np.array(diag, dtype=np.float64), np.empty(n)
     rows = np.empty((min(cap, 64), n))
     pivots = np.empty(cap, dtype=np.intp)
     r = 0
@@ -230,11 +230,13 @@ def partial_cholesky(
             return None
         if r == rows.shape[0]:  # grow by doubling: memory O(n r), not O(n cap)
             rows = np.concatenate([rows, np.empty((min(cap, 2 * r) - r, n))])
-        p = pivots[r] = int(np.argmax(resid))
-        col = column(p) - rows[:r].T @ rows[:r, p]
-        col /= math.sqrt(resid[p])
-        rows[r] = col
-        resid -= col * col
+        p = pivots[r] = int(resid.argmax())
+        # row r of the factor is column(p) - L[:r]^T L[:r, p], formed in place
+        row = rows[r]
+        np.matmul(rows[:r].T, rows[:r, p], out=row)
+        np.subtract(column(p), row, out=row)
+        row /= math.sqrt(resid[p])
+        resid -= np.multiply(row, row, out=square)
         resid[p] = 0.0
         # round-off negatives would hide residual mass from the stopping sum
         np.maximum(resid, 0.0, out=resid)

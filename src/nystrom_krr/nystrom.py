@@ -98,6 +98,7 @@ from .kernels import (
 from .krr import KernelModel, _moment_factor, _training_arrays, predict  # noqa: F401
 from .linalg import (
     OpCount,
+    blas_threads,
     check_count,
     check_fraction,
     check_number,
@@ -184,7 +185,8 @@ def fit_nystrom(kernel: KernelSpec, data, lam: float, inducing_indices) -> Kerne
     x_ind = xs[idx]
     alpha = coeff = None
     if kernel.is_designed:
-        coeff, rank = _designed_fit(kernel, xs, ys, x_ind, lam)
+        with blas_threads(1):
+            coeff, rank = _designed_fit(kernel, xs, ys, x_ind, lam)
     else:
         r_factor, keep = pivoted_gram(kernel, x_ind)
         beta = _reduced_generic(kernel, xs, ys, x_ind[keep], r_factor, lam)

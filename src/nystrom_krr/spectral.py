@@ -191,8 +191,8 @@ def nx_empirical_training(kernel: KernelSpec, training_xs, lam: float) -> np.nda
     n = xs.size
     factor_t, _, chol = _shifted_factor(kernel, xs, lam * n)
     if factor_t is not None:
-        # L = factor_t.T is Fortran-ordered: solved in place, no copy
-        z_t = sla.blas.dtrsm(1.0, chol, factor_t.T, side=1, overwrite_b=True)
+        # out of place: L = factor_t.T is the held cell's (krr module docstring)
+        z_t = sla.blas.dtrsm(1.0, chol, factor_t.T, side=1)
         return _check_nx(n * np.einsum("ij,ij->i", z_t, z_t), kernel, lam)
     r_inv, info = sla.lapack.dtrtri(chol, lower=0, overwrite_c=1)
     if info != 0:

@@ -345,6 +345,23 @@ def test_trig_sum_in_row_chunks_bit_for_bit(monkeypatch):
     assert np.array_equal(trig_sum(xs, coeffs), whole)
 
 
+def test_trig_sum_of_a_point_does_not_depend_on_its_batch(monkeypatch):
+    """200 single-point calls, and the last point of calls with n = 1 modulo the
+    chunk's 64 rows, equal the batched values bit for bit: a one-row weight
+    product would go to gemv, not gemm, and round differently (before, 124 of
+    these 200 single points moved by up to 2.8e-14)."""
+    rng = np.random.default_rng(10)
+    xs, coeffs = rng.uniform(0.0, 1.0, 200), rng.standard_normal(1025) + 1j * rng.standard_normal(1025)
+    whole = trig_sum(xs, coeffs)
+    assert np.array_equal([trig_sum(x, coeffs)[0] for x in xs], whole)
+    width = kernels._NUFFT_DEGREE + 1 + 2 * kernels._NUFFT_WIDTH
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", width * 64)
+    assert [p.stop - p.start for p in kernels._row_blocks(129, width)] == [64, 64, 1]
+    for i in range(128, 200):
+        got = trig_sum(np.append(xs[:128], xs[i]), coeffs)
+        assert np.array_equal(got, np.append(whole[:128], whole[i]))
+
+
 _XS = np.linspace(0.0, 1.0, 5)
 
 

@@ -559,3 +559,99 @@ def test_empirical_risk_norm_term_matches_gram_formula(monkeypatch):
                 patch.setattr(krr, "gram", None)
                 got = empirical_risk(model, kernel, data, lam)
             assert abs(got - want) <= tol, (kernel, n)
+
+
+def _spy_calls(monkeypatch, module, name):
+    """A list that gets ``name`` at each call of ``module.name``."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_size_rule_krr_and_nystrom_share_the_held_factor(monkeypatch):
+    """Gaussian(0.1), n = 4096: the plug-in size rule and then ``fit_krr`` on the
+    same points and lam build one low-rank factor, and the fit's ``alpha``
+    equals a cold fit's bit for bit. Designed T = 64, n = 300: ``fit_nystrom``
+    and then ``fit_krr`` on one dataset factor ``S + lam I`` once, and the KRR
+    coefficients equal a cold fit's bit for bit."""
+    low_rank = _spy_calls(monkeypatch, krr, "low_rank_gram")
+    kernel = KernelSpec.gaussian(0.1)
+    rng = np.random.default_rng(30)
+    n, lam = 4096, 2.5e-3
+    data = _dataset(rng.uniform(0.0, 1.0, n), rng.standard_normal(n))
+    subsample_size(n, lam, SizeRuleParams(c=2.0, delta=0.1), kernel=kernel, xs=data.xs)
+    shared = fit_krr(kernel, data, lam)
+    assert low_rank == ["low_rank_gram"]
+    krr._drop_cell()
+    assert np.array_equal(fit_krr(kernel, data, lam).alpha, shared.alpha) and len(low_rank) == 2
+
+    factors = _spy_calls(monkeypatch, krr, "cholesky_psd")
+    kernel = KernelSpec.designed(0.5, 64)
+    data = _dataset(rng.uniform(0.0, 1.0, 300), rng.standard_normal(300))
+    fit_nystrom(kernel, data, 1e-3, np.arange(20))
+    shared = fit_krr(kernel, data, 1e-3)
+    assert factors == ["cholesky_psd"]
+    krr._drop_cell()
+    cold = fit_krr(kernel, data, 1e-3)
+    assert np.array_equal(cold.coefficients, shared.coefficients) and len(factors) == 2
+
+
+def test_held_factor_is_read_only():
+    """Every array of the held cell, low-rank or moment factor, refuses writes."""
+    rng = np.random.default_rng(32)
+    xs, ys = rng.uniform(0.0, 1.0, 2048), rng.standard_normal(2048)
+    low_rank = krr._shifted_factor(KernelSpec.gaussian(0.2), xs, 2048 * 1e-3)
+    moment = krr._moment_factor(xs, ys, KernelSpec.designed(0.5, 64).eigenvalues(), 1e-3)
+    assert low_rank[0] is not None
+    for arr in [*low_rank, *moment[:2]]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0
+
+
+def test_changed_points_lambda_kernel_or_labels_rebuild_the_held_factor(monkeypatch):
+    """The held factor is found by value: the same call again reads it, while
+    points changed in place, another lam or another kernel build afresh; other
+    labels rebuild the moment factor, whose ``b`` they set, and not the
+    low-rank one."""
+    low_rank = _spy_calls(monkeypatch, krr, "low_rank_gram")
+    moments = _spy_calls(monkeypatch, krr, "covariance")
+    rng = np.random.default_rng(31)
+    for kernel, other, n, calls, built in (
+        (KernelSpec.gaussian(0.2), KernelSpec.gaussian(0.25), 2048, low_rank, [1, 1, 2, 3, 4, 4]),
+        (KernelSpec.designed(0.5, 64), KernelSpec.designed(0.6, 64), 300, moments, [1, 1, 2, 3, 4, 5]),
+    ):
+        data = _dataset(rng.uniform(0.0, 1.0, n), rng.standard_normal(n))
+        counts = []
+        for step in ("first", "again", "xs", "lam", "kernel", "ys"):
+            if step in ("xs", "ys"):
+                getattr(data, step)[7] = 0.5  # in place: the same array
+            lam = 1e-3 if step in ("first", "again", "xs") else 2e-3
+            fit_krr(other if step in ("kernel", "ys") else kernel, data, lam)
+            counts.append(len(calls))
+        assert counts == built, kernel
+
+
+def test_two_designed_fits_in_a_row_never_hold_two_factors():
+    """Designed T = 1024, n = 4096, m = 200: a fit on new data drops the held
+    T x T factor before it builds its own, so a Nystrom fit and full KRR on each
+    of two datasets peak below two T x T float64 arrays."""
+    import tracemalloc
+
+    t = 1024
+    kernel = KernelSpec.designed(0.5, t)
+    rng = np.random.default_rng(33)
+    sets = [_dataset(rng.uniform(0.0, 1.0, 4096), rng.standard_normal(4096)) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        for data in sets:
+            fit_nystrom(kernel, data, 1e-3, np.arange(200))
+            fit_krr(kernel, data, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * t * t, peak / 2**20

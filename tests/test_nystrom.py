@@ -487,7 +487,9 @@ def test_designed_fit_above_truncation_factors_once(monkeypatch, caplog):
     and solves no second system (``solve_regularized``), on each branch: the
     certified whitened span, a refused certificate without and with a rank cut
     (``kappa(W) ~ 3e12``, an exact repeat), and m >= T with and without a cut.
-    Designed full KRR too. Each Nystrom fit stays within the oracle's tolerance."""
+    Designed full KRR too, on fresh data; on the data of the last Nystrom fit it
+    reads the held factor and factors nothing. Each Nystrom fit stays within the
+    oracle's tolerance."""
     from nystrom_krr import linalg
 
     calls, taken = [], _whitened_routes(monkeypatch)
@@ -523,6 +525,8 @@ def test_designed_fit_above_truncation_factors_once(monkeypatch, caplog):
         assert err <= (tol or 10 * max(1e-10, kappa_eps)), (cluster.size, err, kappa_eps)
     calls.clear()
     krr.fit_krr(kernel, data, 1e-3)
+    assert calls == []
+    krr.fit_krr(kernel, _dataset(rest, rng.standard_normal(rest.size)), 1e-3)
     assert calls == ["cholesky_psd"]
 
 
@@ -543,6 +547,46 @@ def test_whitened_route_holds_one_truncation_square_array():
         tracemalloc.stop()
     assert peak < 2 * 8 * 2048**2, peak / 2**20
     assert model.coefficients.shape == (2048,)
+
+
+def test_designed_fits_hold_one_blas_thread(monkeypatch):
+    """T = 256: every designed route, the Nystrom fit on n <= T, on the
+    whitened span, after a refused certificate and at m >= T, and full KRR on
+    n <= T and n > T, runs at one BLAS thread and gives the same coefficients
+    bit for bit under ``blas_threads(2)`` as under ``blas_threads(1)``. Each
+    fit starts without a held factor."""
+    from nystrom_krr import linalg
+
+    seen = []
+
+    def spy(fn):
+        def wrapper(*args):
+            seen.append([get() for get, _ in linalg._blas_thread_calls()])
+            return fn(*args)
+
+        return wrapper
+
+    for module, name in ((nystrom, "_designed_fit"), (krr, "_moment_factor"), (krr, "_shifted_factor")):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    kernel = KernelSpec.designed(0.5, 256)
+    coeffs = {}
+    for threads in (1, 2):
+        with linalg.blas_threads(threads):
+            for route, n, m in (("n <= T", 200, 100), ("whitened", 2048, 100),
+                                ("refused", 2048, 100), ("m >= T", 2048, 300)):
+                rng = np.random.default_rng(n + m)
+                xs = rng.uniform(0.0, 1.0, n)
+                if route == "refused":
+                    xs[m // 2 : m] = xs[: m // 2]
+                data = _dataset(xs, rng.standard_normal(n))
+                krr._drop_cell()
+                model = fit_nystrom(kernel, data, 1e-3, np.arange(m))
+                coeffs.setdefault(route, []).append(model.coefficients)
+                krr._drop_cell()
+                coeffs.setdefault(f"KRR {route}", []).append(krr.fit_krr(kernel, data, 1e-3).coefficients)
+    assert seen == [[1] * len(linalg._blas_thread_calls())] * 16
+    for route, (one, two) in coeffs.items():
+        assert np.array_equal(one, two), route
 
 
 def _streamed_blocks(monkeypatch):
