@@ -80,6 +80,8 @@ class ExperimentConfig:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _typed(self.krr_baseline, bool, "krr_baseline", "true or false")
+        self.gamma = _optional(self.gamma, "gamma")
         if len(self.n_grid) == 0:
             raise ValueError("n_grid must be nonempty")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -170,8 +172,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         size_rule=size_rule,
         lambda_policy=policy,
         outputs=_typed(raw.get("outputs", "out"), str, "outputs", "a string"),
-        krr_baseline=_typed(raw.get("krr_baseline", False), bool, "krr_baseline", "true or false"),
-        gamma=_optional(raw.get("gamma"), "gamma"),
+        krr_baseline=raw.get("krr_baseline", False),
+        gamma=raw.get("gamma"),
         lambda_factor=_number(raw.get("lambda_factor", 3.0), "lambda_factor"),
         exponent_tolerance=_number(raw.get("exponent_tolerance", 0.15), "exponent_tolerance"),
         diagnostics=diagnostics,
@@ -391,7 +393,7 @@ def run_cost_sweep(config: ExperimentConfig):
     if config.gamma is None:
         raise ValueError("cost sweep needs 'gamma' in the config")
     s = config.kernel.decay.s
-    gamma = float(config.gamma)
+    gamma = config.gamma
     bound = c_gamma_for_designed(config.kernel.decay, config.kernel.truncation, gamma)
     rule = replace(config.size_rule, gamma=gamma, c_gamma=bound.c_gamma)
     subquadratic = 2.0 * gamma + s > 1.0
@@ -499,6 +501,9 @@ def run_diagnostics(config: ExperimentConfig):
         f"max_ratio={r.observed_max_ratio:.3f}"
         for r in reports
     ]
+    if phi is not config.phi:
+        summary.append(f"smoothness_perturbation checked phi {phi.family} r={phi.r:g} in place "
+                       f"of the configured {config.phi.family} r={config.phi.r:g}")
     passed = all(
         r.violation_rate <= r.delta + 0.05
         for r in reports

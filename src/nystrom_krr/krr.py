@@ -9,9 +9,9 @@ matches the population-scaled spectral quantities used elsewhere.
 A designed kernel has rank T: with the sections ``w(x) = sqrt(mu) * e(x)``
 (``W_n`` those of the n training points), the minimizer is ``f = sqrt(mu) * u``
 with ``(S + lam I) u = b``, ``S = W_n^T W_n / n`` and ``b = W_n^T y / n``
-(``_moment_factor``). ``(S + lam I)^-1`` maps ``b`` into ``range(W_n^T)``, so
-this is the exact full-KRR minimizer for any n points, repeated or not. Above
-T it replaces the n x n system: O(n sqrt(T) + T^3) and no n x n array.
+(``_moment_factor`` factors ``S + lam I``). ``(S + lam I)^-1`` maps ``b`` into
+``range(W_n^T)``: the exact full-KRR minimizer for any n points, repeated or
+not. Above T it replaces the n x n system: O(n sqrt(T) + T^3), no n x n array.
 
 A closed-form kernel (Gaussian, Laplacian) solves on ``_shifted_factor``, the
 one factor of ``K + lam n I`` that ``spectral``'s ridge leverage scores share:
@@ -27,10 +27,10 @@ no n x n array. The factor gives up at rank n/64, where the dense Cholesky
 narrow Gaussians (numerical rank about 3.4 / bandwidth at n = 4096).
 
 One held cell, the last low-rank or moment factor, lets the size rule, ``fit_krr``
-and the designed Nystrom fit on one cell's data build it once. Its key is compared
-by value, never identity: the kernel, shift and points' bytes, or mu, lam, points
-and labels. A miss drops it before the build. Its arrays are read-only; it holds
-r x n doubles, or T^2 (n > T: 32 MB at T = 2048), until the next build or
+and the designed Nystrom fit on one cell's data, whatever the labels, build it once.
+Its key is compared by value, never identity: the kernel, shift and points' bytes,
+or mu, lam and points. A miss drops it before the build. Its arrays are read-only;
+it holds r x n doubles, or T^2 (n > T: 32 MB at T = 2048), until the next build or
 ``_drop_cell``; the dense route is not held. Designed fits run at one BLAS thread.
 
 Predictions. An expansion is summed over its nonzero weights only (a Nystrom
@@ -75,7 +75,7 @@ from .kernels import (
     low_rank_gram,
     sections,
 )
-from .linalg import OpCount, _require_symmetric, blas_threads, check_positive, cholesky_psd
+from .linalg import OpCount, blas_threads, check_positive, cholesky_psd
 
 
 @dataclass(frozen=True)
@@ -178,18 +178,16 @@ def _cell(key: tuple, build):
     return value
 
 
-def _moment_factor(xs, ys, mu, lam):
-    """The system ``(S + lam I) u = b`` of n > T points from the trig moments: the
-    upper ``U = cholesky(S + lam I)``, in the memory of ``S = covariance(xs, mu)``,
-    ``b = sqrt(mu) * Phi^T y / n`` and ``||U||_F^2 = tr S + T lam``; held."""
+def _moment_factor(xs, mu, lam):
+    """``(U, ||U||_F^2)`` of n > T points, ``U^T U = S + lam I`` from the lower triangle
+    of ``S = covariance(xs, mu)``, in its memory (mirror entries differ by rounding),
+    held under mu, lam and xs; each reader forms ``b = sqrt(mu) * Phi^T y / n``."""
     def build():
         s_mat = covariance(xs, mu)
-        _require_symmetric(s_mat)
         norm2 = float(np.trace(s_mat)) + mu.size * lam
-        u_mat = cholesky_psd(s_mat, lam, overwrite_a=True)
-        return u_mat, np.sqrt(mu) * basis_moments(xs, ys, mu.size) / xs.size, norm2
+        return cholesky_psd(s_mat, lam, overwrite_a=True), norm2
 
-    return _cell(("moment", mu.tobytes(), lam, xs.tobytes(), ys.tobytes()), build)
+    return _cell(("moment", mu.tobytes(), lam, xs.tobytes()), build)
 
 
 def _shifted_factor(kernel: KernelSpec, xs, shift: float):
@@ -222,7 +220,8 @@ def _fit_krr(kernel: KernelSpec, xs, ys, lam: float) -> KernelModel:
     n = xs.size
     if kernel.is_designed and n > kernel.truncation:
         mu = kernel.eigenvalues()
-        u_mat, rhs, _ = _moment_factor(xs, ys, mu, lam)
+        u_mat = _moment_factor(xs, mu, lam)[0]
+        rhs = np.sqrt(mu) * basis_moments(xs, ys, mu.size) / n
         coeff = np.sqrt(mu) * sla.cho_solve((u_mat, False), rhs, check_finite=False)
         return KernelModel(xs, None, lam, OpCount.krr(n), kernel=kernel, coefficients=coeff)
     factor_t, pivots, chol = _shifted_factor(kernel, xs, lam * n)

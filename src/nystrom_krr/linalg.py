@@ -140,7 +140,7 @@ def _require_symmetric(a: np.ndarray, tol: float = 1e-10) -> None:
 
 
 def cholesky_psd(a: np.ndarray, shift: float, overwrite_a: bool = False) -> np.ndarray:
-    """Upper Cholesky factor of ``a + shift * I``, ``a`` exactly symmetric PSD
+    """Upper Cholesky factor of ``a + shift * I``, ``a`` symmetric PSD
     and ``shift > 0``, factored in place on one Fortran-ordered copy of ``a.T``
     (``a`` is left as it was; its lower triangle is read). For a C-ordered ``a``
     that copy is straight, not a strided transpose (0.05 s against 0.5 s at

@@ -16,8 +16,8 @@ carries no ``alpha``. For n <= T, ``v = Q beta`` for an orthonormal basis
 ``G = W_n Q``.
 
 One factor, three uses (n > T). ``S`` and ``b`` come from the trig moments,
-and ``S + lam I = U^T U`` is factored once, in place (``krr._moment_factor``,
-designed full KRR's factor too). With ``u = U v`` the objective is
+and ``S + lam I = U^T U`` is factored once per points and lam, in place, for
+any labels (``krr._moment_factor``, designed full KRR's factor too). With ``u = U v`` the objective is
 ``||u - U^-T b||^2`` up to a constant, so for a basis ``B`` of the span and a
 Householder QR ``Z = U B = Q_z R_z``, ``v = U^-1 Q_z Q_z^T U^-T b``, ``Q_z``
 applied as reflectors (two ``gemqrt`` calls on one vector). ``B`` is:
@@ -92,7 +92,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .kernels import (
-    KernelSpec, _row_blocks, as_points, covariance, cross_gram, pivoted_gram, sections
+    KernelSpec, _row_blocks, as_points, basis_moments, covariance, cross_gram, pivoted_gram, sections
 )
 # predict is re-exported: one predict serves every model
 from .krr import KernelModel, _moment_factor, _training_arrays, predict  # noqa: F401
@@ -212,7 +212,8 @@ def _designed_fit(kernel, xs, ys, x_ind, lam):
         # the factor of S + lam I before Q: built after Q, the moment blocks of S
         # stack on it (peak RSS 150-155 MB against 136-140 MB on rate cells
         # n=16384, m=978, T=2048)
-        s_factor, rhs, u_norm2 = _moment_factor(xs, ys, mu, lam)
+        s_factor, u_norm2 = _moment_factor(xs, mu, lam)
+        rhs = np.sqrt(mu) * basis_moments(xs, ys, t) / n
         if m < t:
             v_vec = _whitened_solve(s_factor, rhs, u_norm2, sections(x_ind, mu).T, tol)
             if v_vec is not None:

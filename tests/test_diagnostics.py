@@ -365,6 +365,18 @@ def test_run_diagnostics_equals_separate_checks():
             assert vars(joint) == vars(alone), alone.bound_name
 
 
+def test_diagnostics_summary_names_a_substituted_phi():
+    """A log_type target's summary is that of holder(0.5), which its smoothness
+    row checks, and one line that says so; a Hoelder target's summary is the
+    four check lines alone."""
+    _, holder, _ = run_diagnostics(_diagnostics_config(IndexFunction.holder(0.5), 2))
+    _, log_type, _ = run_diagnostics(_diagnostics_config(IndexFunction.log_type(0.5), 2))
+    assert len(holder) == 4 and log_type[:4] == holder[:4] and log_type[4:] == [
+        "smoothness_perturbation checked phi holder r=0.5 in place of the configured "
+        "log_type r=0.5"
+    ]
+
+
 def test_run_diagnostics_builds_each_trial_once(monkeypatch, tmp_path):
     """A run of k trials builds k empirical covariances and k QRs of the
     inducing sections: each trial's draw is shared by the four checks. The

@@ -80,6 +80,19 @@ def test_config_errors_are_explicit(tmp_path):
         exp.load_config(bad)
 
 
+def test_direct_config_checks_what_the_json_path_checks():
+    """``ExperimentConfig`` built in code rejects a ``krr_baseline`` that is not a
+    bool and a ``gamma`` that is not a number, with the JSON path's messages:
+    ``"false"`` would run the baseline and ``True`` would run as gamma = 1."""
+    for bad in ("false", 1, None):
+        with pytest.raises(ValueError, match="config error: 'krr_baseline' must be true or false"):
+            small_config(krr_baseline=bad)
+    for bad in ("0.75", True):
+        with pytest.raises(ValueError, match="config error: 'gamma' must be a number"):
+            small_config(gamma=bad)
+    assert small_config(gamma=1).gamma == 1.0 and small_config(gamma=None).gamma is None
+
+
 def test_lambda_policy_validation():
     with pytest.raises(ValueError):
         exp.LambdaPolicy("fixed")

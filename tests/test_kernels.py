@@ -10,6 +10,7 @@ from nystrom_krr.kernels import (
     KernelSpec,
     basis_moments,
     basis_sum,
+    covariance,
     cross_gram,
     eval_kernel,
     fourier_basis,
@@ -423,3 +424,25 @@ def test_pivoted_gram_above_its_cap_is_the_dense_factor():
     r_mat, keep = pivoted_gram(kernel, xs)
     ref_r, ref_keep = pivoted_cholesky(gram(kernel, xs))
     assert keep.size == 900 and np.array_equal(keep, ref_keep) and np.array_equal(r_mat, ref_r)
+
+
+@pytest.mark.parametrize("truncation", [64, 65, 2048])
+def test_covariance_mirror_entries_differ_by_rounding_only(truncation):
+    """Each entry of ``covariance`` differs from its mirror by at most 2 eps of
+    the larger of the two, so the factor reads its lower triangle unchecked.
+    Before the scaling the matrix is exactly symmetric: every entry and its
+    mirror are one moment, one sum or difference of the same two moments, or
+    a transposed copy. Entry (j, k) is then ``fl(fl(p r_j) r_k)`` and (k, j)
+    is ``fl(fl(p r_k) r_j)``, ``r = sqrt(mu)``: each is ``x (1 + d1)(1 + d2)``
+    with ``x = p r_j r_k`` and ``|d| <= u = eps / 2``, so both lie in
+    ``[(1 - u)^2 |x|, (1 + u)^2 |x|]`` in magnitude. If the larger is at least
+    ``|x|``, the gap is at most ``((1 + u)^2 - (1 - u)^2) |x| = 2 eps |x|``, at
+    most 2 eps times the larger; else both lie below ``|x|``, and the gap is at
+    most ``(2u - u^2) |x| <= 2 eps (1 - u)^2 |x|``, again at most 2 eps times
+    the larger."""
+    xs = np.random.default_rng(truncation).uniform(0.0, 1.0, 1000)
+    s_mat = covariance(xs, KernelSpec.designed(0.5, truncation).eigenvalues())
+    gap = np.abs(s_mat - s_mat.T)
+    larger = np.maximum(np.abs(s_mat), np.abs(s_mat.T))
+    assert (gap <= 2 * np.finfo(np.float64).eps * larger).all()
+    assert gap.max() > 0.0  # the scaling does round: the bound is what holds

@@ -601,14 +601,36 @@ def test_size_rule_krr_and_nystrom_share_the_held_factor(monkeypatch):
     assert np.array_equal(cold.coefficients, shared.coefficients) and len(factors) == 2
 
 
+def test_nystrom_and_krr_with_other_labels_share_the_moment_factor(monkeypatch):
+    """Designed T = 64, n = 300: ``fit_nystrom`` and then ``fit_krr`` with other
+    labels on the same points and lam build one ``covariance`` and one
+    ``cholesky_psd``, and each model's coefficients equal a cold fit's bit for
+    bit."""
+    built = _spy_calls(monkeypatch, krr, "covariance")
+    factored = _spy_calls(monkeypatch, krr, "cholesky_psd")
+    kernel, lam = KernelSpec.designed(0.5, 64), 1e-3
+    rng = np.random.default_rng(34)
+    xs = rng.uniform(0.0, 1.0, 300)
+    first, other = _dataset(xs, rng.standard_normal(300)), _dataset(xs, rng.standard_normal(300))
+    shared = fit_nystrom(kernel, first, lam, np.arange(20)), fit_krr(kernel, other, lam)
+    assert built == ["covariance"] and factored == ["cholesky_psd"]
+    krr._drop_cell()
+    cold_nystrom = fit_nystrom(kernel, first, lam, np.arange(20))
+    krr._drop_cell()
+    cold = cold_nystrom, fit_krr(kernel, other, lam)
+    assert len(built) == len(factored) == 3
+    for warm, fresh in zip(shared, cold):
+        assert np.array_equal(warm.coefficients, fresh.coefficients)
+
+
 def test_held_factor_is_read_only():
-    """Every array of the held cell, low-rank or moment factor, refuses writes."""
-    rng = np.random.default_rng(32)
-    xs, ys = rng.uniform(0.0, 1.0, 2048), rng.standard_normal(2048)
+    """Every array of the held cell, the low-rank factor's three or the moment
+    factor's U, refuses writes."""
+    xs = np.random.default_rng(32).uniform(0.0, 1.0, 2048)
     low_rank = krr._shifted_factor(KernelSpec.gaussian(0.2), xs, 2048 * 1e-3)
-    moment = krr._moment_factor(xs, ys, KernelSpec.designed(0.5, 64).eigenvalues(), 1e-3)
+    u_mat, _ = krr._moment_factor(xs, KernelSpec.designed(0.5, 64).eigenvalues(), 1e-3)
     assert low_rank[0] is not None
-    for arr in [*low_rank, *moment[:2]]:
+    for arr in [*low_rank, u_mat]:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0
 
@@ -616,14 +638,14 @@ def test_held_factor_is_read_only():
 def test_changed_points_lambda_kernel_or_labels_rebuild_the_held_factor(monkeypatch):
     """The held factor is found by value: the same call again reads it, while
     points changed in place, another lam or another kernel build afresh; other
-    labels rebuild the moment factor, whose ``b`` they set, and not the
-    low-rank one."""
+    labels rebuild neither the low-rank nor the moment factor, as no key holds
+    labels (each fit forms its own right-hand side)."""
     low_rank = _spy_calls(monkeypatch, krr, "low_rank_gram")
     moments = _spy_calls(monkeypatch, krr, "covariance")
     rng = np.random.default_rng(31)
     for kernel, other, n, calls, built in (
         (KernelSpec.gaussian(0.2), KernelSpec.gaussian(0.25), 2048, low_rank, [1, 1, 2, 3, 4, 4]),
-        (KernelSpec.designed(0.5, 64), KernelSpec.designed(0.6, 64), 300, moments, [1, 1, 2, 3, 4, 5]),
+        (KernelSpec.designed(0.5, 64), KernelSpec.designed(0.6, 64), 300, moments, [1, 1, 2, 3, 4, 4]),
     ):
         data = _dataset(rng.uniform(0.0, 1.0, n), rng.standard_normal(n))
         counts = []
