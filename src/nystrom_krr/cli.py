@@ -84,8 +84,6 @@ def cmd_diagnostics(args) -> int:
 
 def cmd_lambda0(args) -> int:
     config = _load(args)
-    if not config.kernel.is_designed:
-        raise ValueError("lambda0 needs a designed_spectral kernel in the config")
     n = args.n
     profile = analytic_profile(config.kernel.decay, config.kernel.truncation)
     lam = lambda0(profile, n)

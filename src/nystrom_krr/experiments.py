@@ -62,6 +62,11 @@ class LambdaPolicy:
 
 @dataclass
 class ExperimentConfig:
+    """A sweep's settings, each checked here once, whether the config comes from
+    ``config_from_dict`` or from code; an error names the JSON key. The kernel must
+    be designed: every command reads exact errors or lambda0. ``diagnostics`` is
+    stored with its defaults; an absent ``lambda`` is lambda0 at run time."""
+
     kernel: KernelSpec
     phi: IndexFunction
     target_profile: str
@@ -80,15 +85,32 @@ class ExperimentConfig:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _typed(self.krr_baseline, bool, "krr_baseline", "true or false")
-        self.gamma = _optional(self.gamma, "gamma")
+        if not self.kernel.is_designed:
+            raise ValueError("config error: 'kernel' must be designed_spectral for exact errors")
+        grid = _typed(self.n_grid, list, "n_grid", "a list")
+        self.n_grid = [check_count(n, "config error: 'n_grid'") for n in grid]
         if len(self.n_grid) == 0:
             raise ValueError("n_grid must be nonempty")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        check_count(self.repetitions, "repetitions")
-        check_positive(self.lambda_factor, "lambda_factor")
-        check_positive(self.exponent_tolerance, "exponent_tolerance")
+        self.repetitions = check_count(self.repetitions, "config error: 'repetitions'")
+        self.seed = check_seed(self.seed, "config error: 'seed'")
+        _typed(self.outputs, str, "outputs", "a string")
+        _typed(self.krr_baseline, bool, "krr_baseline", "true or false")
+        self.gamma = _optional(self.gamma, "gamma")
+        self.lambda_factor = check_positive(self.lambda_factor, "config error: 'lambda_factor'")
+        self.exponent_tolerance = check_positive(
+            self.exponent_tolerance, "config error: 'exponent_tolerance'"
+        )
+        diag = _typed(self.diagnostics, dict, "diagnostics", "an object")
+        _check_keys(diag, ("T", "n", "trials", "delta", "lambda"), "diagnostics")
+        self.diagnostics = {
+            key: check_count(diag.get(key, default), f"config error: 'diagnostics.{key}'")
+            for key, default in (("T", 256), ("n", 2048), ("trials", 200))
+        }
+        self.diagnostics["delta"] = _number(diag.get("delta", 0.1), "diagnostics.delta")
+        if "lambda" in diag:  # absent: lambda0 at the diagnostics' n
+            self.diagnostics["lambda"] = _number(diag["lambda"], "diagnostics.lambda")
 
 
 def _require(cfg: dict, key: str, context: str):
@@ -115,11 +137,12 @@ def _optional(value, name: str):
     return None if value is None else _number(value, name)
 
 
-# The keys each config object reads; config_from_dict rejects any other.
+# The top-level keys config_from_dict reads; it rejects any other. The stored
+# ones go to ExperimentConfig as they are: their defaults and checks are its own.
+_STORED_KEYS = ("outputs", "krr_baseline", "gamma", "lambda_factor", "exponent_tolerance",
+                "diagnostics")
 _TOP_KEYS = ("kernel", "target", "noise", "n_grid", "repetitions", "seed", "size_rule",
-             "lambda_policy", "outputs", "krr_baseline", "gamma", "lambda_factor",
-             "exponent_tolerance", "diagnostics")
-_DIAGNOSTICS_KEYS = ("T", "n", "trials", "delta", "lambda")
+             "lambda_policy", *_STORED_KEYS)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -157,26 +180,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         value=_optional(pol_cfg.get("value"), "lambda_policy.value"),
         values=tuple(_number(v, "lambda_policy.values") for v in lam_values),
     )
-    n_grid = _typed(_require(raw, "n_grid", "top level"), list, "n_grid", "a list")
-    diagnostics = _typed(raw.get("diagnostics", {}), dict, "diagnostics", "an object")
-    _check_keys(diagnostics, _DIAGNOSTICS_KEYS, "diagnostics")
     return ExperimentConfig(
         kernel=kernel,
         phi=phi,
         target_profile=tgt.get("profile", "sphere"),
         coeff_seed=check_seed(tgt.get("coeff_seed", 0), "config error: 'target.coeff_seed'"),
         noise=noise,
-        n_grid=[check_count(n, "config error: 'n_grid'") for n in n_grid],
-        repetitions=check_count(raw.get("repetitions", 1), "config error: 'repetitions'"),
-        seed=check_seed(raw.get("seed", 0), "config error: 'seed'"),
+        n_grid=_require(raw, "n_grid", "top level"),
+        repetitions=raw.get("repetitions", 1),
+        seed=raw.get("seed", 0),
         size_rule=size_rule,
         lambda_policy=policy,
-        outputs=_typed(raw.get("outputs", "out"), str, "outputs", "a string"),
-        krr_baseline=raw.get("krr_baseline", False),
-        gamma=raw.get("gamma"),
-        lambda_factor=_number(raw.get("lambda_factor", 3.0), "lambda_factor"),
-        exponent_tolerance=_number(raw.get("exponent_tolerance", 0.15), "exponent_tolerance"),
-        diagnostics=diagnostics,
+        **{key: raw[key] for key in _STORED_KEYS if key in raw},
     )
 
 
@@ -302,11 +317,6 @@ def _resolve_lambda(config: ExperimentConfig, n: int) -> float:
     raise ValueError("grid lambda policy is only meaningful for the lambda sweep")
 
 
-def _require_designed(config: ExperimentConfig, what: str):
-    if not config.kernel.is_designed:
-        raise ValueError(f"{what} needs a designed_spectral kernel for exact errors")
-
-
 def _row_warnings(config: ExperimentConfig, m: int, warning: str) -> str:
     """A row's ``warning`` (may be empty), joined by ``; `` with the flag of a
     cell whose m >= T inducing sections make it full KRR, not a subsample."""
@@ -336,7 +346,6 @@ def run_rate_sweep(config: ExperimentConfig):
     exponent against the theoretical ``-r/(s+1)`` within the configured
     tolerance.
     """
-    _require_designed(config, "rate sweep")
     delta = config.size_rule.delta
     top_eig = float(config.kernel.eigenvalues()[0])
     grid = []
@@ -389,7 +398,6 @@ def run_cost_sweep(config: ExperimentConfig):
     Returns (slope, predicted, rows, timing, summary_lines, passed); ``slope``
     is None, with no verdict, when the grid has fewer than 4 points.
     """
-    _require_designed(config, "cost sweep")
     if config.gamma is None:
         raise ValueError("cost sweep needs 'gamma' in the config")
     s = config.kernel.decay.s
@@ -435,7 +443,6 @@ def run_lambda_sensitivity(config: ExperimentConfig):
     Uses the last entry of n_grid; the verdict checks that the error at
     lambda0 stays within ``lambda_factor`` of the grid minimum.
     """
-    _require_designed(config, "lambda sweep")
     n = config.n_grid[-1]
     profile = analytic_profile(config.kernel.decay, config.kernel.truncation)
     lam0 = lambda0(profile, n)
@@ -480,16 +487,10 @@ def run_lambda_sensitivity(config: ExperimentConfig):
 
 def run_diagnostics(config: ExperimentConfig):
     """The four operator-bound checks at the configured settings, one draw per trial."""
-    _require_designed(config, "diagnostics")
     d = config.diagnostics
-    _check_keys(d, _DIAGNOSTICS_KEYS, "diagnostics")
-    truncation = check_count(d.get("T", 256), "config error: 'diagnostics.T'")
-    n = check_count(d.get("n", 2048), "config error: 'diagnostics.n'")
-    trials = check_count(d.get("trials", 200), "config error: 'diagnostics.trials'")
-    delta = _number(d.get("delta", 0.1), "diagnostics.delta")
+    truncation, n, trials, delta = d["T"], d["n"], d["trials"], d["delta"]
     decay = config.kernel.decay
-    profile = analytic_profile(decay, truncation)
-    lam = _number(d.get("lambda", lambda0(profile, n)), "diagnostics.lambda")
+    lam = d["lambda"] if "lambda" in d else lambda0(analytic_profile(decay, truncation), n)
     kernel = KernelSpec.designed(decay.s, truncation)
     m = subsample_size(n, lam, SizeRuleParams(c=1.0, delta=delta), kernel=kernel)
     # no check reads the target; an invalid one is still an error

@@ -11,7 +11,8 @@ A designed kernel has rank T: with the sections ``w(x) = sqrt(mu) * e(x)``
 with ``(S + lam I) u = b``, ``S = W_n^T W_n / n`` and ``b = W_n^T y / n``
 (``_moment_factor`` factors ``S + lam I``). ``(S + lam I)^-1`` maps ``b`` into
 ``range(W_n^T)``: the exact full-KRR minimizer for any n points, repeated or
-not. Above T it replaces the n x n system: O(n sqrt(T) + T^3), no n x n array.
+not. Above 0.65 T (``_MOMENT_ROUTE``), where it is the faster route, it replaces the
+n x n system: O(n sqrt(T) + T^3), no n x n array.
 
 A closed-form kernel (Gaussian, Laplacian) solves on ``_shifted_factor``, the
 one factor of ``K + lam n I`` that ``spectral``'s ridge leverage scores share:
@@ -30,7 +31,7 @@ One held cell, the last low-rank or moment factor, lets the size rule, ``fit_krr
 and the designed Nystrom fit on one cell's data, whatever the labels, build it once.
 Its key is compared by value, never identity: the kernel, shift and points' bytes,
 or mu, lam and points. A miss drops it before the build. Its arrays are read-only;
-it holds r x n doubles, or T^2 (n > T: 32 MB at T = 2048), until the next build or
+it holds r x n doubles, or T^2 (32 MB at T = 2048), until the next build or
 ``_drop_cell``; the dense route is not held. Designed fits run at one BLAS thread.
 
 Predictions. An expansion is summed over its nonzero weights only (a Nystrom
@@ -94,8 +95,8 @@ class _LowRankPredictor:
 class KernelModel:
     """A fitted function, in one of two forms: the expansion
     ``f(x) = sum_j alpha_j K(x, support_xs[j])`` (every Gaussian or Laplacian
-    model, designed full KRR on n <= T points, and hand-built models), or, for
-    a designed-kernel Nystrom fit or designed full KRR on n > T points, its
+    model, designed full KRR on n <= 0.65 T points, and hand-built models), or,
+    for a designed-kernel Nystrom fit or designed full KRR on more points, its
     eigen-``coefficients`` ``f = sum_k f_k e_k`` and no ``alpha``.
 
     Full KRR supports on every training point; a Nystrom model supports on
@@ -179,7 +180,7 @@ def _cell(key: tuple, build):
 
 
 def _moment_factor(xs, mu, lam):
-    """``(U, ||U||_F^2)`` of n > T points, ``U^T U = S + lam I`` from the lower triangle
+    """``(U, ||U||_F^2)`` of the points, ``U^T U = S + lam I`` from the lower triangle
     of ``S = covariance(xs, mu)``, in its memory (mirror entries differ by rounding),
     held under mu, lam and xs; each reader forms ``b = sqrt(mu) * Phi^T y / n``."""
     def build():
@@ -207,7 +208,7 @@ def _shifted_factor(kernel: KernelSpec, xs, shift: float):
 
 def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
     """Fit by solving the n x n shifted Gram system: for a designed kernel and
-    n > T as the T x T closed form, for a closed-form kernel by Woodbury on its
+    n > 0.65 T as the T x T closed form, for a closed-form kernel by Woodbury on its
     low-rank factor when the rank is below the cap (module docstring)."""
     xs, ys = _training_arrays(kernel, data, lam)
     if not kernel.is_designed:
@@ -216,9 +217,17 @@ def fit_krr(kernel: KernelSpec, data, lam: float) -> KernelModel:
         return _fit_krr(kernel, xs, ys, lam)
 
 
+# Designed full KRR takes the T x T moment route above this fraction of T. At one
+# BLAS thread (best of 3, 2-vCPU x86 VM) the two routes cost the same at about
+# n = 630, 1330 and 2650 for T = 1024, 2048 and 4096; at n = T the n x n route
+# took 0.047, 0.292 and 1.851 s against 0.020, 0.123 and 0.675 s. Their
+# coefficients agree within 1.2e-15 relative.
+_MOMENT_ROUTE = 0.65
+
+
 def _fit_krr(kernel: KernelSpec, xs, ys, lam: float) -> KernelModel:
     n = xs.size
-    if kernel.is_designed and n > kernel.truncation:
+    if kernel.is_designed and n > _MOMENT_ROUTE * kernel.truncation:
         mu = kernel.eigenvalues()
         u_mat = _moment_factor(xs, mu, lam)[0]
         rhs = np.sqrt(mu) * basis_moments(xs, ys, mu.size) / n

@@ -142,3 +142,25 @@ def test_main_writes_the_runs_so_far_and_exits_nonzero_after_a_failed_run(monkey
     assert report["stopped"] == report["runs"][-1]
     assert report["failed_ops"] == {"parent": "0 of 5", "change": "0 of 5"}
     assert not {"summary", "no_regression", "claim"} & report.keys()
+
+
+@pytest.mark.parametrize("workload, claim", [
+    ("verify_pass", "verify_pass.op_p50"),
+    ("verify_pass", "rate_cell_16k.op_s_p50"),
+    ("all", "w.op_s_p50"),
+    ("all", "op_s_p50"),
+])
+def test_main_rejects_a_bad_claim_before_any_run(monkeypatch, tmp_path, workload, claim):
+    """A ``--claim`` that names no end-to-end metric of ``BENCHMARK.json`` on a
+    workload that ``--workload`` covers is an argument error before the first
+    run, not a ``KeyError`` after the last one that writes no file."""
+    calls = []
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: calls.append(a))
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", str(tmp_path), "--workload",
+                                      workload, "--pairs", "3", "--seed", "7", "--label", "fake",
+                                      "--claim", claim])
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main()
+    assert exc.value.code == 2 and calls == []
+    assert not (tmp_path / "BENCH_fake.json").exists()

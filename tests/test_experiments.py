@@ -93,6 +93,34 @@ def test_direct_config_checks_what_the_json_path_checks():
     assert small_config(gamma=1).gamma == 1.0 and small_config(gamma=None).gamma is None
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("kernel", KernelSpec.gaussian(1.0), "'kernel' must be designed_spectral"),
+    ("n_grid", [], "n_grid must be nonempty"),
+    ("n_grid", [0, 128], "'n_grid' must be >= 1"),
+    ("n_grid", [64.5, 128], "'n_grid' must be an integer"),
+    ("repetitions", 0, "'repetitions' must be >= 1"),
+    ("seed", -1, "'seed' must be >= 0"),
+    ("seed", "7", "'seed' must be an integer"),
+    ("outputs", 5, "'outputs' must be a string"),
+    ("lambda_factor", "3", "'lambda_factor' must be a number"),
+    ("diagnostics", {"Tx": 3}, "'diagnostics.Tx' is not a diagnostics setting"),
+    ("diagnostics", {"trials": 0}, "'diagnostics.trials' must be >= 1"),
+    ("diagnostics", {"T": 0.5}, "'diagnostics.T' must be an integer"),
+    ("diagnostics", {"lambda": "x"}, "'diagnostics.lambda' must be a number"),
+])
+def test_config_built_in_code_fails_as_the_json_path_does(key, value, message):
+    """Every setting ``ExperimentConfig`` stores is checked when it is built, so a
+    config built in code and one read from JSON fail alike, with a
+    ``ValueError`` naming the key, before any command runs: not a ``TypeError``
+    inside numpy (``seed="7"``), nor a rate sweep that runs to the end with an
+    ``outputs`` or ``diagnostics`` value no command could use."""
+    raw = value.to_config() if isinstance(value, KernelSpec) else value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        small_config(**{key: value})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        exp.config_from_dict(config_dict(**{key: raw}))
+
+
 def test_lambda_policy_validation():
     with pytest.raises(ValueError):
         exp.LambdaPolicy("fixed")
@@ -318,6 +346,29 @@ def test_lambda_sweep_shape_and_verdict():
     assert sum(int(r[6]) for r in rows) == 1  # lambda0 marked exactly once
 
 
+def test_lambda_sweep_on_a_grid_policy_adds_lambda0():
+    """A grid policy that leaves out lambda0 sweeps its values in sorted order
+    with lambda0 added, one row each, and marks only the lambda0 row."""
+    values = (1e-2, 1e-4, 1e-3)
+    policy = exp.LambdaPolicy("grid", values=values)
+    config = small_config(n_grid=[128], repetitions=1, lambda_policy=policy)
+    lam0 = lambda0(analytic_profile(config.kernel.decay, config.kernel.truncation), 128)
+    assert lam0 not in values
+    rows, _, _ = exp.run_lambda_sensitivity(config)
+    assert [float(r[0]) for r in rows] == sorted([*values, lam0])
+    assert [r[0] for r in rows if r[6] == 1] == [repr(lam0)]
+
+
+def test_rate_and_cost_sweeps_refuse_a_grid_policy(monkeypatch):
+    """A grid lambda policy is the lambda sweep's alone: the rate and cost sweeps
+    raise before any cell runs."""
+    monkeypatch.setattr(exp, "_sweep_cells", lambda *a, **k: pytest.fail("a cell ran"))
+    config = small_config(gamma=0.75, lambda_policy=exp.LambdaPolicy("grid", values=(1e-3, 1e-2)))
+    for run in (exp.run_rate_sweep, exp.run_cost_sweep):
+        with pytest.raises(ValueError, match="grid lambda policy is only meaningful"):
+            run(config)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics dispatch
 # ---------------------------------------------------------------------------
@@ -526,6 +577,7 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys):
             "kernel.truncation",
         ),
         ("rate-sweep", {"diagnostics": {**diag, "Tx": 3}}, "diagnostics.Tx"),
+        ("rate-sweep", {"diagnostics": {**diag, "trials": 0}}, "diagnostics.trials"),
     ]
     for i, (command, overrides, key) in enumerate(cases):
         case_dir = tmp_path / str(i)
@@ -569,9 +621,10 @@ BLAS_THREAD_RTOL = 1e-5
 def test_rate_sweep_agrees_across_blas_threads(tmp_path):
     """One small sweep at 1 and at 2 OpenBLAS threads: same exit code and
     verdicts, same integer columns, floats within BLAS_THREAD_RTOL. With
-    T = 64 the n = 48 cells solve on the training points' sections and the
+    T = 64 the n = 32, 48 cells solve on the training points' sections and the
     n = 96, 192 cells on the trig-moment covariance; the KRR baseline takes
-    the n x n Gram at n = 48 and the T x T closed form at n = 96, 192."""
+    the n x n Gram at n = 32 <= 0.65 T and the T x T closed form at n = 48,
+    96, 192."""
     runs = []
     for threads in (1, 2):
         run_dir = tmp_path / f"threads{threads}"
@@ -579,7 +632,7 @@ def test_rate_sweep_agrees_across_blas_threads(tmp_path):
         cfg = _write_config(
             run_dir,
             kernel={"variant": "designed_spectral", "s": 0.5, "truncation": 64},
-            n_grid=[48, 96, 192], repetitions=2, krr_baseline=True,
+            n_grid=[32, 48, 96, 192], repetitions=2, krr_baseline=True,
         )
         proc = _run_cli(["rate-sweep", "--config", str(cfg)], blas_threads=threads)
         out = run_dir / "out"
@@ -594,7 +647,7 @@ def test_rate_sweep_agrees_across_blas_threads(tmp_path):
     (code1, verdicts1, rows1), (code2, verdicts2, rows2) = runs
     assert code1 == code2 == 0
     assert verdicts1 == verdicts2 and verdicts1
-    assert len(rows1) == len(rows2) == 6
+    assert len(rows1) == len(rows2) == 8
     for a, b in zip(rows1, rows2):
         for key in ("n", "rep", "seed", "m", "flops", "warnings"):
             assert a[key] == b[key]

@@ -552,9 +552,10 @@ def test_whitened_route_holds_one_truncation_square_array():
 def test_designed_fits_hold_one_blas_thread(monkeypatch):
     """T = 256: every designed route, the Nystrom fit on n <= T, on the
     whitened span, after a refused certificate and at m >= T, and full KRR on
-    n <= T and n > T, runs at one BLAS thread and gives the same coefficients
-    bit for bit under ``blas_threads(2)`` as under ``blas_threads(1)``. Each
-    fit starts without a held factor."""
+    the n x n Gram (n = 150 <= 0.65 T) and on the moment factor (n = 200 and
+    2048), runs at one BLAS thread and gives the same coefficients bit for bit
+    under ``blas_threads(2)`` as under ``blas_threads(1)``. Each fit starts
+    without a held factor."""
     from nystrom_krr import linalg
 
     seen = []
@@ -572,8 +573,9 @@ def test_designed_fits_hold_one_blas_thread(monkeypatch):
     coeffs = {}
     for threads in (1, 2):
         with linalg.blas_threads(threads):
-            for route, n, m in (("n <= T", 200, 100), ("whitened", 2048, 100),
-                                ("refused", 2048, 100), ("m >= T", 2048, 300)):
+            for route, n, m in (("n <= 0.65 T", 150, 100), ("n <= T", 200, 100),
+                                ("whitened", 2048, 100), ("refused", 2048, 100),
+                                ("m >= T", 2048, 300)):
                 rng = np.random.default_rng(n + m)
                 xs = rng.uniform(0.0, 1.0, n)
                 if route == "refused":
@@ -583,8 +585,9 @@ def test_designed_fits_hold_one_blas_thread(monkeypatch):
                 model = fit_nystrom(kernel, data, 1e-3, np.arange(m))
                 coeffs.setdefault(route, []).append(model.coefficients)
                 krr._drop_cell()
-                coeffs.setdefault(f"KRR {route}", []).append(krr.fit_krr(kernel, data, 1e-3).coefficients)
-    assert seen == [[1] * len(linalg._blas_thread_calls())] * 16
+                krr_coeffs = krr.fitted_coefficients(krr.fit_krr(kernel, data, 1e-3), kernel)
+                coeffs.setdefault(f"KRR {route}", []).append(krr_coeffs)
+    assert seen == [[1] * len(linalg._blas_thread_calls())] * 20
     for route, (one, two) in coeffs.items():
         assert np.array_equal(one, two), route
 

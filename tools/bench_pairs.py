@@ -20,10 +20,11 @@ is worse than the parent's by at most that fraction of the parent's median,
 is wider than that fraction and not every change run beats every parent run.
 With ``--claim``, it also says whether the change won at least nine tenths of
 the pairs and moved the median by more than the distance between the parent's
-quartiles. Both verdicts read ``not judged`` when any run of either side
-reports wrong outputs (``correct: false``). A run that exits non-zero stops
-the script: the file then holds the runs made so far, that one with its exit
-code, and no verdicts, and the script exits 1.
+quartiles; a claim that names no end-to-end metric of a workload the run
+covers is refused before the first run. Both verdicts read ``not judged``
+when any run of either side reports wrong outputs (``correct: false``). A run
+that exits non-zero stops the script: the file then holds the runs made so
+far, that one with its exit code, and no verdicts, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -143,6 +144,12 @@ def main() -> int:
         ap.error("--pairs must be at least 1")
     better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+    if args.claim:  # checked before any run: a bad one would only fail after the last
+        covered = ([w["name"] for w in BENCHMARK["workloads"]] if args.workload == "all"
+                   else [args.workload])
+        workload, _, metric = args.claim.partition(".")
+        if workload not in covered or metric not in better:
+            ap.error(f"--claim {args.claim!r} names no <workload>.<metric> of this run")
     trees = {"parent": args.parent.resolve(), "change": ROOT}
 
     schedule = [
