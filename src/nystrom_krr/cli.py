@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from . import experiments as exp
 from .diagnostics import CSV_FIELDS, report_rows
@@ -37,13 +38,12 @@ def _add_common(parser):
 
 def _load(args) -> exp.ExperimentConfig:
     config = exp.load_config(args.config)
+    overrides = {} if args.out_dir is None else {"outputs": args.out_dir}
     if args.seed is not None:
-        config.seed = check_seed(args.seed, "--seed")
-    if args.out_dir is not None:
-        config.outputs = args.out_dir
+        overrides["seed"] = check_seed(args.seed, "--seed")
     if args.reps is not None:
-        config.repetitions = check_count(args.reps, "--reps")
-    return config
+        overrides["repetitions"] = check_count(args.reps, "--reps")
+    return replace(config, **overrides)
 
 
 def _finish(config, name, fields, rows, summary, passed, timing=None) -> int:

@@ -21,13 +21,15 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
+from types import MappingProxyType
 
 import numpy as np
 
 from . import krr, nystrom
 from .diagnostics import check_all_bounds
 from .kernels import KernelSpec
-from .linalg import _check_keys, check_count, check_number, check_positive, check_seed, fork_map
+from .linalg import (_check_keys, check_count, check_fraction, check_number, check_positive,
+                     check_seed, fork_map)
 from .nystrom import SizeRuleParams, lambda_admissible, subsample_plain, subsample_size
 from .spectral import (
     IndexFunction,
@@ -60,19 +62,19 @@ class LambdaPolicy:
             raise ValueError(f"grid lambda policy 'values' repeats a value: {self.values}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """A sweep's settings, each checked here once, whether the config comes from
-    ``config_from_dict`` or from code; an error names the JSON key. The kernel must
-    be designed: every command reads exact errors or lambda0. ``diagnostics`` is
-    stored with its defaults; an absent ``lambda`` is lambda0 at run time."""
+    """A sweep's settings, each checked here once, whether built by ``config_from_dict``,
+    in code or by ``dataclasses.replace`` (the one way to change a built config); an
+    error names the JSON key. The kernel must be designed: every command reads exact
+    errors or lambda0. ``n_grid`` is a tuple, ``diagnostics`` read-only with defaults."""
 
     kernel: KernelSpec
     phi: IndexFunction
     target_profile: str
     coeff_seed: int
     noise: NoiseSpec
-    n_grid: list
+    n_grid: tuple
     repetitions: int
     seed: int
     size_rule: SizeRuleParams
@@ -82,35 +84,35 @@ class ExperimentConfig:
     gamma: float | None = None
     lambda_factor: float = 3.0
     exponent_tolerance: float = 0.15
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: MappingProxyType = field(default_factory=dict)
 
     def __post_init__(self):
+        store = partial(object.__setattr__, self)  # frozen: the checked value replaces the input
         if not self.kernel.is_designed:
             raise ValueError("config error: 'kernel' must be designed_spectral for exact errors")
-        grid = _typed(self.n_grid, list, "n_grid", "a list")
-        self.n_grid = [check_count(n, "config error: 'n_grid'") for n in grid]
+        grid = _typed(self.n_grid, (list, tuple), "n_grid", "a list")
+        store("n_grid", tuple(check_count(n, "config error: 'n_grid'") for n in grid))
         if len(self.n_grid) == 0:
             raise ValueError("n_grid must be nonempty")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        self.repetitions = check_count(self.repetitions, "config error: 'repetitions'")
-        self.seed = check_seed(self.seed, "config error: 'seed'")
+        store("repetitions", check_count(self.repetitions, "config error: 'repetitions'"))
+        store("seed", check_seed(self.seed, "config error: 'seed'"))
         _typed(self.outputs, str, "outputs", "a string")
         _typed(self.krr_baseline, bool, "krr_baseline", "true or false")
-        self.gamma = _optional(self.gamma, "gamma")
-        self.lambda_factor = check_positive(self.lambda_factor, "config error: 'lambda_factor'")
-        self.exponent_tolerance = check_positive(
-            self.exponent_tolerance, "config error: 'exponent_tolerance'"
-        )
-        diag = _typed(self.diagnostics, dict, "diagnostics", "an object")
+        store("gamma", _optional(self.gamma, "gamma"))
+        for key in ("lambda_factor", "exponent_tolerance"):
+            store(key, check_positive(getattr(self, key), f"config error: '{key}'"))
+        diag = _typed(self.diagnostics, (dict, MappingProxyType), "diagnostics", "an object")
         _check_keys(diag, ("T", "n", "trials", "delta", "lambda"), "diagnostics")
-        self.diagnostics = {
+        checked = {
             key: check_count(diag.get(key, default), f"config error: 'diagnostics.{key}'")
             for key, default in (("T", 256), ("n", 2048), ("trials", 200))
         }
-        self.diagnostics["delta"] = _number(diag.get("delta", 0.1), "diagnostics.delta")
+        checked["delta"] = check_fraction(diag.get("delta", 0.1), "config error: 'diagnostics.delta'")
         if "lambda" in diag:  # absent: lambda0 at the diagnostics' n
-            self.diagnostics["lambda"] = _number(diag["lambda"], "diagnostics.lambda")
+            checked["lambda"] = check_fraction(diag["lambda"], "config error: 'diagnostics.lambda'")
+        store("diagnostics", MappingProxyType(checked))
 
 
 def _require(cfg: dict, key: str, context: str):

@@ -103,8 +103,9 @@ class KernelModel:
     the inducing points and records their training-set ``inducing_indices``
     (None for full KRR). ``kernel`` is the kernel the model was fitted with;
     the fitters and ``load_model`` set it, and evaluating the model under
-    another kernel is an error. Full KRR fitted on a low-rank factor also
-    keeps what ``predict`` needs of that factor (module docstring).
+    another kernel is an error. A model is complete when built: full KRR fitted
+    on a low-rank factor gets what ``predict`` needs of that factor as
+    ``low_rank`` (module docstring); hand-built and loaded models have none.
     """
 
     def __init__(
@@ -116,13 +117,15 @@ class KernelModel:
         inducing_indices: np.ndarray | None = None,
         kernel: KernelSpec | None = None,
         coefficients: np.ndarray | None = None,
+        *,
+        low_rank: _LowRankPredictor | None = None,
     ):
         designed = kernel is not None and kernel.is_designed
         if (alpha is None) == (coefficients is None) or coefficients is not None and not designed:
             raise ValueError("a model carries alpha, or eigen-coefficients and their kernel")
         self.support_xs, self._alpha, self.lam, self.opcount = support_xs, alpha, lam, opcount
         self.inducing_indices, self.kernel, self.coefficients = inducing_indices, kernel, coefficients
-        self._low_rank: _LowRankPredictor | None = None  # set by fit_krr only
+        self._low_rank = low_rank
 
     @property
     def alpha(self) -> np.ndarray:
@@ -240,18 +243,15 @@ def _fit_krr(kernel: KernelSpec, xs, ys, lam: float) -> KernelModel:
     # Woodbury: (L L^T + s I)^-1 y = (y - L (s I + L^T L)^-1 L^T y) / s
     inner = sla.cho_solve((chol, False), factor_t @ ys, check_finite=False)
     alpha = (ys - factor_t.T @ inner) / (lam * n)
-    model = KernelModel(xs, alpha, lam, OpCount.krr(n), kernel=kernel)
-    if pivots.size == 0:  # lam n >= 1 / eps: K itself is round-off
-        return model
     eps = np.finfo(np.float64).eps
-    model._low_rank = _LowRankPredictor(
+    low_rank = None if pivots.size == 0 else _LowRankPredictor(  # no pivots: K is round-off
         xs[pivots],
         np.tril(factor_t[:, pivots].T),
         factor_t @ alpha,
         float(np.linalg.norm(alpha)) * math.sqrt(n * eps * lam * n),
         n * eps * float(np.abs(alpha).sum()),
     )
-    return model
+    return KernelModel(xs, alpha, lam, OpCount.krr(n), kernel=kernel, low_rank=low_rank)
 
 
 def fitted_coefficients(model: KernelModel, kernel: KernelSpec) -> np.ndarray:

@@ -15,11 +15,11 @@ import nystrom_krr
 from nystrom_krr import experiments as exp
 from nystrom_krr import krr, linalg, nystrom
 from nystrom_krr.cli import main as cli_main
-from nystrom_krr.kernels import KernelSpec
+from nystrom_krr.kernels import DecaySpec, KernelSpec
 from nystrom_krr.linalg import NumericalError, blas_threads
 from nystrom_krr.nystrom import SizeRuleParams
 from nystrom_krr.spectral import IndexFunction, analytic_profile, lambda0
-from nystrom_krr.synthetic import NoiseSpec, l2_rho_error, make_target, sample_dataset
+from nystrom_krr.synthetic import NoiseSpec, TargetSpec, l2_rho_error, make_target, sample_dataset
 
 
 def small_config(**overrides):
@@ -119,6 +119,39 @@ def test_config_built_in_code_fails_as_the_json_path_does(key, value, message):
         small_config(**{key: value})
     with pytest.raises(ValueError, match=re.escape(message)):
         exp.config_from_dict(config_dict(**{key: raw}))
+
+
+def test_a_built_config_is_final():
+    """No setting of a built config changes, not even inside ``diagnostics``:
+    ``dataclasses.replace`` is the one way to change one, and it checks the new
+    config as the build did. ``replace`` takes the stored forms (a tuple
+    ``n_grid``, a read-only ``diagnostics``) back unchanged."""
+    config = small_config(diagnostics={"T": 32, "lambda": 1e-3})
+    for key, value in (("seed", 7), ("diagnostics", {"trials": 3}), ("n_grid", [128])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, key, value)
+    with pytest.raises(TypeError):
+        config.diagnostics["T"] = 0
+    assert config.n_grid == (128, 256, 512)
+    assert dict(config.diagnostics) == {"T": 32, "n": 2048, "trials": 200, "delta": 0.1,
+                                        "lambda": 1e-3}
+    assert dataclasses.replace(config) == config
+    for key, value, message in (
+        ("seed", "7", "'seed' must be an integer"),
+        ("diagnostics", {"delta": 5}, "'diagnostics.delta' must be in (0, 1)"),
+        ("diagnostics", {"lambda": -1.0}, "'diagnostics.lambda' must be in (0, 1)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(config, **{key: value})
+
+
+@pytest.mark.parametrize("kind", [
+    exp.ExperimentConfig, exp.LambdaPolicy, SizeRuleParams, NoiseSpec, KernelSpec, DecaySpec,
+    IndexFunction, TargetSpec,
+], ids=lambda kind: kind.__name__)
+def test_every_settings_type_is_frozen(kind):
+    """Every settings dataclass a config holds is frozen: a built setting is final."""
+    assert kind.__dataclass_params__.frozen
 
 
 def test_lambda_policy_validation():
@@ -443,6 +476,34 @@ def test_cli_seed_override_changes_rows(tmp_path):
     assert (tmp_path / "out" / "rate_sweep.csv").read_bytes() != first
 
 
+def test_cli_flags_equal_the_same_values_in_the_file(tmp_path, monkeypatch):
+    """``--seed``, ``--reps`` and ``--out-dir`` write the same CSV bytes as a
+    config file that holds those values, and leave the config read from the
+    file as it was: the CLI builds the overridden config with
+    ``dataclasses.replace``, which checks it as the file's values are checked."""
+    loaded, real_load = [], exp.load_config
+
+    def load(path):
+        loaded.append(real_load(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(exp, "load_config", load)
+    for name in ("file", "flags"):
+        (tmp_path / name).mkdir()
+    held = _write_config(tmp_path / "file", n_grid=[128, 192, 256], seed=7, repetitions=2)
+    base = _write_config(tmp_path / "flags", n_grid=[128, 192, 256], seed=11, repetitions=1)
+    out = tmp_path / "elsewhere"
+    assert cli_main(["rate-sweep", "--config", str(held)]) == 0
+    flags = ["--seed", "7", "--reps", "2", "--out-dir", str(out)]
+    assert cli_main(["rate-sweep", "--config", str(base), *flags]) == 0
+    want = (tmp_path / "file" / "out" / "rate_sweep.csv").read_bytes()
+    assert (out / "rate_sweep.csv").read_bytes() == want
+    assert not (tmp_path / "flags" / "out").exists()
+    from_file = loaded[-1]
+    assert (from_file.seed, from_file.repetitions) == (11, 1)
+    assert from_file.outputs == str(tmp_path / "flags" / "out")
+
+
 def test_cli_lambda0_subcommand(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert cli_main(["lambda0", "--config", str(cfg), "--n", "1024"]) == 0
@@ -578,6 +639,8 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys):
         ),
         ("rate-sweep", {"diagnostics": {**diag, "Tx": 3}}, "diagnostics.Tx"),
         ("rate-sweep", {"diagnostics": {**diag, "trials": 0}}, "diagnostics.trials"),
+        ("rate-sweep", {"diagnostics": {**diag, "delta": 5}}, "diagnostics.delta"),
+        ("rate-sweep", {"diagnostics": {**diag, "lambda": -1.0}}, "diagnostics.lambda"),
     ]
     for i, (command, overrides, key) in enumerate(cases):
         case_dir = tmp_path / str(i)

@@ -485,6 +485,22 @@ def test_low_rank_predictor_keeps_pivot_rows_of_the_factor():
     assert np.all(np.isfinite(predict(others[-1], kernel, [0.3, 0.5])))
 
 
+def test_a_fitted_model_is_complete_when_built():
+    """``fit_krr`` hands its low-rank predictor to the ``KernelModel``
+    constructor, which takes it by keyword only: a model rebuilt by hand from
+    the fitted one's parts predicts bit for bit as it does."""
+    rng = np.random.default_rng(21)
+    kernel, n, lam = KernelSpec.gaussian(0.5), 1024, 2.5e-3
+    xs, ys = rng.uniform(0.0, 1.0, n), rng.standard_normal(n)
+    model = fit_krr(kernel, _dataset(xs, ys), lam)
+    assert model._low_rank is not None
+    rebuilt = KernelModel(xs, model.alpha, lam, kernel=kernel, low_rank=model._low_rank)
+    grid = np.linspace(-0.2, 1.2, 301)
+    assert np.array_equal(predict(rebuilt, kernel, grid), predict(model, kernel, grid))
+    with pytest.raises(TypeError):
+        KernelModel(xs, model.alpha, lam, OpCount(), None, kernel, None, model._low_rank)
+
+
 def test_nystrom_gaussian_predict_skips_zero_weights(monkeypatch):
     """A Gaussian Nystrom fit's weights vanish off the kept inducing points;
     predict sums the others only (``cross_gram`` is as wide as they are) and
